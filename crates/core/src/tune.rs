@@ -30,7 +30,7 @@
 use std::collections::BTreeMap;
 
 use twill_obs::{
-    diff, CycleBreakdown, ObsSignal, SimMetrics, SourceProfile, TrialRecord, TunedConfig,
+    diff, ClassCycles, ObsSignal, SimMetrics, SourceProfile, StallClass, TrialRecord, TunedConfig,
     TuningReport,
 };
 use twill_rt::fault::SplitMix64;
@@ -204,7 +204,7 @@ pub fn tune(
                 Some(e) => (e.cycles, crit_breakdown(&e.metrics)),
                 // Failed trial (deadlock/timeout): record the failure as
                 // "no better than baseline" with an empty breakdown.
-                None => (u64::MAX, CycleBreakdown::default()),
+                None => (u64::MAX, ClassCycles::default()),
             };
             trials.push(TrialRecord {
                 id: trials.len(),
@@ -382,7 +382,7 @@ fn propose(
     sat.truncate(QUEUES_PER_ROUND);
     for i in sat {
         let q = &m.queues[i];
-        let (line, pct, thread) = attribute(sp, None, |c| c.queue_full);
+        let (line, pct, thread) = attribute(sp, None, StallClass::QueueFull);
         let signal = ObsSignal {
             kind: "queue-full-saturated".into(),
             detail: format!(
@@ -418,15 +418,15 @@ fn propose(
     // -- split-point arm: move work away from the critical thread --------
     if let Some(ci) = m.critical_thread() {
         let t = &m.threads[ci];
-        if m.cycles > 0 && t.busy > 0 {
-            let busy_pct = 100.0 * t.busy as f64 / m.cycles as f64;
+        if m.cycles > 0 && t.cycles.busy > 0 {
+            let busy_pct = 100.0 * t.cycles.busy as f64 / m.cycles as f64;
             let cpu_bound = ci == 0;
-            let starved = t.queue_empty > 0;
-            let (kind, stall_class, mut fracs): (&str, &str, Vec<f64>) = if cpu_bound {
+            let starved = t.cycles.queue_empty > 0;
+            let (kind, class, mut fracs): (&str, StallClass, Vec<f64>) = if cpu_bound {
                 // Software master bounds the pipeline: shrink its share.
                 (
                     "critical-thread-cpu",
-                    "busy",
+                    StallClass::Busy,
                     [0.4, 0.6, 0.8].iter().map(|k| (cur_sw * k).max(SW_FLOOR)).collect(),
                 )
             } else if starved {
@@ -435,7 +435,7 @@ fn propose(
                 // operands arrive ahead of the consumer.
                 (
                     "critical-thread-starved",
-                    "queue-empty",
+                    StallClass::QueueEmpty,
                     vec![(cur_sw * 0.4).max(SW_FLOOR), SW_FLOOR],
                 )
             } else {
@@ -443,7 +443,7 @@ fn propose(
                 // more of the work.
                 (
                     "critical-thread-hw",
-                    "busy",
+                    StallClass::Busy,
                     [1.5, 2.0, 2.5].iter().map(|k| (cur_sw * k).min(0.9)).collect(),
                 )
             };
@@ -455,17 +455,12 @@ fn propose(
                 let drop = (rng.next_u64() % fracs.len() as u64) as usize;
                 fracs.remove(drop);
             }
-            let class = if stall_class == "queue-empty" {
-                (|c: &CycleBreakdown| c.queue_empty) as fn(&CycleBreakdown) -> u64
-            } else {
-                (|c: &CycleBreakdown| c.busy) as fn(&CycleBreakdown) -> u64
-            };
             let (line, pct, _) = attribute(sp, Some(&t.name), class);
             let detail = if starved && !cpu_bound {
                 format!(
                     "{} is the critical thread yet waits on empty queues {:.0}% of {} cycles",
                     t.name,
-                    100.0 * t.queue_empty as f64 / m.cycles as f64,
+                    100.0 * t.cycles.queue_empty as f64 / m.cycles as f64,
                     m.cycles
                 )
             } else {
@@ -481,7 +476,7 @@ fn propose(
                 thread: Some(t.name.clone()),
                 file: if line > 0 { file.into() } else { String::new() },
                 line,
-                stall_class: stall_class.into(),
+                stall_class: class.name().into(),
                 charge_pct: pct,
             };
             for f in fracs {
@@ -505,7 +500,7 @@ fn propose(
         // but empty partitions still shape the split targets.
         merges.extend([(actual, cur_sw), (actual, SW_FLOOR)]);
         let crit = m.critical_thread().map(|i| m.threads[i].name.clone());
-        let (line, pct, _) = attribute(sp, crit.as_deref(), |c| c.queue_empty);
+        let (line, pct, _) = attribute(sp, crit.as_deref(), StallClass::QueueEmpty);
         signal = Some(ObsSignal {
             kind: "partition-collapse".into(),
             detail: format!(
@@ -525,10 +520,10 @@ fn propose(
         let (li, lt) = m.threads[1..]
             .iter()
             .enumerate()
-            .min_by_key(|(i, t)| (t.busy, *i))
+            .min_by_key(|(i, t)| (t.cycles.busy, *i))
             .map(|(i, t)| (i + 1, t))
             .expect("at least one hw thread");
-        let util = lt.busy as f64 / m.cycles.max(1) as f64;
+        let util = lt.cycles.busy as f64 / m.cycles.max(1) as f64;
         if util < UNDERUTILIZED && cur_p > 2 {
             for p in [cur_p - 1, 2] {
                 for sw in [cur_sw, SW_FLOOR] {
@@ -537,13 +532,7 @@ fn propose(
                     }
                 }
             }
-            let (name, _) = lt.dominant_stall();
-            let class = match name {
-                "queue-full" => (|c: &CycleBreakdown| c.queue_full) as fn(&CycleBreakdown) -> u64,
-                "sem" => |c: &CycleBreakdown| c.sem,
-                "idle" => |c: &CycleBreakdown| c.idle,
-                _ => |c: &CycleBreakdown| c.queue_empty,
-            };
+            let (class, _) = lt.cycles.dominant_stall();
             let (line, pct, _) = attribute(sp, Some(&m.threads[li].name), class);
             signal = Some(ObsSignal {
                 kind: "underutilized-hw-thread".into(),
@@ -552,13 +541,13 @@ fn propose(
                     lt.name,
                     100.0 * util,
                     m.cycles,
-                    name
+                    class
                 ),
                 queue: None,
                 thread: Some(lt.name.clone()),
                 file: if line > 0 { file.into() } else { String::new() },
                 line,
-                stall_class: name.into(),
+                stall_class: class.name().into(),
                 charge_pct: pct,
             });
         }
@@ -594,7 +583,7 @@ fn propose(
 fn attribute(
     sp: Option<&SourceProfile>,
     thread: Option<&str>,
-    class: fn(&CycleBreakdown) -> u64,
+    class: StallClass,
 ) -> (u32, f64, Option<String>) {
     let Some(sp) = sp else { return (0, 0.0, thread.map(String::from)) };
     let mut total = 0u64;
@@ -603,7 +592,7 @@ fn attribute(
         if thread.is_some_and(|t| t != s.thread) {
             continue;
         }
-        let v = class(&s.cycles);
+        let v = s.cycles[class];
         total += v;
         if s.line > 0 && v > 0 {
             *lines.entry(s.line).or_default() += v;
@@ -615,8 +604,8 @@ fn attribute(
     let who = thread.map(String::from).or_else(|| {
         sp.samples
             .iter()
-            .filter(|s| s.line == line && class(&s.cycles) > 0)
-            .max_by_key(|s| class(&s.cycles))
+            .filter(|s| s.line == line && s.cycles[class] > 0)
+            .max_by_key(|s| s.cycles[class])
             .map(|s| s.thread.clone())
     });
     let pct = if total > 0 { 100.0 * val as f64 / total as f64 } else { 0.0 };
@@ -664,18 +653,8 @@ fn hint_for(cand: &Candidate) -> String {
 }
 
 /// Stall-class breakdown of the critical thread of a run.
-fn crit_breakdown(m: &SimMetrics) -> CycleBreakdown {
-    let Some(i) = m.critical_thread() else { return CycleBreakdown::default() };
-    let t = &m.threads[i];
-    CycleBreakdown {
-        busy: t.busy,
-        queue_full: t.queue_full,
-        queue_empty: t.queue_empty,
-        sem: t.sem,
-        mem_bus: t.mem_bus,
-        module_bus: t.module_bus,
-        idle: t.idle,
-    }
+fn crit_breakdown(m: &SimMetrics) -> ClassCycles {
+    m.critical_thread().map(|i| m.threads[i].cycles).unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -739,5 +718,67 @@ int main() {
         // Diff proof reconciles exactly with the headline delta.
         let total: i64 = r.diff.attribution.iter().map(|c| c.delta).sum();
         assert_eq!(total, r.tuned_cycles as i64 - r.baseline_cycles as i64);
+    }
+
+    /// The merge signal for an underutilized hardware thread names the C
+    /// line charging its *dominant* stall class, whichever class that is.
+    #[test]
+    fn underutilized_signal_follows_the_dominant_class() {
+        let thread = |name: &str, cycles: ClassCycles| twill_obs::ThreadMetrics {
+            name: name.into(),
+            cycles,
+        };
+        let site = |line, cycles| twill_obs::SiteSample {
+            thread: "hw2".into(),
+            func: "main_dswp_2".into(),
+            line,
+            inst: String::new(),
+            cycles,
+        };
+        let merge_signals = |hw2: ClassCycles, samples: Vec<twill_obs::SiteSample>| {
+            let m = SimMetrics {
+                cycles: 1000,
+                threads: vec![
+                    thread("cpu", ClassCycles { busy: 900, idle: 100, ..Default::default() }),
+                    thread("hw1", ClassCycles { busy: 950, queue_empty: 50, ..Default::default() }),
+                    thread("hw2", hw2),
+                ],
+                ..Default::default()
+            };
+            let sp = SourceProfile { name: "demo".into(), samples };
+            let cands = propose(&m, Some(&sp), 0.25, 3, "demo.c", &mut SplitMix64::new(1));
+            let merges: Vec<ObsSignal> = cands
+                .into_iter()
+                .filter(|c| c.arm == "partition-merge")
+                .map(|c| c.signal)
+                .collect();
+            assert!(!merges.is_empty(), "an underutilized thread proposes merges");
+            merges
+        };
+
+        // Memory-bus dominated: line 20 carries every mem-bus cycle, line
+        // 12 every queue-empty cycle.
+        let hw2 = ClassCycles { busy: 100, queue_empty: 300, mem_bus: 600, ..Default::default() };
+        let samples = vec![
+            site(12, ClassCycles { busy: 50, queue_empty: 300, ..Default::default() }),
+            site(20, ClassCycles { busy: 50, mem_bus: 600, ..Default::default() }),
+        ];
+        for s in merge_signals(hw2, samples) {
+            assert_eq!(s.kind, "underutilized-hw-thread");
+            assert_eq!(s.stall_class, "mem-bus");
+            assert_eq!((s.line, s.charge_pct), (20, 100.0));
+            assert!(s.detail.contains("dominant stall: mem-bus"), "{}", s.detail);
+        }
+
+        // Stall-free: the busiest line, charged as busy cycles.
+        let hw2 = ClassCycles { busy: 100, idle: 900, ..Default::default() };
+        let samples = vec![
+            site(12, ClassCycles { busy: 30, ..Default::default() }),
+            site(20, ClassCycles { busy: 70, ..Default::default() }),
+        ];
+        for s in merge_signals(hw2, samples) {
+            assert_eq!(s.stall_class, "busy");
+            assert_eq!((s.line, s.charge_pct), (20, 70.0));
+        }
     }
 }

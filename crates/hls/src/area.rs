@@ -107,10 +107,9 @@ const LUTS_PERF_GLUE: u32 = 48;
 /// layout constants — the same source the emitted Verilog is generated
 /// from.
 pub fn perf_counter_area(threads: u32, queues: u32) -> AreaReport {
-    use twill_obs::regmap::{
-        HEADER_WORDS, QUEUE_COUNTERS, QUEUE_WORDS, THREAD_CLASSES, THREAD_WORDS,
-    };
-    let counters = 1 + threads * THREAD_CLASSES.len() as u32 + queues * QUEUE_COUNTERS.len() as u32;
+    use twill_obs::regmap::{HEADER_WORDS, QUEUE_COUNTERS, QUEUE_WORDS, THREAD_WORDS};
+    let classes = twill_obs::StallClass::ALL.len() as u32;
+    let counters = 1 + threads * classes + queues * QUEUE_COUNTERS.len() as u32;
     let words = HEADER_WORDS + threads * THREAD_WORDS + queues * QUEUE_WORDS;
     AreaReport {
         luts: counters * LUTS_PERF_COUNTER64

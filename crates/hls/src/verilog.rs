@@ -18,11 +18,11 @@
 
 use crate::schedule::FuncSchedule;
 use std::fmt::Write;
-use twill_ir::{Function, Intr, Module, Op, Ty};
+use twill_ir::{Function, Intr, Module, Op, QueueId, Ty};
 use twill_obs::regmap::{
     QueueDesc, RegKind, RegMap, QUEUE_COUNTERS, REGMAP_MAGIC, REGMAP_VERSION, RT_FN_PERF_READ,
-    THREAD_CLASSES,
 };
+use twill_obs::StallClass;
 
 /// Emission switches for [`emit_module_with`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -45,7 +45,7 @@ impl EmitOptions {
             .queues
             .iter()
             .enumerate()
-            .map(|(i, q)| QueueDesc { name: format!("q{i}"), depth: q.depth })
+            .map(|(i, q)| QueueDesc { name: QueueId::new(i).to_string(), depth: q.depth })
             .collect();
         RegMap::new(&m.name, threads, queues)
     }
@@ -263,7 +263,7 @@ fn perf_expr(r: &twill_obs::regmap::Register, map: &RegMap) -> String {
         RegKind::CyclesLo => "cnt_cycles[31:0]".into(),
         RegKind::CyclesHi => "cnt_cycles[63:32]".into(),
         RegKind::ThreadClass { thread, class, hi } => {
-            format!("cnt_t{thread}_{}{}", THREAD_CLASSES[class], halfsel(hi))
+            format!("cnt_t{thread}_{}{}", class.key(), halfsel(hi))
         }
         RegKind::ThreadState { thread } => format!("{{16'd0, t{thread}_state}}"),
         RegKind::QueueCounter { queue, counter, hi } => {
@@ -289,7 +289,7 @@ fn emit_perf_module(map: &RegMap) -> String {
     writeln!(v, "    input  wire        enable,").unwrap();
     for (t, name) in map.threads.iter().enumerate() {
         writeln!(v, "    // agent {t}: {name} (one strobe per stall class + FSM tap)").unwrap();
-        for class in THREAD_CLASSES {
+        for class in StallClass::ALL.map(StallClass::key) {
             writeln!(v, "    input  wire        t{t}_{class},").unwrap();
         }
         writeln!(v, "    input  wire [15:0] t{t}_state,").unwrap();
@@ -311,7 +311,7 @@ fn emit_perf_module(map: &RegMap) -> String {
 
     writeln!(v, "  reg [63:0] cnt_cycles;").unwrap();
     for t in 0..map.threads.len() {
-        for class in THREAD_CLASSES {
+        for class in StallClass::ALL.map(StallClass::key) {
             writeln!(v, "  reg [63:0] cnt_t{t}_{class};").unwrap();
         }
     }
@@ -326,7 +326,7 @@ fn emit_perf_module(map: &RegMap) -> String {
     writeln!(v, "    if (rst) begin").unwrap();
     writeln!(v, "      cnt_cycles <= 64'd0;").unwrap();
     for t in 0..map.threads.len() {
-        for class in THREAD_CLASSES {
+        for class in StallClass::ALL.map(StallClass::key) {
             writeln!(v, "      cnt_t{t}_{class} <= 64'd0;").unwrap();
         }
     }
@@ -339,7 +339,7 @@ fn emit_perf_module(map: &RegMap) -> String {
     writeln!(v, "    end else if (enable) begin").unwrap();
     writeln!(v, "      cnt_cycles <= cnt_cycles + 64'd1;").unwrap();
     for t in 0..map.threads.len() {
-        for class in THREAD_CLASSES {
+        for class in StallClass::ALL.map(StallClass::key) {
             writeln!(v, "      if (t{t}_{class}) cnt_t{t}_{class} <= cnt_t{t}_{class} + 64'd1;")
                 .unwrap();
         }

@@ -238,10 +238,12 @@ mod tests {
                     cycles: 1736,
                     threads: vec![ThreadMetrics {
                         name: "cpu".into(),
-                        busy: 1000,
-                        queue_empty: 700,
-                        idle: 36,
-                        ..Default::default()
+                        cycles: crate::ClassCycles {
+                            busy: 1000,
+                            queue_empty: 700,
+                            idle: 36,
+                            ..Default::default()
+                        },
                     }],
                     queues: vec![QueueMetrics {
                         name: "q0".into(),

@@ -23,16 +23,9 @@
 //! line up.
 
 use crate::json;
-use crate::metrics::{SimMetrics, ThreadMetrics};
+use crate::metrics::SimMetrics;
+use crate::stall::StallClass;
 use std::fmt::Write as _;
-
-/// The seven cycle classes, in `ThreadMetrics` field order.
-pub const CLASS_NAMES: [&str; 7] =
-    ["busy", "queue-full", "queue-empty", "sem", "mem-bus", "module-bus", "idle"];
-
-fn classes_of(t: &ThreadMetrics) -> [u64; 7] {
-    [t.busy, t.queue_full, t.queue_empty, t.sem, t.mem_bus, t.module_bus, t.idle]
-}
 
 /// One cycle class' contribution to the total cycle delta.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,7 +34,7 @@ pub struct ClassDelta {
     pub delta: i64,
 }
 
-/// Per-thread, per-class cycle deltas (indices follow [`CLASS_NAMES`]).
+/// Per-thread, per-class cycle deltas (indices follow [`StallClass::ALL`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadDelta {
     pub name: String,
@@ -124,7 +117,7 @@ pub fn diff(base: &SimMetrics, new: &SimMetrics) -> MetricsDiff {
         attribution.push(ClassDelta { class: STRUCTURAL_CLASS, delta: cycle_delta });
     } else {
         for (a, b) in base.threads.iter().zip(&new.threads) {
-            let (ca, cb) = (classes_of(a), classes_of(b));
+            let (ca, cb) = (a.cycles.as_array(), b.cycles.as_array());
             let mut deltas = [0i64; 7];
             for i in 0..7 {
                 deltas[i] = cb[i] as i64 - ca[i] as i64;
@@ -139,14 +132,14 @@ pub fn diff(base: &SimMetrics, new: &SimMetrics) -> MetricsDiff {
             .iter()
             .zip(&new.threads)
             .enumerate()
-            .max_by_key(|(i, (a, b))| (a.busy + b.busy, std::cmp::Reverse(*i)))
+            .max_by_key(|(i, (a, b))| (a.cycles.busy + b.cycles.busy, std::cmp::Reverse(*i)))
             .map(|(i, _)| i);
         if let Some(k) = k {
             attribution_thread = Some(new.threads[k].name.clone());
-            attribution = CLASS_NAMES
-                .iter()
+            attribution = StallClass::ALL
+                .into_iter()
                 .zip(threads[k].deltas)
-                .map(|(&class, delta)| ClassDelta { class, delta })
+                .map(|(class, delta)| ClassDelta { class: class.name(), delta })
                 .collect();
             // Rank by magnitude; class order breaks ties so the ranking
             // is deterministic and direction-independent.
@@ -352,8 +345,8 @@ impl MetricsDiff {
         out.push_str("],\n  \"threads\": [\n");
         for (i, t) in self.threads.iter().enumerate() {
             let _ = write!(out, "    {{\"name\": {}", json::quote(&t.name));
-            for (class, d) in CLASS_NAMES.iter().zip(t.deltas) {
-                let _ = write!(out, ", {}: {}", json::quote(class), d);
+            for (class, d) in StallClass::ALL.into_iter().zip(t.deltas) {
+                let _ = write!(out, ", {}: {}", json::quote(class.name()), d);
             }
             out.push('}');
             out.push_str(if i + 1 < self.threads.len() { ",\n" } else { "\n" });
@@ -406,7 +399,7 @@ pub struct PhaseDelta {
     /// Dominant thread (from the new phase when present, else the base).
     pub thread: String,
     /// Dominant stall class.
-    pub class: String,
+    pub class: StallClass,
     /// Responsible queue, when the class is a queue stall.
     pub queue: Option<String>,
     /// Hottest function/line of the dominant pair (when annotated).
@@ -439,7 +432,7 @@ pub fn phase_attribution(
             new: w.map(|p| (p.start, p.end)),
             delta: w_cycles - b_cycles,
             thread: desc.thread.clone(),
-            class: desc.class.clone(),
+            class: desc.class,
             queue: desc.queue.clone(),
             func: desc.func.clone(),
             line: desc.line,
@@ -507,19 +500,11 @@ pub fn render_phase_attribution(deltas: &[PhaseDelta], cycle_delta: i64) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{FaultMetrics, QueueMetrics};
+    use crate::metrics::{FaultMetrics, QueueMetrics, ThreadMetrics};
+    use crate::ClassCycles;
 
     fn thread(name: &str, classes: [u64; 7]) -> ThreadMetrics {
-        ThreadMetrics {
-            name: name.into(),
-            busy: classes[0],
-            queue_full: classes[1],
-            queue_empty: classes[2],
-            sem: classes[3],
-            mem_bus: classes[4],
-            module_bus: classes[5],
-            idle: classes[6],
-        }
+        ThreadMetrics { name: name.into(), cycles: ClassCycles::from_fn(|c| classes[c.index()]) }
     }
 
     fn queue(name: &str, full: u64, empty: u64) -> QueueMetrics {
@@ -563,9 +548,9 @@ mod tests {
         let mut worse = m.clone();
         worse.cycles = 1100;
         // hw1 (the critical timeline) gains 80 queue-full and 20 mem-bus.
-        worse.threads[1].queue_full += 80;
-        worse.threads[1].mem_bus += 20;
-        worse.threads[0].queue_empty += 100; // cpu waits the extra time out
+        worse.threads[1].cycles.queue_full += 80;
+        worse.threads[1].cycles.mem_bus += 20;
+        worse.threads[0].cycles.queue_empty += 100; // cpu waits the extra time out
         worse.queues[0].full_stalls += 80;
         let d = diff(&m, &worse);
         assert_eq!(d.cycle_delta, 100);
@@ -581,9 +566,9 @@ mod tests {
         let m = base();
         let mut other = m.clone();
         other.cycles = 900;
-        other.threads[1].busy -= 60;
-        other.threads[1].queue_empty -= 40;
-        other.threads[0].idle -= 100;
+        other.threads[1].cycles.busy -= 60;
+        other.threads[1].cycles.queue_empty -= 40;
+        other.threads[0].cycles.idle -= 100;
         other.queues[1].empty_stalls += 7;
         other.dropped_events = 3;
         let fwd = diff(&m, &other);
@@ -621,8 +606,8 @@ mod tests {
         let m = base();
         let mut other = m.clone();
         // cpu becomes the busiest stage.
-        other.threads[0].busy = 950;
-        other.threads[0].idle = 0;
+        other.threads[0].cycles.busy = 950;
+        other.threads[0].cycles.idle = 0;
         let d = diff(&m, &other);
         assert_eq!(d.critical_before.as_deref(), Some("hw1"));
         assert_eq!(d.critical_after.as_deref(), Some("cpu"));
@@ -634,7 +619,7 @@ mod tests {
         let m = base();
         let mut worse = m.clone();
         worse.cycles = 1031;
-        worse.threads[1].queue_full += 12_400;
+        worse.threads[1].cycles.queue_full += 12_400;
         worse.queues[1].full_stalls += 12_400;
         let t = diff(&m, &worse).render_text("blowfish hybrid");
         assert!(t.contains("blowfish hybrid: 1000 \u{2192} 1031 cycles"), "{t}");
@@ -649,8 +634,8 @@ mod tests {
         let m = base();
         let mut other = m.clone();
         other.cycles = 1100;
-        other.threads[1].sem += 100;
-        other.threads[0].idle += 100;
+        other.threads[1].cycles.sem += 100;
+        other.threads[0].cycles.idle += 100;
         let d = diff(&m, &other);
         let doc = json::parse(&d.to_json("aes hybrid")).expect("diff JSON parses");
         assert_eq!(doc.get("label").unwrap().as_str(), Some("aes hybrid"));
@@ -672,7 +657,7 @@ mod tests {
             end,
             intervals: 1,
             thread: "hw1".into(),
-            class: class.into(),
+            class: StallClass::from_name(class).unwrap(),
             stall_cycles: end - start + 1,
             queue: queue.map(str::to_string),
             func: (line != 0).then(|| "main".to_string()),
@@ -713,7 +698,7 @@ mod tests {
         let sum: i64 = deltas.iter().map(|d| d.delta).sum();
         assert_eq!(sum, 250 - 400);
         assert!(deltas[1].new.is_none(), "vanished base phase has no new range");
-        assert_eq!(deltas[1].class, "sem", "vanished phase described by its base");
+        assert_eq!(deltas[1].class, StallClass::Sem, "vanished phase described by its base");
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub fn profile_report(title: &str, m: &SimMetrics, stages: Option<StageSection<'
 /// occupancy level at the window's close. The quick terminal view of the
 /// same data the Perfetto counter tracks plot.
 pub fn timeline_table(t: &Timeline) -> String {
-    use crate::timeseries::CLASS_NAMES;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -61,14 +60,7 @@ pub fn timeline_table(t: &Timeline) -> String {
     for iv in &t.intervals {
         let _ = write!(out, "{:>20}", format!("{}..{}", iv.start, iv.end));
         for b in &iv.threads {
-            let a = b.as_array();
-            let mut best = 0;
-            for (i, &v) in a.iter().enumerate() {
-                if v > a[best] {
-                    best = i;
-                }
-            }
-            let _ = write!(out, " {:>14}", CLASS_NAMES[best]);
+            let _ = write!(out, " {:>14}", b.dominant());
         }
         for q in &iv.queues {
             let _ = write!(out, " {:>8}", q.occupancy);
@@ -88,9 +80,7 @@ mod tests {
             cycles: 500,
             threads: vec![ThreadMetrics {
                 name: "cpu".into(),
-                busy: 400,
-                idle: 100,
-                ..Default::default()
+                cycles: crate::ClassCycles { busy: 400, idle: 100, ..Default::default() },
             }],
             queues: vec![],
             dropped_events: 0,
@@ -130,13 +120,13 @@ mod tests {
                 Interval {
                     start: 1,
                     end: 100,
-                    threads: vec![crate::CycleBreakdown { busy: 100, ..Default::default() }],
+                    threads: vec![crate::ClassCycles { busy: 100, ..Default::default() }],
                     queues: vec![QueueWindow { occupancy: 3, ..Default::default() }],
                 },
                 Interval {
                     start: 101,
                     end: 150,
-                    threads: vec![crate::CycleBreakdown { queue_empty: 50, ..Default::default() }],
+                    threads: vec![crate::ClassCycles { queue_empty: 50, ..Default::default() }],
                     queues: vec![QueueWindow { occupancy: 0, ..Default::default() }],
                 },
             ],

@@ -3,10 +3,10 @@
 //! The observability layer for the Twill reproduction: typed simulator
 //! events, a bounded ring-buffer recorder, stall-attribution metrics, and
 //! exporters (Chrome/Perfetto `trace_event` JSON, metrics JSON, profile
-//! tables). `twill-rt` threads these hooks through the cycle simulator
-//! behind its `obs` feature; `twill` (core) adds compiler-stage spans on
-//! the same timeline. On top of the metrics sit the perf-regression
-//! tools (DESIGN.md §9): the versioned [`baseline`] store
+//! tables). `twill-rt` threads these hooks through the cycle simulator and
+//! charges its cycle accounting straight into the [`stall`] types;
+//! `twill` (core) adds compiler-stage spans on the same timeline. On top
+//! of the metrics sit the perf-regression tools (DESIGN.md §9): the versioned [`baseline`] store
 //! (`BENCH_baseline.json`), the [`diff`] engine that attributes a cycle
 //! delta to stall classes / queues / critical-stage shifts, and the
 //! shared [`fmt`] profile renderer.
@@ -15,8 +15,7 @@
 //! * **Zero cost when disabled** — the simulator's hot path only ever
 //!   checks an `Option` and touches pre-allocated counters; no event is
 //!   constructed and no heap allocation happens unless a recorder was
-//!   installed. Compiling `twill-rt` without its `obs` feature removes the
-//!   recording code entirely.
+//!   installed.
 //! * **No external dependencies** — events use plain integer ids and the
 //!   JSON writer/parser is in-tree, so the crate builds offline.
 //! * **Bounded memory** — the ring buffer keeps the most recent `capacity`
@@ -36,6 +35,7 @@ pub mod profile;
 pub mod regmap;
 pub mod ring;
 pub mod span;
+pub mod stall;
 pub mod timeseries;
 pub mod tune;
 
@@ -46,9 +46,10 @@ pub use fmt::{profile_report, timeline_table, StageSection};
 pub use metrics::{FaultMetrics, MetricsSummary, QueueMetrics, SimMetrics, ThreadMetrics};
 pub use perfetto::TraceBuilder;
 pub use phase::{segment, Phase, PhaseReport};
-pub use profile::{line_regression, CycleBreakdown, SiteSample, SourceProfile};
+pub use profile::{line_regression, SiteSample, SourceProfile};
 pub use regmap::{hardware_view, CounterDump, QueueDesc, RegMap};
 pub use ring::Ring;
 pub use span::{now_ns, Span};
+pub use stall::{ClassCycles, StallClass};
 pub use timeseries::{Interval, QueueWindow, Timeline};
 pub use tune::{ObsSignal, TrialRecord, TunedConfig, TuningReport};

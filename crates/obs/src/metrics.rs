@@ -7,70 +7,19 @@
 //! available for every run; the event trace is only needed for the
 //! timeline view.
 
+use crate::event::FaultClass;
 use crate::json;
+use crate::stall::{ClassCycles, StallClass};
 use std::fmt::Write as _;
 
 /// Where one simulated agent's cycles went. Every cycle of the run falls
-/// in exactly one class, so the fields sum to the run's total cycle count
+/// in exactly one class, so the counts sum to the run's total cycle count
 /// (the accounting invariant `twill-rt` asserts in debug builds).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThreadMetrics {
     /// Track name (`cpu`, `hw1`, …).
     pub name: String,
-    /// Executing instructions, issuing ops, or burning an op's service
-    /// latency.
-    pub busy: u64,
-    /// Blocked: enqueue on a full queue.
-    pub queue_full: u64,
-    /// Blocked: dequeue on an empty queue.
-    pub queue_empty: u64,
-    /// Blocked: semaphore lower at zero.
-    pub sem: u64,
-    /// Blocked: waiting for a memory-bus grant.
-    pub mem_bus: u64,
-    /// Blocked: waiting for a module-bus grant.
-    pub module_bus: u64,
-    /// Finished (or never started) while the rest of the system ran.
-    pub idle: u64,
-}
-
-impl ThreadMetrics {
-    pub fn total(&self) -> u64 {
-        self.busy
-            + self.queue_full
-            + self.queue_empty
-            + self.sem
-            + self.mem_bus
-            + self.module_bus
-            + self.idle
-    }
-
-    /// Cycles blocked on any resource.
-    pub fn stalled(&self) -> u64 {
-        self.queue_full + self.queue_empty + self.sem + self.mem_bus + self.module_bus
-    }
-
-    /// Busy fraction of the whole run.
-    pub fn utilization(&self) -> f64 {
-        let t = self.total();
-        if t == 0 {
-            0.0
-        } else {
-            self.busy as f64 / t as f64
-        }
-    }
-
-    /// `(class name, cycles)` of the largest stall class.
-    pub fn dominant_stall(&self) -> (&'static str, u64) {
-        let classes = [
-            ("queue-full", self.queue_full),
-            ("queue-empty", self.queue_empty),
-            ("sem", self.sem),
-            ("mem-bus", self.mem_bus),
-            ("module-bus", self.module_bus),
-        ];
-        classes.into_iter().max_by_key(|&(_, n)| n).unwrap()
-    }
+    pub cycles: ClassCycles,
 }
 
 /// One queue's lifetime statistics.
@@ -124,6 +73,17 @@ impl FaultMetrics {
     pub fn total(&self) -> u64 {
         self.bit_flips + self.drops + self.dups + self.stalls + self.mem_upsets
     }
+
+    /// Count one injected fault.
+    pub fn bump(&mut self, class: FaultClass) {
+        match class {
+            FaultClass::QueueBitFlip => self.bit_flips += 1,
+            FaultClass::QueueDrop => self.drops += 1,
+            FaultClass::QueueDup => self.dups += 1,
+            FaultClass::HwStall => self.stalls += 1,
+            FaultClass::MemUpset => self.mem_upsets += 1,
+        }
+    }
 }
 
 /// The full metrics report for one simulation.
@@ -148,7 +108,8 @@ pub struct MetricsSummary {
     pub utilization: Vec<f64>,
     /// Fraction of all thread-cycles spent blocked on a resource.
     pub stall_fraction: f64,
-    /// Name of the largest stall class across all threads.
+    /// Name of the largest stall class across all threads (`busy` when
+    /// no thread ever stalled).
     pub dominant_stall: &'static str,
     /// Index of the throughput-bounding thread.
     pub critical_thread: usize,
@@ -165,26 +126,21 @@ impl SimMetrics {
         self.threads
             .iter()
             .enumerate()
-            .max_by_key(|(i, t)| (t.busy, std::cmp::Reverse(*i)))
+            .max_by_key(|(i, t)| (t.cycles.busy, std::cmp::Reverse(*i)))
             .map(|(i, _)| i)
     }
 
     pub fn summary(&self) -> MetricsSummary {
-        let total: u64 = self.threads.iter().map(|t| t.total()).sum();
-        let stalled: u64 = self.threads.iter().map(|t| t.stalled()).sum();
-        let mut agg = ThreadMetrics::default();
+        let mut agg = ClassCycles::default();
         for t in &self.threads {
-            agg.queue_full += t.queue_full;
-            agg.queue_empty += t.queue_empty;
-            agg.sem += t.sem;
-            agg.mem_bus += t.mem_bus;
-            agg.module_bus += t.module_bus;
+            agg.add(&t.cycles);
         }
+        let (total, stalled) = (agg.total(), agg.stalled());
         MetricsSummary {
             cycles: self.cycles,
-            utilization: self.threads.iter().map(|t| t.utilization()).collect(),
+            utilization: self.threads.iter().map(|t| t.cycles.utilization()).collect(),
             stall_fraction: if total == 0 { 0.0 } else { stalled as f64 / total as f64 },
-            dominant_stall: agg.dominant_stall().0,
+            dominant_stall: agg.dominant_stall().0.name(),
             critical_thread: self.critical_thread().unwrap_or(0),
             max_queue_high_water: self.queues.iter().map(|q| q.high_water).max().unwrap_or(0),
         }
@@ -217,18 +173,10 @@ impl SimMetrics {
         for (i, t) in self.threads.iter().enumerate() {
             let _ = write!(
                 out,
-                "    {{\"name\": {}, \"busy\": {}, \"queue_full\": {}, \"queue_empty\": {}, \
-                 \"sem\": {}, \"mem_bus\": {}, \"module_bus\": {}, \"idle\": {}, \
-                 \"utilization\": {}}}",
+                "    {{\"name\": {}, {}, \"utilization\": {}}}",
                 json::quote(&t.name),
-                t.busy,
-                t.queue_full,
-                t.queue_empty,
-                t.sem,
-                t.mem_bus,
-                t.module_bus,
-                t.idle,
-                json::number(t.utilization()),
+                t.cycles.json_fields(),
+                json::number(t.cycles.utilization()),
             );
             out.push_str(if i + 1 < self.threads.len() { ",\n" } else { "\n" });
         }
@@ -247,7 +195,7 @@ impl SimMetrics {
                 q.high_water,
                 q.full_stalls,
                 q.empty_stalls,
-                json::number(self_mean(q)),
+                json::number(q.mean_occupancy()),
                 hist.join(", "),
             );
             out.push_str(if i + 1 < self.queues.len() { ",\n" } else { "\n" });
@@ -289,16 +237,11 @@ impl SimMetrics {
             };
         }
         for t in doc.get("threads").and_then(|v| v.as_arr()).unwrap_or(&[]) {
-            m.threads.push(ThreadMetrics {
-                name: str_field(t, "name")?,
-                busy: u64_field(t, "busy")?,
-                queue_full: u64_field(t, "queue_full")?,
-                queue_empty: u64_field(t, "queue_empty")?,
-                sem: u64_field(t, "sem")?,
-                mem_bus: u64_field(t, "mem_bus")?,
-                module_bus: u64_field(t, "module_bus")?,
-                idle: u64_field(t, "idle")?,
-            });
+            let mut cycles = ClassCycles::default();
+            for class in StallClass::ALL {
+                cycles[class] = u64_field(t, class.key())?;
+            }
+            m.threads.push(ThreadMetrics { name: str_field(t, "name")?, cycles });
         }
         for q in doc.get("queues").and_then(|v| v.as_arr()).unwrap_or(&[]) {
             let hist = q
@@ -337,20 +280,13 @@ impl SimMetrics {
         );
         out.push_str("# TYPE twill_thread_cycles_total counter\n");
         for t in &self.threads {
-            let classes = [
-                ("busy", t.busy),
-                ("queue_full", t.queue_full),
-                ("queue_empty", t.queue_empty),
-                ("sem", t.sem),
-                ("mem_bus", t.mem_bus),
-                ("module_bus", t.module_bus),
-                ("idle", t.idle),
-            ];
-            for (class, n) in classes {
+            for class in StallClass::ALL {
                 let _ = writeln!(
                     out,
-                    "twill_thread_cycles_total{{thread=\"{}\",class=\"{class}\"}} {n}",
-                    esc(&t.name)
+                    "twill_thread_cycles_total{{thread=\"{}\",class=\"{}\"}} {}",
+                    esc(&t.name),
+                    class.key(),
+                    t.cycles[class]
                 );
             }
         }
@@ -361,7 +297,7 @@ impl SimMetrics {
                 out,
                 "twill_thread_utilization{{thread=\"{}\"}} {}",
                 esc(&t.name),
-                json::number(t.utilization())
+                json::number(t.cycles.utilization())
             );
         }
         out.push_str("# HELP twill_queue_events_total Queue lifetime event counts.\n");
@@ -451,19 +387,19 @@ impl SimMetrics {
         );
         let pct = |n: u64, d: u64| if d == 0 { 0.0 } else { 100.0 * n as f64 / d as f64 };
         for t in &self.threads {
-            let d = t.total();
+            let (c, d) = (&t.cycles, t.cycles.total());
             let _ = writeln!(
                 out,
                 "{:<8} {:>12} {:>7.1} {:>8.1} {:>9.1} {:>7.1} {:>8.1} {:>8.1} {:>7.1}",
                 t.name,
                 d,
-                pct(t.busy, d),
-                pct(t.queue_full, d),
-                pct(t.queue_empty, d),
-                pct(t.sem, d),
-                pct(t.mem_bus, d),
-                pct(t.module_bus, d),
-                pct(t.idle, d),
+                pct(c.busy, d),
+                pct(c.queue_full, d),
+                pct(c.queue_empty, d),
+                pct(c.sem, d),
+                pct(c.mem_bus, d),
+                pct(c.module_bus, d),
+                pct(c.idle, d),
             );
         }
         if let Some(c) = self.critical_thread() {
@@ -472,7 +408,7 @@ impl SimMetrics {
                 out,
                 "critical stage: {} ({:.1}% busy — bounds pipeline throughput)",
                 t.name,
-                100.0 * t.utilization()
+                100.0 * t.cycles.utilization()
             );
         }
         if !self.queues.is_empty() {
@@ -524,10 +460,6 @@ impl SimMetrics {
     }
 }
 
-fn self_mean(q: &QueueMetrics) -> f64 {
-    q.mean_occupancy()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,23 +470,23 @@ mod tests {
             threads: vec![
                 ThreadMetrics {
                     name: "cpu".into(),
-                    busy: 40,
-                    queue_full: 10,
-                    queue_empty: 20,
-                    sem: 0,
-                    mem_bus: 0,
-                    module_bus: 5,
-                    idle: 25,
+                    cycles: ClassCycles {
+                        busy: 40,
+                        queue_full: 10,
+                        queue_empty: 20,
+                        module_bus: 5,
+                        idle: 25,
+                        ..Default::default()
+                    },
                 },
                 ThreadMetrics {
                     name: "hw1".into(),
-                    busy: 90,
-                    queue_full: 0,
-                    queue_empty: 5,
-                    sem: 0,
-                    mem_bus: 5,
-                    module_bus: 0,
-                    idle: 0,
+                    cycles: ClassCycles {
+                        busy: 90,
+                        queue_empty: 5,
+                        mem_bus: 5,
+                        ..Default::default()
+                    },
                 },
             ],
             queues: vec![QueueMetrics {
@@ -575,10 +507,10 @@ mod tests {
     #[test]
     fn accounting_totals_and_utilization() {
         let m = sample();
-        assert_eq!(m.threads[0].total(), 100);
-        assert_eq!(m.threads[0].stalled(), 35);
-        assert!((m.threads[1].utilization() - 0.9).abs() < 1e-12);
-        assert_eq!(m.threads[0].dominant_stall(), ("queue-empty", 20));
+        assert_eq!(m.threads[0].cycles.total(), 100);
+        assert_eq!(m.threads[0].cycles.stalled(), 35);
+        assert!((m.threads[1].cycles.utilization() - 0.9).abs() < 1e-12);
+        assert_eq!(m.threads[0].cycles.dominant_stall(), (StallClass::QueueEmpty, 20));
     }
 
     #[test]
@@ -700,5 +632,21 @@ mod tests {
         assert_eq!(s.max_queue_high_water, 6);
         assert_eq!(s.dominant_stall, "queue-empty");
         assert!((s.stall_fraction - 45.0 / 200.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn summary_of_a_stall_free_run_names_busy() {
+        let mut m = sample();
+        for t in &mut m.threads {
+            let c = t.cycles;
+            t.cycles = ClassCycles { busy: c.busy, idle: c.total() - c.busy, ..Default::default() };
+        }
+        let s = m.summary();
+        assert_eq!(s.dominant_stall, "busy");
+        assert_eq!(s.stall_fraction, 0.0);
+        // A tie between stall classes keeps the later class.
+        m.threads[0].cycles.sem = 4;
+        m.threads[1].cycles.module_bus = 4;
+        assert_eq!(m.summary().dominant_stall, "module-bus");
     }
 }

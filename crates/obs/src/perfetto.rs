@@ -205,8 +205,8 @@ impl TraceBuilder {
             // timestamp is the closing cycle of each sample window.
             let totals = t.thread_totals();
             for (ti, name) in t.thread_names.iter().enumerate() {
-                for (ci, class) in crate::timeseries::CLASS_NAMES.iter().enumerate() {
-                    if totals.get(ti).map(|b| b.as_array()[ci]).unwrap_or(0) == 0 {
+                for class in crate::StallClass::ALL {
+                    if totals.get(ti).map(|b| b[class]).unwrap_or(0) == 0 {
                         continue;
                     }
                     for iv in &t.intervals {
@@ -215,7 +215,7 @@ impl TraceBuilder {
                              \"ts\": {}, \"args\": {{\"cycles\": {}}}}}",
                             json::quote(&format!("{name}:{class}")),
                             iv.end,
-                            iv.threads[ti].as_array()[ci],
+                            iv.threads[ti][class],
                         ));
                     }
                 }
@@ -378,7 +378,7 @@ mod tests {
     #[test]
     fn timeline_becomes_timestamped_counter_tracks() {
         use crate::timeseries::{Interval, QueueWindow, Timeline};
-        let bd = |busy, qf| crate::CycleBreakdown { busy, queue_full: qf, ..Default::default() };
+        let bd = |busy, qf| crate::ClassCycles { busy, queue_full: qf, ..Default::default() };
         let t = Timeline {
             sample_interval: 100,
             thread_names: vec!["cpu".into(), "hw1".into()],

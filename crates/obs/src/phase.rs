@@ -7,8 +7,9 @@
 //! of these reports to say *when* a regression happened, not just where.
 
 use crate::json::{self, Json};
-use crate::profile::{CycleBreakdown, SourceProfile};
-use crate::timeseries::{Timeline, CLASS_NAMES};
+use crate::profile::SourceProfile;
+use crate::stall::{ClassCycles, StallClass};
+use crate::timeseries::Timeline;
 use std::fmt::Write as _;
 
 /// One phase: a maximal run of sample intervals with a stable per-thread
@@ -24,8 +25,8 @@ pub struct Phase {
     /// Thread owning the phase's dominant stall (or the busiest thread
     /// when nothing stalled).
     pub thread: String,
-    /// Dominant stall class name (one of [`CLASS_NAMES`]).
-    pub class: String,
+    /// Dominant stall class (`Busy` for a stall-free phase).
+    pub class: StallClass,
     /// Cycles the dominant (thread, class) pair accumulated in the phase.
     pub stall_cycles: u64,
     /// The responsible queue, when the dominant class is a queue stall.
@@ -67,24 +68,11 @@ pub struct PhaseReport {
     pub phases: Vec<Phase>,
 }
 
-/// Dominant class index of one breakdown (ties keep the lowest index, so
-/// `busy` wins a dead heat — deterministic across runs).
-fn dominant_class(b: &CycleBreakdown) -> usize {
-    let a = b.as_array();
-    let mut best = 0;
-    for (i, &v) in a.iter().enumerate() {
-        if v > a[best] {
-            best = i;
-        }
-    }
-    best
-}
-
 /// Segment a timeline into phases and attribute each one.
 pub fn segment(t: &Timeline) -> PhaseReport {
     let mut report = PhaseReport { total_cycles: t.total_cycles(), phases: Vec::new() };
-    let signature = |iv: &crate::timeseries::Interval| -> Vec<usize> {
-        iv.threads.iter().map(dominant_class).collect()
+    let signature = |iv: &crate::timeseries::Interval| -> Vec<StallClass> {
+        iv.threads.iter().map(ClassCycles::dominant).collect()
     };
     let mut runs: Vec<(usize, usize)> = Vec::new(); // (first interval, count)
     for (i, iv) in t.intervals.iter().enumerate() {
@@ -96,29 +84,21 @@ pub fn segment(t: &Timeline) -> PhaseReport {
     for (first, count) in runs {
         let ivs = &t.intervals[first..first + count];
         // Sum each thread's breakdown over the phase.
-        let mut sums = vec![CycleBreakdown::default(); t.thread_names.len()];
+        let mut sums = vec![ClassCycles::default(); t.thread_names.len()];
         for iv in ivs {
             for (acc, d) in sums.iter_mut().zip(&iv.threads) {
-                let (a, b) = (acc.as_array(), d.as_array());
-                *acc = from_array([
-                    a[0] + b[0],
-                    a[1] + b[1],
-                    a[2] + b[2],
-                    a[3] + b[3],
-                    a[4] + b[4],
-                    a[5] + b[5],
-                    a[6] + b[6],
-                ]);
+                acc.add(d);
             }
         }
-        // The phase's dominant pair: the largest real stall (classes 1..=5,
-        // excluding busy and idle) across all threads; a stall-free phase
-        // is attributed to its busiest thread.
-        let mut best: Option<(usize, usize, u64)> = None; // (thread, class, cycles)
+        // The phase's dominant pair: the largest real stall (excluding busy
+        // and idle) across all threads; a stall-free phase is attributed to
+        // its busiest thread.
+        let mut best: Option<(usize, StallClass, u64)> = None; // (thread, class, cycles)
         for (ti, s) in sums.iter().enumerate() {
-            for (ci, &v) in s.as_array().iter().enumerate().take(6).skip(1) {
+            for class in StallClass::STALLS {
+                let v = s[class];
                 if v > 0 && best.map(|(_, _, bv)| v > bv).unwrap_or(true) {
-                    best = Some((ti, ci, v));
+                    best = Some((ti, class, v));
                 }
             }
         }
@@ -129,16 +109,20 @@ pub fn segment(t: &Timeline) -> PhaseReport {
                 .max_by_key(|(i, s)| (s.busy, std::cmp::Reverse(*i)))
                 .map(|(i, _)| i)
                 .unwrap_or(0);
-            (ti, 0, sums.get(ti).map(|s| s.busy).unwrap_or(0))
+            (ti, StallClass::Busy, sums.get(ti).map(|s| s.busy).unwrap_or(0))
         });
         // Queue stalls name the queue with the most matching blocked
         // cycles inside the phase.
         let queue = match class {
-            1 | 2 => {
+            StallClass::QueueFull | StallClass::QueueEmpty => {
                 let mut totals = vec![0u64; t.queue_names.len()];
                 for iv in ivs {
                     for (acc, w) in totals.iter_mut().zip(&iv.queues) {
-                        *acc += if class == 1 { w.full_stalls } else { w.empty_stalls };
+                        *acc += if class == StallClass::QueueFull {
+                            w.full_stalls
+                        } else {
+                            w.empty_stalls
+                        };
                     }
                 }
                 totals
@@ -155,7 +139,7 @@ pub fn segment(t: &Timeline) -> PhaseReport {
             end: ivs[count - 1].end,
             intervals: count,
             thread: t.thread_names.get(thread).cloned().unwrap_or_default(),
-            class: CLASS_NAMES[class].to_string(),
+            class,
             stall_cycles: cycles,
             queue,
             func: None,
@@ -163,18 +147,6 @@ pub fn segment(t: &Timeline) -> PhaseReport {
         });
     }
     report
-}
-
-fn from_array(a: [u64; 7]) -> CycleBreakdown {
-    CycleBreakdown {
-        busy: a[0],
-        queue_full: a[1],
-        queue_empty: a[2],
-        sem: a[3],
-        mem_bus: a[4],
-        module_bus: a[5],
-        idle: a[6],
-    }
 }
 
 impl PhaseReport {
@@ -186,10 +158,9 @@ impl PhaseReport {
     /// (line 0) never win.
     pub fn annotate(&mut self, sp: &SourceProfile) {
         for p in &mut self.phases {
-            let ci = CLASS_NAMES.iter().position(|c| *c == p.class).unwrap_or(0);
             let mut best: Option<(&str, u32, u64)> = None;
             for s in sp.samples.iter().filter(|s| s.thread == p.thread && s.line != 0) {
-                let v = s.cycles.as_array()[ci];
+                let v = s.cycles[p.class];
                 let better = match best {
                     None => v > 0,
                     Some((_, line, bv)) => v > bv || (v == bv && s.line < line),
@@ -248,7 +219,7 @@ impl PhaseReport {
                 p.end,
                 p.intervals,
                 json::quote(&p.thread),
-                json::quote(&p.class),
+                json::quote(p.class.name()),
                 p.stall_cycles,
                 p.line
             );
@@ -288,7 +259,7 @@ impl PhaseReport {
                 end: num("end")?,
                 intervals: num("intervals")? as usize,
                 thread: s("thread")?,
-                class: s("class")?,
+                class: StallClass::from_name(&s("class")?).ok_or("phases: unknown class")?,
                 stall_cycles: num("stall_cycles")?,
                 queue: p.get("queue").and_then(|v| v.as_str()).map(str::to_string),
                 func: p.get("func").and_then(|v| v.as_str()).map(str::to_string),
@@ -305,8 +276,8 @@ mod tests {
     use crate::profile::SiteSample;
     use crate::timeseries::{Interval, QueueWindow};
 
-    fn bd(busy: u64, qf: u64, qe: u64) -> CycleBreakdown {
-        CycleBreakdown { busy, queue_full: qf, queue_empty: qe, ..Default::default() }
+    fn bd(busy: u64, qf: u64, qe: u64) -> ClassCycles {
+        ClassCycles { busy, queue_full: qf, queue_empty: qe, ..Default::default() }
     }
 
     fn timeline() -> Timeline {
@@ -364,7 +335,7 @@ mod tests {
         // Phase 1's largest stall is cpu queue-full (30 cycles over the
         // two merged intervals).
         assert_eq!(r.phases[0].thread, "cpu");
-        assert_eq!(r.phases[0].class, "queue-full");
+        assert_eq!(r.phases[0].class, StallClass::QueueFull);
         assert_eq!(r.phases[0].stall_cycles, 30);
         // Phase 2's stall is also cpu queue-full, on q1 (88 > 2).
         assert_eq!(r.phases[1].queue.as_deref(), Some("q1"));
@@ -386,7 +357,7 @@ mod tests {
         };
         let r = segment(&t);
         assert_eq!(r.phases[0].thread, "hw1");
-        assert_eq!(r.phases[0].class, "busy");
+        assert_eq!(r.phases[0].class, StallClass::Busy);
         assert!(r.phases[0].queue.is_none());
     }
 

@@ -15,79 +15,9 @@
 //! startup, context switches, compiler-invented glue).
 
 use crate::json::{self, Json};
+use crate::stall::{ClassCycles, StallClass};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Stall-class cycle breakdown for one attribution site (field order
-/// matches [`crate::diff::CLASS_NAMES`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CycleBreakdown {
-    pub busy: u64,
-    pub queue_full: u64,
-    pub queue_empty: u64,
-    pub sem: u64,
-    pub mem_bus: u64,
-    pub module_bus: u64,
-    pub idle: u64,
-}
-
-impl CycleBreakdown {
-    pub fn total(&self) -> u64 {
-        self.busy
-            + self.queue_full
-            + self.queue_empty
-            + self.sem
-            + self.mem_bus
-            + self.module_bus
-            + self.idle
-    }
-
-    /// Cycles lost to stalls (everything but busy work and idling).
-    pub fn stalled(&self) -> u64 {
-        self.queue_full + self.queue_empty + self.sem + self.mem_bus + self.module_bus
-    }
-
-    pub fn add(&mut self, o: &CycleBreakdown) {
-        self.busy += o.busy;
-        self.queue_full += o.queue_full;
-        self.queue_empty += o.queue_empty;
-        self.sem += o.sem;
-        self.mem_bus += o.mem_bus;
-        self.module_bus += o.module_bus;
-        self.idle += o.idle;
-    }
-
-    /// Values in [`crate::diff::CLASS_NAMES`] order.
-    pub fn as_array(&self) -> [u64; 7] {
-        [
-            self.busy,
-            self.queue_full,
-            self.queue_empty,
-            self.sem,
-            self.mem_bus,
-            self.module_bus,
-            self.idle,
-        ]
-    }
-
-    /// The stall class (name, cycles) that dominates this site's waiting,
-    /// or `("busy", busy)` when the site never stalls.
-    pub fn dominant_stall(&self) -> (&'static str, u64) {
-        let stalls = [
-            ("queue-full", self.queue_full),
-            ("queue-empty", self.queue_empty),
-            ("sem", self.sem),
-            ("mem-bus", self.mem_bus),
-            ("module-bus", self.module_bus),
-        ];
-        let best = stalls.iter().max_by_key(|(_, v)| *v).copied().unwrap();
-        if best.1 == 0 {
-            ("busy", self.busy)
-        } else {
-            best
-        }
-    }
-}
 
 /// One attribution site: a (thread, function, line, instruction) tuple and
 /// the cycles it accounts for.
@@ -102,7 +32,7 @@ pub struct SiteSample {
     pub line: u32,
     /// Printed IR instruction, empty for overhead pseudo-sites.
     pub inst: String,
-    pub cycles: CycleBreakdown,
+    pub cycles: ClassCycles,
 }
 
 /// A whole run's attribution, aggregable along the
@@ -130,8 +60,8 @@ impl SourceProfile {
 
     /// Cycle breakdown per source line, summed across threads and
     /// instructions (line 0 collects synthetic work).
-    pub fn line_table(&self) -> BTreeMap<u32, CycleBreakdown> {
-        let mut table: BTreeMap<u32, CycleBreakdown> = BTreeMap::new();
+    pub fn line_table(&self) -> BTreeMap<u32, ClassCycles> {
+        let mut table: BTreeMap<u32, ClassCycles> = BTreeMap::new();
         for s in &self.samples {
             table.entry(s.line).or_default().add(&s.cycles);
         }
@@ -208,7 +138,7 @@ impl SourceProfile {
                 }
             }
         }
-        let stragglers: Vec<(u32, &CycleBreakdown)> = table
+        let stragglers: Vec<(u32, &ClassCycles)> = table
             .iter()
             .filter(|(l, c)| (**l == 0 || **l > max_line) && c.total() > 0)
             .map(|(l, c)| (*l, c))
@@ -289,7 +219,10 @@ impl SourceProfile {
             if cyc.len() != 7 {
                 return Err("sample: cycles must have 7 entries".into());
             }
-            let get = |i: usize| cyc[i].as_u64().ok_or("sample: bad cycle count");
+            let mut cycles = ClassCycles::default();
+            for (class, v) in StallClass::ALL.into_iter().zip(cyc) {
+                cycles[class] = v.as_u64().ok_or("sample: bad cycle count")?;
+            }
             samples.push(SiteSample {
                 thread: s
                     .get("thread")
@@ -307,15 +240,7 @@ impl SourceProfile {
                     .and_then(|v| v.as_str())
                     .ok_or("sample: missing inst")?
                     .to_string(),
-                cycles: CycleBreakdown {
-                    busy: get(0)?,
-                    queue_full: get(1)?,
-                    queue_empty: get(2)?,
-                    sem: get(3)?,
-                    mem_bus: get(4)?,
-                    module_bus: get(5)?,
-                    idle: get(6)?,
-                },
+                cycles,
             });
         }
         Ok(SourceProfile { name, samples })
@@ -356,7 +281,7 @@ mod tests {
             func: func.into(),
             line,
             inst: inst.into(),
-            cycles: CycleBreakdown { busy, queue_empty: qe, ..Default::default() },
+            cycles: ClassCycles { busy, queue_empty: qe, ..Default::default() },
         }
     }
 
@@ -386,7 +311,7 @@ mod tests {
         let top = p.top_stall_sites(3);
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].line, 5);
-        assert_eq!(top[0].cycles.dominant_stall().0, "queue-empty");
+        assert_eq!(top[0].cycles.dominant_stall().0, StallClass::QueueEmpty);
     }
 
     #[test]

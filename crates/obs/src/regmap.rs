@@ -29,6 +29,7 @@
 
 use crate::json::{self, Json};
 use crate::metrics::{QueueMetrics, SimMetrics, ThreadMetrics};
+use crate::stall::{ClassCycles, StallClass};
 use std::fmt::Write as _;
 
 /// Word 0 of every Twill counter register file: `"TWLP"` in ASCII.
@@ -47,15 +48,11 @@ pub const RT_FN_PERF_READ: u32 = 10;
 pub const HEADER_WORDS: u32 = 6;
 
 /// Per-thread block: 7 stall classes × 2 words + the FSM state snapshot.
+/// Classes sit in [`StallClass::ALL`] order, named by [`StallClass::key`].
 pub const THREAD_WORDS: u32 = 15;
 
 /// Per-queue block: 4 event counters × 2 words + high-water + depth.
 pub const QUEUE_WORDS: u32 = 10;
-
-/// Stall classes in register order — the field order of
-/// [`ThreadMetrics`] / `twill-rt`'s `ClassCycles`.
-pub const THREAD_CLASSES: [&str; 7] =
-    ["busy", "queue_full", "queue_empty", "sem", "mem_bus", "module_bus", "idle"];
 
 /// Queue event counters in register order.
 pub const QUEUE_COUNTERS: [&str; 4] = ["pushes", "pops", "full_stalls", "empty_stalls"];
@@ -70,10 +67,10 @@ pub enum RegKind {
     NumQueues,
     CyclesLo,
     CyclesHi,
-    /// Half of thread `thread`'s 64-bit counter for `THREAD_CLASSES[class]`.
+    /// Half of thread `thread`'s 64-bit counter for `class`.
     ThreadClass {
         thread: usize,
-        class: usize,
+        class: StallClass,
         hi: bool,
     },
     /// Thread `thread`'s FSM current-state snapshot (reads 0 — `S_IDLE` —
@@ -165,12 +162,12 @@ impl RegMap {
         push("cycles_lo".into(), RegKind::CyclesLo);
         push("cycles_hi".into(), RegKind::CyclesHi);
         for t in 0..self.threads.len() {
-            for (c, class) in THREAD_CLASSES.iter().enumerate() {
+            for class in StallClass::ALL {
                 for hi in [false, true] {
                     let half = if hi { "hi" } else { "lo" };
                     push(
-                        format!("t{t}_{class}_{half}"),
-                        RegKind::ThreadClass { thread: t, class: c, hi },
+                        format!("t{t}_{}_{half}", class.key()),
+                        RegKind::ThreadClass { thread: t, class, hi },
                     );
                 }
             }
@@ -239,7 +236,7 @@ impl RegMap {
                 RegKind::CyclesLo => m.cycles as u32,
                 RegKind::CyclesHi => (m.cycles >> 32) as u32,
                 RegKind::ThreadClass { thread, class, hi } => {
-                    half(thread_class(&m.threads[thread], class), hi)
+                    half(m.threads[thread].cycles[class], hi)
                 }
                 // Post-run snapshot: every FSM is back in S_IDLE (0).
                 RegKind::ThreadState { .. } => 0,
@@ -292,17 +289,8 @@ impl RegMap {
         let mut m = SimMetrics { cycles: pair(4), ..Default::default() };
         for (t, name) in self.threads.iter().enumerate() {
             let base = self.thread_base(t);
-            let class = |c: usize| pair(base + 2 * c as u32);
-            m.threads.push(ThreadMetrics {
-                name: name.clone(),
-                busy: class(0),
-                queue_full: class(1),
-                queue_empty: class(2),
-                sem: class(3),
-                mem_bus: class(4),
-                module_bus: class(5),
-                idle: class(6),
-            });
+            let cycles = ClassCycles::from_fn(|c| pair(base + 2 * c.index() as u32));
+            m.threads.push(ThreadMetrics { name: name.clone(), cycles });
         }
         for (q, qd) in self.queues.iter().enumerate() {
             let base = self.queue_base(q);
@@ -480,19 +468,6 @@ fn half(v: u64, hi: bool) -> u32 {
     }
 }
 
-fn thread_class(t: &ThreadMetrics, class: usize) -> u64 {
-    match class {
-        0 => t.busy,
-        1 => t.queue_full,
-        2 => t.queue_empty,
-        3 => t.sem,
-        4 => t.mem_bus,
-        5 => t.module_bus,
-        6 => t.idle,
-        _ => unreachable!("THREAD_CLASSES has 7 entries"),
-    }
-}
-
 fn queue_counter(q: &QueueMetrics, counter: usize) -> u64 {
     match counter {
         0 => q.pushes,
@@ -525,19 +500,23 @@ mod tests {
             threads: vec![
                 ThreadMetrics {
                     name: "cpu".into(),
-                    busy: 40,
-                    queue_full: 10,
-                    queue_empty: 20,
-                    sem: 1,
-                    mem_bus: 2,
-                    module_bus: 5,
-                    idle: 22,
+                    cycles: ClassCycles {
+                        busy: 40,
+                        queue_full: 10,
+                        queue_empty: 20,
+                        sem: 1,
+                        mem_bus: 2,
+                        module_bus: 5,
+                        idle: 22,
+                    },
                 },
                 ThreadMetrics {
                     name: "hw1".into(),
-                    busy: 0x2_0000_0001,
-                    queue_empty: 5,
-                    ..Default::default()
+                    cycles: ClassCycles {
+                        busy: 0x2_0000_0001,
+                        queue_empty: 5,
+                        ..Default::default()
+                    },
                 },
             ],
             queues: vec![
@@ -591,7 +570,7 @@ mod tests {
         assert_eq!(decoded, hardware_view(&m));
         // 64-bit values survive the word split.
         assert_eq!(decoded.cycles, 0x1_0000_0005);
-        assert_eq!(decoded.threads[1].busy, 0x2_0000_0001);
+        assert_eq!(decoded.threads[1].cycles.busy, 0x2_0000_0001);
         assert_eq!(decoded.queues[1].pushes, 0x1_0000_0000);
     }
 

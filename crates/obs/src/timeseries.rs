@@ -9,13 +9,8 @@
 //! counter-track export all consume this one structure.
 
 use crate::json::{self, Json};
-use crate::profile::CycleBreakdown;
+use crate::stall::ClassCycles;
 use std::fmt::Write as _;
-
-/// Stall-class display names in `CycleBreakdown::as_array` order (shared
-/// with the diff engine's rendering).
-pub const CLASS_NAMES: [&str; 7] =
-    ["busy", "queue-full", "queue-empty", "sem", "mem-bus", "module-bus", "idle"];
 
 /// One queue's activity over a single sample window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,7 +49,7 @@ pub struct Interval {
     /// the final partial window flushed when the run halts mid-interval).
     pub end: u64,
     /// Per-thread cycle deltas by stall class, in `thread_names` order.
-    pub threads: Vec<CycleBreakdown>,
+    pub threads: Vec<ClassCycles>,
     /// Per-queue activity, in `queue_names` order.
     pub queues: Vec<QueueWindow>,
 }
@@ -80,16 +75,6 @@ pub struct Timeline {
     pub intervals: Vec<Interval>,
 }
 
-fn add_breakdown(acc: &mut CycleBreakdown, d: &CycleBreakdown) {
-    acc.busy += d.busy;
-    acc.queue_full += d.queue_full;
-    acc.queue_empty += d.queue_empty;
-    acc.sem += d.sem;
-    acc.mem_bus += d.mem_bus;
-    acc.module_bus += d.module_bus;
-    acc.idle += d.idle;
-}
-
 impl Timeline {
     /// Total cycles covered (the run's cycle count).
     pub fn total_cycles(&self) -> u64 {
@@ -98,11 +83,11 @@ impl Timeline {
 
     /// Per-thread deltas summed over all intervals; equals the end-of-run
     /// `ClassCycles` totals by construction.
-    pub fn thread_totals(&self) -> Vec<CycleBreakdown> {
-        let mut totals = vec![CycleBreakdown::default(); self.thread_names.len()];
+    pub fn thread_totals(&self) -> Vec<ClassCycles> {
+        let mut totals = vec![ClassCycles::default(); self.thread_names.len()];
         for iv in &self.intervals {
             for (acc, d) in totals.iter_mut().zip(&iv.threads) {
-                add_breakdown(acc, d);
+                acc.add(d);
             }
         }
         totals
@@ -122,7 +107,7 @@ impl Timeline {
     }
 
     /// Serialize as a compact JSON document. Per-interval numbers are
-    /// positional arrays (class order = [`CLASS_NAMES`], queue fields =
+    /// positional arrays (class order = [`crate::StallClass::ALL`], queue fields =
     /// pushes/pops/full/empty/occupancy) to keep golden files small.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -143,12 +128,7 @@ impl Timeline {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let a = t.as_array();
-                let _ = write!(
-                    out,
-                    "[{}, {}, {}, {}, {}, {}, {}]",
-                    a[0], a[1], a[2], a[3], a[4], a[5], a[6]
-                );
+                let _ = write!(out, "[{}]", t.as_array().map(|v| v.to_string()).join(", "));
             }
             out.push_str("], \"queues\": [");
             for (j, q) in iv.queues.iter().enumerate() {
@@ -210,15 +190,7 @@ impl Timeline {
                 if a.len() != 7 {
                     return Err("timeline: thread row needs 7 classes".into());
                 }
-                interval.threads.push(CycleBreakdown {
-                    busy: a[0],
-                    queue_full: a[1],
-                    queue_empty: a[2],
-                    sem: a[3],
-                    mem_bus: a[4],
-                    module_bus: a[5],
-                    idle: a[6],
-                });
+                interval.threads.push(ClassCycles::from_fn(|c| a[c.index()]));
             }
             for row in iv.get("queues").and_then(|v| v.as_arr()).unwrap_or(&[]) {
                 let a = u64s(row, "queue row")?;
@@ -249,7 +221,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Timeline {
-        let bd = |busy, qf| CycleBreakdown { busy, queue_full: qf, ..Default::default() };
+        let bd = |busy, qf| ClassCycles { busy, queue_full: qf, ..Default::default() };
         Timeline {
             sample_interval: 100,
             thread_names: vec!["cpu".into(), "hw1".into()],

@@ -18,7 +18,7 @@
 
 use crate::diff::MetricsDiff;
 use crate::json;
-use crate::profile::CycleBreakdown;
+use crate::stall::ClassCycles;
 use std::fmt::Write as _;
 
 /// The observability signal that proposed a search move. Every trial
@@ -113,17 +113,15 @@ pub struct TrialRecord {
     /// Whether the search adopted this configuration.
     pub accepted: bool,
     /// Critical-thread stall-class breakdown of the trial run.
-    pub stalls: CycleBreakdown,
+    pub stalls: ClassCycles,
 }
 
 impl TrialRecord {
     fn to_json(&self) -> String {
-        let s = &self.stalls;
         format!(
             "{{\"id\": {}, \"round\": {}, \"arm\": {}, \"action\": {}, \
              \"signal\": {}, \"cycles\": {}, \"best_before\": {}, \"accepted\": {}, \
-             \"stalls\": {{\"busy\": {}, \"queue_full\": {}, \"queue_empty\": {}, \
-             \"sem\": {}, \"mem_bus\": {}, \"module_bus\": {}, \"idle\": {}}}}}",
+             \"stalls\": {{{}}}}}",
             self.id,
             self.round,
             json::quote(&self.arm),
@@ -132,13 +130,7 @@ impl TrialRecord {
             self.cycles,
             self.best_before,
             self.accepted,
-            s.busy,
-            s.queue_full,
-            s.queue_empty,
-            s.sem,
-            s.mem_bus,
-            s.module_bus,
-            s.idle,
+            self.stalls.json_fields(),
         )
     }
 }
@@ -401,10 +393,12 @@ mod tests {
             cycles,
             threads: vec![ThreadMetrics {
                 name: "hw1".into(),
-                busy,
-                queue_full: full,
-                idle: cycles - busy - full,
-                ..Default::default()
+                cycles: ClassCycles {
+                    busy,
+                    queue_full: full,
+                    idle: cycles - busy - full,
+                    ..Default::default()
+                },
             }],
             queues: vec![QueueMetrics {
                 name: "q0".into(),
@@ -441,12 +435,7 @@ mod tests {
                 cycles: 1000,
                 best_before: u64::MAX,
                 accepted: true,
-                stalls: CycleBreakdown {
-                    busy: 600,
-                    queue_full: 300,
-                    idle: 100,
-                    ..Default::default()
-                },
+                stalls: ClassCycles { busy: 600, queue_full: 300, idle: 100, ..Default::default() },
             },
             TrialRecord {
                 id: 1,
@@ -457,12 +446,7 @@ mod tests {
                 cycles: 800,
                 best_before: 1000,
                 accepted: true,
-                stalls: CycleBreakdown {
-                    busy: 600,
-                    queue_full: 100,
-                    idle: 100,
-                    ..Default::default()
-                },
+                stalls: ClassCycles { busy: 600, queue_full: 100, idle: 100, ..Default::default() },
             },
         ];
         TuningReport {

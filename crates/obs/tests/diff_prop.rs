@@ -12,7 +12,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use twill_obs::diff::diff;
-use twill_obs::{FaultMetrics, QueueMetrics, SimMetrics, ThreadMetrics};
+use twill_obs::{ClassCycles, FaultMetrics, QueueMetrics, SimMetrics, ThreadMetrics};
 
 /// Split `total` into 7 parts via 6 sorted cut points.
 fn split7(total: u64, mut cuts: Vec<u64>) -> [u64; 7] {
@@ -30,13 +30,7 @@ fn split7(total: u64, mut cuts: Vec<u64>) -> [u64; 7] {
 fn thread(i: usize, classes: [u64; 7]) -> ThreadMetrics {
     ThreadMetrics {
         name: if i == 0 { "cpu".into() } else { format!("hw{i}") },
-        busy: classes[0],
-        queue_full: classes[1],
-        queue_empty: classes[2],
-        sem: classes[3],
-        mem_bus: classes[4],
-        module_bus: classes[5],
-        idle: classes[6],
+        cycles: ClassCycles::from_fn(|c| classes[c.index()]),
     }
 }
 

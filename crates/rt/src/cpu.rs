@@ -6,15 +6,11 @@
 //! blocked threads).
 
 use crate::hwthread::{Progress, SkipSpec};
-#[cfg(feature = "obs")]
-use crate::shared::op_class;
-use crate::shared::rec;
-use crate::shared::{OpKind, PendState, Pending, Shared, StallClass};
+use crate::shared::{op_class, OpKind, PendState, Pending, Shared};
 use twill_ir::cost;
 use twill_ir::interp::{Interp, RtPoll, Runtime, StepEvent};
 use twill_ir::{FuncId, Intr, Module};
-#[cfg(feature = "obs")]
-use twill_obs::EventKind;
+use twill_obs::{EventKind, StallClass};
 
 /// Cycles charged when the HW scheduler switches the active SW thread
 /// (thesis: a *single* context switch, no software scheduling loop).
@@ -137,8 +133,8 @@ impl Cpu {
                                 // The blocked op is discarded (it had no
                                 // effect) and will be reissued when this
                                 // thread is rescheduled.
-                                rec!(shared, EventKind::OpCancel { op: op_class(p.kind) });
-                                rec!(shared, EventKind::ContextSwitch { to: next as u16 });
+                                shared.record(EventKind::OpCancel { op: op_class(p.kind) });
+                                shared.record(EventKind::ContextSwitch { to: next as u16 });
                                 self.active = next;
                                 self.blocked_streak = 0;
                                 self.attr_site = None;
@@ -162,7 +158,7 @@ impl Cpu {
         let t = &mut self.threads[self.active];
         if t.finished {
             if let Some(next) = self.next_runnable() {
-                rec!(shared, EventKind::ContextSwitch { to: next as u16 });
+                shared.record(EventKind::ContextSwitch { to: next as u16 });
                 self.active = next;
                 self.attr_site = None;
                 self.charge = CONTEXT_SWITCH_CYCLES.saturating_sub(1);
@@ -208,7 +204,7 @@ impl Cpu {
                 self.finish_cycle = sh.cycle;
                 self.attr_site = None;
                 if let Some(next) = self.next_runnable() {
-                    rec!(sh, EventKind::ContextSwitch { to: next as u16 });
+                    sh.record(EventKind::ContextSwitch { to: next as u16 });
                     self.active = next;
                     self.charge = CONTEXT_SWITCH_CYCLES.saturating_sub(1);
                 }
@@ -382,7 +378,7 @@ impl Runtime for CpuRt<'_, '_> {
         // runtime operation; we model it as an immediate effect plus the
         // stream charge folded into the instruction cost table (SW_IO).
         self.shared.output.push(v as i32);
-        rec!(self.shared, EventKind::Output { value: v as i32 });
+        self.shared.record(EventKind::Output { value: v as i32 });
     }
     fn read_in(&mut self) -> i64 {
         let v = self.shared.input.get(self.shared.in_pos).copied().unwrap_or(-1);

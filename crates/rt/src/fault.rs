@@ -18,10 +18,10 @@
 //!   the hot path: zero draws, zero allocations, byte-identical cycle
 //!   counts to a build that never heard of faults.
 //!
-//! Every injected fault is counted in [`FaultCounts`] (surfaced through
-//! `SimStats`/`SimMetrics`), appended to a bounded [`FaultRecord`] log on
-//! the report, and — with the `obs` feature — recorded as a typed
-//! `EventKind::Fault` trace event.
+//! Every injected fault is counted in `SimStats::faults` (a
+//! [`twill_obs::FaultMetrics`], surfaced unchanged through `SimMetrics`),
+//! appended to a bounded [`FaultRecord`] log on the report, and recorded as
+//! a typed `EventKind::Fault` trace event.
 
 /// Bound on the retained fault log; faults past this are still injected
 /// and counted, only the per-fault records stop accumulating.
@@ -185,19 +185,9 @@ impl FaultSite {
         }
     }
 
-    /// Stable lowercase class name (matches `twill_obs::FaultClass`).
-    pub fn class_name(self) -> &'static str {
-        match self {
-            FaultSite::QueueBitFlip { .. } => "queue-bit-flip",
-            FaultSite::QueueDrop { .. } => "queue-drop",
-            FaultSite::QueueDup { .. } => "queue-dup",
-            FaultSite::HwStall { .. } => "hw-stall",
-            FaultSite::MemUpset { .. } => "mem-upset",
-        }
-    }
-
-    #[cfg(feature = "obs")]
-    pub(crate) fn obs_class(self) -> twill_obs::FaultClass {
+    /// The fault's class (counter bucket, trace-event kind, and — via
+    /// [`twill_obs::FaultClass::name`] — its stable lowercase name).
+    pub fn class(self) -> twill_obs::FaultClass {
         match self {
             FaultSite::QueueBitFlip { .. } => twill_obs::FaultClass::QueueBitFlip,
             FaultSite::QueueDrop { .. } => twill_obs::FaultClass::QueueDrop,
@@ -230,33 +220,6 @@ impl FaultPlan {
     /// The same plan with the seed re-mixed for retry `attempt`.
     pub fn reseeded(&self, attempt: u32) -> FaultPlan {
         FaultPlan { seed: reseed(self.seed, attempt), spec: self.spec.clone() }
-    }
-}
-
-/// Counts of injected faults by class (always-on counters; all zero when
-/// no plan is installed).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounts {
-    pub bit_flips: u64,
-    pub drops: u64,
-    pub dups: u64,
-    pub stalls: u64,
-    pub mem_upsets: u64,
-}
-
-impl FaultCounts {
-    pub fn total(&self) -> u64 {
-        self.bit_flips + self.drops + self.dups + self.stalls + self.mem_upsets
-    }
-
-    pub fn bump(&mut self, site: FaultSite) {
-        match site {
-            FaultSite::QueueBitFlip { .. } => self.bit_flips += 1,
-            FaultSite::QueueDrop { .. } => self.drops += 1,
-            FaultSite::QueueDup { .. } => self.dups += 1,
-            FaultSite::HwStall { .. } => self.stalls += 1,
-            FaultSite::MemUpset { .. } => self.mem_upsets += 1,
-        }
     }
 }
 

@@ -16,9 +16,10 @@
 //! deadlock; a chain that dead-ends in a finished agent is the signature
 //! of a lost message (e.g. an injected queue drop).
 
-use crate::shared::{OpKind, StallClass};
+use crate::shared::OpKind;
 use std::fmt;
-use twill_ir::{FuncId, InstId, Intr, Module, Op};
+use twill_ir::{FuncId, InstId, Intr, Module, Op, QueueId, SemId};
+use twill_obs::StallClass;
 
 /// What an agent was doing when the watchdog fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,17 +63,21 @@ impl WaitState {
     fn resource(&self) -> Option<String> {
         match self {
             WaitState::QueueFull { queue } | WaitState::QueueEmpty { queue } => {
-                Some(format!("q{queue}"))
+                Some(QueueId(*queue).to_string())
             }
-            WaitState::Sem { sem } => Some(format!("sem{sem}")),
+            WaitState::Sem { sem } => Some(SemId(*sem).to_string()),
             _ => None,
         }
     }
 
     fn describe(&self) -> String {
         match self {
-            WaitState::QueueFull { queue } => format!("blocked: enqueue on full q{queue}"),
-            WaitState::QueueEmpty { queue } => format!("blocked: dequeue on empty q{queue}"),
+            WaitState::QueueFull { queue } => {
+                format!("blocked: enqueue on full {}", QueueId(*queue))
+            }
+            WaitState::QueueEmpty { queue } => {
+                format!("blocked: dequeue on empty {}", QueueId(*queue))
+            }
             WaitState::Sem { sem } => format!("blocked: lower on sem{sem} at zero"),
             WaitState::Bus => "waiting for a bus grant".to_string(),
             WaitState::Running => "running (not resource-blocked)".to_string(),
@@ -301,7 +306,6 @@ fn interleave(path: &[usize], waits: &[AgentWait]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twill_ir::QueueId;
 
     fn module_two_sided() -> Module {
         // @prod enqueues q0 and dequeues q1; @cons dequeues q0, enqueues q1.

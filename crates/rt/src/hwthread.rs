@@ -1,11 +1,12 @@
 //! Hardware-thread agent: cycle-accurate execution of `twill-hls` FSM
 //! schedules against the simulated buses.
 
-use crate::shared::{OpKind, PendState, Pending, Shared, StallClass};
+use crate::shared::{OpKind, PendState, Pending, Shared};
 use twill_hls::schedule::ModuleSchedule;
 use twill_ir::cost;
 use twill_ir::interp::{eval_bin, eval_cast, eval_cmp};
 use twill_ir::{BlockId, FuncId, InstId, Intr, Module, Op, Ty, Value};
+use twill_obs::StallClass;
 
 /// What an agent did this tick (for stats/progress detection).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -26,7 +26,6 @@
 //!   cycle, chained ops free, multi-cycle ops stall, pipelined loop bodies
 //!   initiate every II cycles.
 
-#[cfg(feature = "obs")]
 pub mod counters;
 pub mod cpu;
 pub mod fault;
@@ -36,18 +35,16 @@ pub mod profile;
 pub mod shared;
 pub mod system;
 
-#[cfg(feature = "obs")]
 pub use counters::CounterBank;
-pub use fault::{FaultCounts, FaultPlan, FaultRecord, FaultSite, FaultSpec, PinnedFault};
+pub use fault::{FaultPlan, FaultRecord, FaultSite, FaultSpec, PinnedFault};
 pub use hang::{AgentWait, HangReport, WaitState};
 pub use profile::{AgentProfile, SimProfile};
-pub use shared::{ClassCycles, QueueStat, Shared, SimStats, StallClass};
+pub use shared::{QueueStat, Shared, SimStats};
 pub use system::{
     simulate_hybrid, simulate_hybrid_scheduled, simulate_pure_hw, simulate_pure_hw_scheduled,
     simulate_pure_sw, ConfigError, SimConfig, SimError, SimReport,
 };
 
-/// Re-export of the observability layer (event model, Perfetto export,
-/// metrics) when the `obs` feature is enabled.
-#[cfg(feature = "obs")]
+/// Re-export of the observability layer (stall classes, event model,
+/// Perfetto export, metrics).
 pub use twill_obs as obs;

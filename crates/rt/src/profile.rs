@@ -6,13 +6,13 @@
 //! with no instruction in flight (startup charges, context switches,
 //! post-finish idling) land in an explicit `overhead` bucket so the table
 //! still sums exactly to the run's cycle count (asserted in debug builds,
-//! mirroring the aggregate `ClassCycles` invariant).
+//! mirroring the aggregate [`ClassCycles`] invariant).
 //!
 //! Attribution is observation-only: it never feeds back into timing, so
 //! profiled and unprofiled runs produce identical cycle counts.
 
-use crate::shared::{ClassCycles, StallClass};
 use std::collections::BTreeMap;
+use twill_obs::{ClassCycles, StallClass};
 
 /// An attribution site: `(function index, instruction index)` in the
 /// simulated module.
@@ -37,8 +37,8 @@ impl AgentProfile {
     /// when the span began — the site cannot change while skipping).
     pub fn record_n(&mut self, site: Option<Site>, class: StallClass, n: u64) {
         match site {
-            Some(s) => self.sites.entry(s).or_default().add_n(class, n),
-            None => self.overhead.add_n(class, n),
+            Some(s) => self.sites.entry(s).or_default()[class] += n,
+            None => self.overhead[class] += n,
         }
     }
 

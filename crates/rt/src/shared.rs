@@ -6,17 +6,14 @@
 //!   in [`SimStats`], updated unconditionally. Everything is allocated at
 //!   construction, so the steady-state simulation performs zero heap
 //!   allocations per cycle.
-//! * **Event tracing** (`obs` cargo feature + `SimConfig::trace_events`):
-//!   typed [`twill_obs::Event`]s pushed into a bounded ring buffer for
-//!   Perfetto export. Disabled at compile time the hooks vanish entirely;
-//!   disabled at run time they are a `None` check.
+//! * **Event tracing** (`SimConfig::trace_events`): typed
+//!   [`twill_obs::Event`]s pushed into a bounded ring buffer for Perfetto
+//!   export. Disabled at run time the hooks are a `None` check.
 
-use crate::fault::{EnqueueFaults, FaultCounts, FaultPlan, FaultRecord, FaultSite, FaultState};
+use crate::fault::{EnqueueFaults, FaultPlan, FaultRecord, FaultSite, FaultState};
 use std::collections::VecDeque;
 use twill_ir::{Module, QueueId, SemId};
-
-#[cfg(feature = "obs")]
-use twill_obs::{Event, EventKind, OpClass, Ring};
+use twill_obs::{ClassCycles, Event, EventKind, FaultMetrics, OpClass, Ring, StallClass};
 
 /// A runtime operation an agent can have in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,19 +36,6 @@ impl OpKind {
     }
 }
 
-/// Record an event when the `obs` feature is on; compile to nothing when
-/// it is off (the argument tokens only need to parse).
-macro_rules! rec {
-    ($shared:expr, $kind:expr) => {{
-        #[cfg(feature = "obs")]
-        {
-            $shared.record($kind);
-        }
-    }};
-}
-pub(crate) use rec;
-
-#[cfg(feature = "obs")]
 pub(crate) fn op_class(kind: OpKind) -> OpClass {
     match kind {
         OpKind::Enqueue(..) => OpClass::Enqueue,
@@ -87,26 +71,6 @@ pub struct Pending {
     pub base_latency: u32,
 }
 
-/// Where an agent's cycle went — the attribution classes of the stall
-/// model. Every simulated cycle of every agent lands in exactly one class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StallClass {
-    /// Executing, issuing, or being served (service latency is work).
-    Busy,
-    /// Enqueue blocked on a full queue.
-    QueueFull,
-    /// Dequeue blocked on an empty queue.
-    QueueEmpty,
-    /// Semaphore lower blocked at zero.
-    Sem,
-    /// Waiting for a memory-bus grant.
-    MemBus,
-    /// Waiting for a module-bus grant.
-    ModuleBus,
-    /// Agent finished while the rest of the system ran.
-    Idle,
-}
-
 impl Pending {
     /// Attribution of a cycle spent on this op in its current state.
     pub fn stall_class(&self) -> StallClass {
@@ -126,50 +90,6 @@ impl Pending {
             },
             PendState::Latency(_) | PendState::Done(_) => StallClass::Busy,
         }
-    }
-}
-
-/// Per-agent cycle accounting by [`StallClass`]. The fields always sum to
-/// the run's total cycles (asserted in debug builds when a simulation
-/// completes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassCycles {
-    pub busy: u64,
-    pub queue_full: u64,
-    pub queue_empty: u64,
-    pub sem: u64,
-    pub mem_bus: u64,
-    pub module_bus: u64,
-    pub idle: u64,
-}
-
-impl ClassCycles {
-    pub fn add(&mut self, class: StallClass) {
-        self.add_n(class, 1);
-    }
-
-    /// Bulk-charge `n` cycles to one class (the fast-forward path charges
-    /// a whole skipped span in one call).
-    pub fn add_n(&mut self, class: StallClass, n: u64) {
-        match class {
-            StallClass::Busy => self.busy += n,
-            StallClass::QueueFull => self.queue_full += n,
-            StallClass::QueueEmpty => self.queue_empty += n,
-            StallClass::Sem => self.sem += n,
-            StallClass::MemBus => self.mem_bus += n,
-            StallClass::ModuleBus => self.module_bus += n,
-            StallClass::Idle => self.idle += n,
-        }
-    }
-
-    pub fn total(&self) -> u64 {
-        self.busy
-            + self.queue_full
-            + self.queue_empty
-            + self.sem
-            + self.mem_bus
-            + self.module_bus
-            + self.idle
     }
 }
 
@@ -196,21 +116,14 @@ pub struct SimStats {
     pub module_bus_conflicts: u64,
     pub mem_bus_grants: u64,
     pub mem_bus_conflicts: u64,
-    pub queue_full_stalls: u64,
-    pub queue_empty_stalls: u64,
-    pub sem_stalls: u64,
-    /// Per-agent: cycles spent blocked on runtime ops.
-    pub agent_blocked: Vec<u64>,
-    /// Per-agent: cycles doing useful work (issue or compute).
-    pub agent_busy: Vec<u64>,
-    /// Per-agent: full cycle accounting by stall class.
+    /// Per-agent: full cycle accounting by stall class (sums to `cycles`).
     pub agent_cycles: Vec<ClassCycles>,
     /// Peak simultaneous occupancy per queue.
     pub queue_peak: Vec<u32>,
     /// Per-queue traffic, stall, and occupancy statistics.
     pub queue_stats: Vec<QueueStat>,
     /// Injected-fault counters (all zero unless a fault plan is installed).
-    pub faults: FaultCounts,
+    pub faults: FaultMetrics,
 }
 
 struct SimQueue {
@@ -245,7 +158,6 @@ pub struct Shared {
     /// default, one pointer test on the hot path).
     faults: Option<Box<FaultState>>,
     /// Bounded event recorder (None = tracing disabled).
-    #[cfg(feature = "obs")]
     recorder: Option<Ring>,
 }
 
@@ -291,8 +203,6 @@ impl Shared {
             module_bus_left: 1,
             mem_bus_left: 1,
             stats: SimStats {
-                agent_blocked: vec![0; n_agents],
-                agent_busy: vec![0; n_agents],
                 agent_cycles: vec![ClassCycles::default(); n_agents],
                 queue_peak: vec![0; caps.len()],
                 queue_stats: caps
@@ -307,7 +217,6 @@ impl Shared {
             },
             cur_agent: 0,
             faults: None,
-            #[cfg(feature = "obs")]
             recorder: None,
         }
     }
@@ -332,13 +241,11 @@ impl Shared {
     }
 
     /// Enable event tracing, keeping the most recent `capacity` events.
-    #[cfg(feature = "obs")]
     pub fn enable_recorder(&mut self, capacity: usize) {
         self.recorder = Some(Ring::new(capacity));
     }
 
     /// Detach the recorder: `(events in order, dropped count)`.
-    #[cfg(feature = "obs")]
     pub fn take_recorder(&mut self) -> (Vec<Event>, u64) {
         match self.recorder.take() {
             Some(r) => r.into_parts(),
@@ -346,7 +253,6 @@ impl Shared {
         }
     }
 
-    #[cfg(feature = "obs")]
     pub(crate) fn record(&mut self, kind: EventKind) {
         if let Some(r) = &mut self.recorder {
             r.push(Event { cycle: self.cycle, track: self.cur_agent, kind });
@@ -380,17 +286,8 @@ impl Shared {
     /// the naive loop's retry cycles.
     pub(crate) fn note_stall_bulk(&mut self, kind: OpKind, k: u64) {
         match kind {
-            OpKind::Enqueue(q, _) => {
-                self.stats.queue_full_stalls += k;
-                self.stats.queue_stats[q.index()].full_stalls += k;
-            }
-            OpKind::Dequeue(q) => {
-                self.stats.queue_empty_stalls += k;
-                self.stats.queue_stats[q.index()].empty_stalls += k;
-            }
-            OpKind::SemLower(..) => {
-                self.stats.sem_stalls += k;
-            }
+            OpKind::Enqueue(q, _) => self.stats.queue_stats[q.index()].full_stalls += k,
+            OpKind::Dequeue(q) => self.stats.queue_stats[q.index()].empty_stalls += k,
             _ => {}
         }
     }
@@ -481,20 +378,20 @@ impl Shared {
     }
 
     /// The single accounting point for an injected fault: bumps the
-    /// always-on counter, appends to the bounded fault log, and (with the
-    /// `obs` feature) records the typed trace event.
+    /// always-on counter, appends to the bounded fault log, and records the
+    /// typed trace event.
     fn note_fault(&mut self, site: FaultSite) {
-        self.stats.faults.bump(site);
+        self.stats.faults.bump(site.class());
         let cycle = self.cycle;
         if let Some(fs) = self.faults.as_deref_mut() {
             fs.log(cycle, site);
         }
-        rec!(self, EventKind::Fault { fault: site.obs_class(), unit: site.unit() });
+        self.record(EventKind::Fault { fault: site.class(), unit: site.unit() });
     }
 
     /// Start a new operation (agent had none in flight).
     pub fn start_op(&mut self, kind: OpKind, base_latency: u32) -> Pending {
-        rec!(self, EventKind::OpStart { op: op_class(kind) });
+        self.record(EventKind::OpStart { op: op_class(kind) });
         Pending { kind, state: PendState::NeedBus, base_latency }
     }
 
@@ -532,7 +429,7 @@ impl Shared {
             PendState::Latency(n) => {
                 if n <= 1 {
                     p.state = PendState::Done(self.complete(p.kind));
-                    rec!(self, EventKind::OpRetire { op: op_class(p.kind) });
+                    self.record(EventKind::OpRetire { op: op_class(p.kind) });
                 } else {
                     p.state = PendState::Latency(n - 1);
                 }
@@ -603,7 +500,7 @@ impl Shared {
                 };
             if lat <= 1 {
                 p.state = PendState::Done(self.complete(p.kind));
-                rec!(self, EventKind::OpRetire { op: op_class(p.kind) });
+                self.record(EventKind::OpRetire { op: op_class(p.kind) });
             } else {
                 p.state = PendState::Latency(lat - 1);
             }
@@ -625,34 +522,15 @@ impl Shared {
         qs.pushes += 1;
         let slot = (occ as usize).min(qs.occupancy_hist.len() - 1);
         qs.occupancy_hist[slot] += 1;
-        rec!(self, EventKind::QueuePush { queue: qi as u16, occupancy: occ });
+        self.record(EventKind::QueuePush { queue: qi as u16, occupancy: occ });
     }
 
     /// The single accounting point for a blocked service attempt: bumps
-    /// the matching global counter, the per-queue counter, and (on the
-    /// first attempt of an episode) records the trace event.
+    /// the per-queue counter and, on the first attempt of an episode,
+    /// records the trace event (so a long stall is one event, not
+    /// thousands).
     fn note_stall(&mut self, kind: OpKind, first: bool) {
-        self.stall_episode(kind, first);
-        match kind {
-            OpKind::Enqueue(q, _) => {
-                self.stats.queue_full_stalls += 1;
-                self.stats.queue_stats[q.index()].full_stalls += 1;
-            }
-            OpKind::Dequeue(q) => {
-                self.stats.queue_empty_stalls += 1;
-                self.stats.queue_stats[q.index()].empty_stalls += 1;
-            }
-            OpKind::SemLower(..) => {
-                self.stats.sem_stalls += 1;
-            }
-            _ => {}
-        }
-    }
-
-    /// Trace the start of a stall episode (first blocked attempt only, so
-    /// a long stall is one event, not thousands).
-    #[cfg(feature = "obs")]
-    fn stall_episode(&mut self, kind: OpKind, first: bool) {
+        self.note_stall_bulk(kind, 1);
         if !first {
             return;
         }
@@ -664,9 +542,6 @@ impl Shared {
         };
         self.record(ev);
     }
-
-    #[cfg(not(feature = "obs"))]
-    fn stall_episode(&mut self, _kind: OpKind, _first: bool) {}
 
     /// Apply the operation's effect and produce its payload.
     fn complete(&mut self, kind: OpKind) -> i64 {
@@ -682,20 +557,18 @@ impl Shared {
                 qs.pops += 1;
                 let slot = (occ as usize).min(qs.occupancy_hist.len() - 1);
                 qs.occupancy_hist[slot] += 1;
-                rec!(self, EventKind::QueuePop { queue: q.index() as u16, occupancy: occ });
+                self.record(EventKind::QueuePop { queue: q.index() as u16, occupancy: occ });
                 v
             }
             OpKind::SemRaise(s, n) => {
                 self.sems[s.index()] = (self.sems[s.index()] + n).min(self.sem_max[s.index()]);
                 let value = self.sems[s.index()];
-                rec!(self, EventKind::SemSignal { sem: s.0 as u16, value });
-                let _ = value;
+                self.record(EventKind::SemSignal { sem: s.0 as u16, value });
                 0
             }
             OpKind::SemLower(s, _) => {
                 let value = self.sems[s.index()];
-                rec!(self, EventKind::SemSignal { sem: s.0 as u16, value });
-                let _ = value;
+                self.record(EventKind::SemSignal { sem: s.0 as u16, value });
                 0
             }
             OpKind::MemLoad(addr, ty) => {
@@ -707,7 +580,7 @@ impl Shared {
             }
             OpKind::Out(v) => {
                 self.output.push(v as i32);
-                rec!(self, EventKind::Output { value: v as i32 });
+                self.record(EventKind::Output { value: v as i32 });
                 0
             }
             OpKind::In => {
@@ -798,8 +671,8 @@ mod tests {
             p = s.poll(p);
         }
         assert!(matches!(p.state, PendState::WaitResource));
-        assert!(s.stats.queue_full_stalls > 0);
-        assert_eq!(s.stats.queue_stats[0].full_stalls, s.stats.queue_full_stalls);
+        assert_eq!(s.stats.queue_stats[0].full_stalls, 5, "one blocked attempt per cycle");
+        assert_eq!(s.stats.queue_stats[0].empty_stalls, 0);
         assert_eq!(p.stall_class(), StallClass::QueueFull);
         // Drain one; enqueue can now complete.
         let d = s.start_op(OpKind::Dequeue(QueueId(0)), 2);
@@ -861,7 +734,6 @@ mod tests {
         }
         assert!(matches!(p.state, PendState::WaitResource));
         assert_eq!(p.stall_class(), StallClass::Sem);
-        assert!(s.stats.sem_stalls > 0);
         let r = s.start_op(OpKind::SemRaise(SemId(0), 1), 1);
         run_to_done(&mut s, r, 10);
         run_to_done(&mut s, p, 10);
@@ -909,7 +781,6 @@ mod tests {
         assert_eq!(p.stall_class(), StallClass::Busy);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn recorder_captures_typed_events_per_track() {
         use twill_obs::EventKind;
@@ -947,7 +818,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn disabled_recorder_records_nothing() {
         let mut s = shared_with_queue(8, 0);

@@ -4,10 +4,11 @@ use crate::cpu::Cpu;
 use crate::fault::{FaultPlan, FaultRecord};
 use crate::hang::{build_hang_report, AgentSnapshot, HangReport, WaitState};
 use crate::hwthread::{HwThread, Progress, SkipSpec};
-use crate::shared::{Shared, StallClass};
+use crate::shared::Shared;
 use twill_dswp::DswpResult;
 use twill_hls::schedule::{schedule_module, HlsOptions, ModuleSchedule};
-use twill_ir::{layout, Module};
+use twill_ir::{layout, Module, QueueId};
+use twill_obs::{ClassCycles, StallClass};
 
 /// Simulation configuration.
 #[derive(Debug, Clone)]
@@ -26,7 +27,7 @@ pub struct SimConfig {
     pub max_cycles: u64,
     pub hls: HlsOptions,
     /// Keep the most recent N runtime events in the trace ring buffer
-    /// (0 = tracing off; requires the `obs` cargo feature to take effect).
+    /// (0 = tracing off).
     pub trace_events: usize,
     /// Attribute every agent cycle to the instruction occupying it
     /// (observation-only: cycle counts are identical either way).
@@ -51,7 +52,7 @@ pub struct SimConfig {
     /// turns the temporal layer off entirely — no state, no extra work on
     /// either loop path. Fast-forward spans are capped at boundaries so
     /// sampled timelines are byte-identical across loop modes
-    /// (DESIGN.md §15); requires the `obs` feature to record anything.
+    /// (DESIGN.md §15).
     pub sample_interval: Option<u64>,
 }
 
@@ -100,20 +101,17 @@ pub struct SimReport {
     /// when no fault plan was configured).
     pub fault_log: Vec<FaultRecord>,
     /// Typed runtime event trace (when `SimConfig::trace_events > 0`).
-    #[cfg(feature = "obs")]
     pub events: Vec<twill_obs::Event>,
     /// Interval-sampled counter timeline (when
     /// `SimConfig::sample_interval` is set); per-interval deltas sum
     /// exactly to the end-of-run totals in `stats`, including for partial
     /// (timeout/deadlock) reports.
-    #[cfg(feature = "obs")]
     pub timeline: Option<twill_obs::Timeline>,
 }
 
 impl SimReport {
     /// Fold the always-on counters into the structured metrics report
     /// (stall attribution, queue statistics, critical-stage analysis).
-    #[cfg(feature = "obs")]
     pub fn metrics(&self) -> twill_obs::SimMetrics {
         twill_obs::SimMetrics {
             cycles: self.cycles,
@@ -121,16 +119,7 @@ impl SimReport {
                 .agent_names
                 .iter()
                 .zip(&self.stats.agent_cycles)
-                .map(|(name, c)| twill_obs::ThreadMetrics {
-                    name: name.clone(),
-                    busy: c.busy,
-                    queue_full: c.queue_full,
-                    queue_empty: c.queue_empty,
-                    sem: c.sem,
-                    mem_bus: c.mem_bus,
-                    module_bus: c.module_bus,
-                    idle: c.idle,
-                })
+                .map(|(name, &cycles)| twill_obs::ThreadMetrics { name: name.clone(), cycles })
                 .collect(),
             queues: self
                 .stats
@@ -139,7 +128,7 @@ impl SimReport {
                 .zip(&self.stats.queue_peak)
                 .enumerate()
                 .map(|(i, (q, &peak))| twill_obs::QueueMetrics {
-                    name: format!("q{i}"),
+                    name: QueueId::new(i).to_string(),
                     depth: q.depth,
                     pushes: q.pushes,
                     pops: q.pops,
@@ -150,13 +139,7 @@ impl SimReport {
                 })
                 .collect(),
             dropped_events: self.dropped_events,
-            faults: twill_obs::FaultMetrics {
-                bit_flips: self.stats.faults.bit_flips,
-                drops: self.stats.faults.drops,
-                dups: self.stats.faults.dups,
-                stalls: self.stats.faults.stalls,
-                mem_upsets: self.stats.faults.mem_upsets,
-            },
+            faults: self.stats.faults,
         }
     }
 
@@ -164,19 +147,7 @@ impl SimReport {
     /// profile (requires `SimConfig::profile`; `m` must be the simulated
     /// module). Overhead cycles appear as a `<runtime>` pseudo-site so the
     /// profile still sums to `agents × cycles`.
-    #[cfg(feature = "obs")]
     pub fn source_profile(&self, m: &Module) -> Option<twill_obs::SourceProfile> {
-        fn breakdown(c: &crate::shared::ClassCycles) -> twill_obs::CycleBreakdown {
-            twill_obs::CycleBreakdown {
-                busy: c.busy,
-                queue_full: c.queue_full,
-                queue_empty: c.queue_empty,
-                sem: c.sem,
-                mem_bus: c.mem_bus,
-                module_bus: c.module_bus,
-                idle: c.idle,
-            }
-        }
         let prof = self.profile.as_ref()?;
         let mut samples = Vec::new();
         for (aid, agent) in prof.agents.iter().enumerate() {
@@ -190,7 +161,7 @@ impl SimReport {
                     func: f.name.clone(),
                     line: f.loc(iid).line,
                     inst: twill_ir::printer::print_inst(m, &inst.op, inst.ty, iid.0),
-                    cycles: breakdown(c),
+                    cycles: *c,
                 });
             }
             if agent.overhead.total() > 0 {
@@ -199,7 +170,7 @@ impl SimReport {
                     func: "<runtime>".to_string(),
                     line: 0,
                     inst: String::new(),
-                    cycles: breakdown(&agent.overhead),
+                    cycles: agent.overhead,
                 });
             }
         }
@@ -209,11 +180,10 @@ impl SimReport {
     /// A Perfetto trace builder pre-loaded with this run's tracks, queue
     /// counters, events, and truncation metadata. Callers may attach
     /// compiler spans or extra metadata before `build()`.
-    #[cfg(feature = "obs")]
     pub fn trace_builder(&self) -> twill_obs::TraceBuilder {
         let b = twill_obs::TraceBuilder::new()
             .threads(self.agent_names.iter().cloned())
-            .queues((0..self.stats.queue_stats.len()).map(|i| format!("q{i}")))
+            .queues((0..self.stats.queue_stats.len()).map(|i| QueueId::new(i).to_string()))
             .events(self.events.clone(), self.dropped_events);
         match &self.timeline {
             Some(t) => b.timeline(t.clone()),
@@ -268,8 +238,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::UnknownQueue { queue, declared } => {
                 write!(
                     f,
-                    "queue_depths override names q{queue} but the module declares \
-                     only {declared} queue(s)"
+                    "queue_depths override names {} but the module declares \
+                     only {declared} queue(s)",
+                    QueueId::new(*queue)
                 )
             }
             ConfigError::ZeroSampleInterval => {
@@ -431,7 +402,6 @@ pub fn simulate_pure_sw(
     if let Some(plan) = &cfg.fault {
         shared.install_faults(plan);
     }
-    #[cfg(feature = "obs")]
     if cfg.trace_events > 0 {
         shared.enable_recorder(cfg.trace_events);
     }
@@ -441,14 +411,8 @@ pub fn simulate_pure_sw(
     let halt = run_loop(m, None, &mut shared, Some(&mut cpu), &mut [], cfg, &mut profile, &mut tl);
     let cycles = shared.cycle;
     let agent_names = vec!["cpu".to_string()];
-    #[cfg(feature = "obs")]
     let timeline = tl.finish(&shared, &agent_names);
-    #[cfg(not(feature = "obs"))]
-    let _ = tl;
-    #[cfg(feature = "obs")]
     let (events, dropped_events) = shared.take_recorder();
-    #[cfg(not(feature = "obs"))]
-    let dropped_events = 0;
     let (fault_log, _) = shared.take_fault_log();
     let report = SimReport {
         cycles,
@@ -460,9 +424,7 @@ pub fn simulate_pure_sw(
         dropped_events,
         profile,
         fault_log,
-        #[cfg(feature = "obs")]
         events,
-        #[cfg(feature = "obs")]
         timeline,
     };
     wrap(halt, report)
@@ -505,7 +467,6 @@ pub fn simulate_pure_hw_scheduled(
     if let Some(plan) = &cfg.fault {
         shared.install_faults(plan);
     }
-    #[cfg(feature = "obs")]
     if cfg.trace_events > 0 {
         shared.enable_recorder(cfg.trace_events);
     }
@@ -515,14 +476,8 @@ pub fn simulate_pure_hw_scheduled(
     let halt = run_loop(m, Some(sched), &mut shared, None, &mut hw, cfg, &mut profile, &mut tl);
     let cycles = shared.cycle;
     let agent_names = vec!["hw0".to_string()];
-    #[cfg(feature = "obs")]
     let timeline = tl.finish(&shared, &agent_names);
-    #[cfg(not(feature = "obs"))]
-    let _ = tl;
-    #[cfg(feature = "obs")]
     let (events, dropped_events) = shared.take_recorder();
-    #[cfg(not(feature = "obs"))]
-    let dropped_events = 0;
     let (fault_log, _) = shared.take_fault_log();
     let report = SimReport {
         cycles,
@@ -534,9 +489,7 @@ pub fn simulate_pure_hw_scheduled(
         dropped_events,
         profile,
         fault_log,
-        #[cfg(feature = "obs")]
         events,
-        #[cfg(feature = "obs")]
         timeline,
     };
     wrap(halt, report)
@@ -583,7 +536,6 @@ pub fn simulate_hybrid_scheduled(
     if let Some(plan) = &cfg.fault {
         shared.install_faults(plan);
     }
-    #[cfg(feature = "obs")]
     if cfg.trace_events > 0 {
         shared.enable_recorder(cfg.trace_events);
     }
@@ -610,14 +562,8 @@ pub fn simulate_hybrid_scheduled(
     // hardware counter register map.
     let agent_names = dswp.agent_names();
     debug_assert_eq!(agent_names.len(), 1 + hw.len());
-    #[cfg(feature = "obs")]
     let timeline = tl.finish(&shared, &agent_names);
-    #[cfg(not(feature = "obs"))]
-    let _ = tl;
-    #[cfg(feature = "obs")]
     let (events, dropped_events) = shared.take_recorder();
-    #[cfg(not(feature = "obs"))]
-    let dropped_events = 0;
     let (fault_log, _) = shared.take_fault_log();
     let report = SimReport {
         cycles,
@@ -629,9 +575,7 @@ pub fn simulate_hybrid_scheduled(
         dropped_events,
         profile,
         fault_log,
-        #[cfg(feature = "obs")]
         events,
-        #[cfg(feature = "obs")]
         timeline,
     };
     wrap(halt, report)
@@ -701,25 +645,18 @@ fn tick_agent<A: SimAgent>(
 ) -> bool {
     let aid = a.agent_id();
     shared.set_agent(aid as u16);
-    let mut progressed = false;
-    let class = match a.tick(m, sched, shared) {
-        Progress::Busy => {
-            progressed = true;
-            shared.stats.agent_busy[aid] += 1;
-            StallClass::Busy
-        }
-        Progress::Blocked => {
-            shared.stats.agent_blocked[aid] += 1;
-            a.stall_class()
-        }
+    let progress = a.tick(m, sched, shared);
+    let class = match progress {
+        Progress::Busy => StallClass::Busy,
+        Progress::Blocked => a.stall_class(),
         Progress::Finished => StallClass::Idle,
     };
-    shared.stats.agent_cycles[aid].add(class);
+    shared.stats.agent_cycles[aid][class] += 1;
     if let Some(p) = profile.as_mut() {
         let site = if class == StallClass::Idle { None } else { a.attr_site() };
         p.agents[aid].record(site, class);
     }
-    progressed
+    progress == Progress::Busy
 }
 
 /// Bulk-charge `k` skipped cycles for one agent under its (constant) skip
@@ -732,12 +669,7 @@ fn charge_skip(
     site: Option<(usize, usize)>,
     k: u64,
 ) {
-    match spec.progress {
-        Progress::Busy => shared.stats.agent_busy[aid] += k,
-        Progress::Blocked => shared.stats.agent_blocked[aid] += k,
-        Progress::Finished => {}
-    }
-    shared.stats.agent_cycles[aid].add_n(spec.class, k);
+    shared.stats.agent_cycles[aid][spec.class] += k;
     if let Some(kind) = spec.stall_kind {
         shared.note_stall_bulk(kind, k);
     }
@@ -896,27 +828,24 @@ fn try_fast_forward(
     true
 }
 
-/// Interval-sampling state for the counter timeline (DESIGN.md §15). The
-/// boundary bookkeeping is unconditional — fast-forward spans are capped
-/// at the next boundary whenever sampling is on, which never changes any
-/// observable counter — while the recorded intervals only exist under the
-/// `obs` feature. With `sample_interval` unset, `next_boundary` is
-/// `u64::MAX` and both loop paths reduce to a single dead comparison.
+/// Interval-sampling state for the counter timeline (DESIGN.md §15).
+/// Fast-forward spans are capped at the next boundary whenever sampling is
+/// on, which never changes any observable counter. With `sample_interval`
+/// unset, `next_boundary` is `u64::MAX` and both loop paths reduce to a
+/// single dead comparison.
 struct TimelineState {
     /// Sample window length in cycles (0 = sampling off).
     interval: u64,
     /// Next cycle to snapshot at (`u64::MAX` when off).
     next_boundary: u64,
-    #[cfg(feature = "obs")]
     rec: Option<TimelineRec>,
 }
 
-/// The `obs`-side half of [`TimelineState`]: last-boundary counter
+/// The recording half of [`TimelineState`]: last-boundary counter
 /// snapshots (so each interval records deltas) and the accumulated
 /// intervals.
-#[cfg(feature = "obs")]
 struct TimelineRec {
-    last_threads: Vec<crate::shared::ClassCycles>,
+    last_threads: Vec<ClassCycles>,
     /// Per queue: (pushes, pops, full_stalls, empty_stalls) at the last
     /// boundary.
     last_queues: Vec<(u64, u64, u64, u64)>,
@@ -925,12 +854,11 @@ struct TimelineRec {
 }
 
 impl TimelineState {
-    fn new(cfg: &SimConfig, #[allow(unused)] shared: &Shared) -> TimelineState {
+    fn new(cfg: &SimConfig, shared: &Shared) -> TimelineState {
         let interval = cfg.sample_interval.unwrap_or(0);
         TimelineState {
             interval,
             next_boundary: if interval == 0 { u64::MAX } else { interval },
-            #[cfg(feature = "obs")]
             rec: (interval != 0).then(|| TimelineRec {
                 last_threads: vec![Default::default(); shared.stats.agent_cycles.len()],
                 last_queues: vec![(0, 0, 0, 0); shared.queue_count()],
@@ -954,7 +882,6 @@ impl TimelineState {
     }
 
     /// Record the window ending at the current cycle.
-    #[cfg(feature = "obs")]
     fn record(&mut self, shared: &Shared) {
         let Some(rec) = self.rec.as_mut() else { return };
         let threads = shared
@@ -962,15 +889,7 @@ impl TimelineState {
             .agent_cycles
             .iter()
             .zip(&rec.last_threads)
-            .map(|(cur, last)| twill_obs::CycleBreakdown {
-                busy: cur.busy - last.busy,
-                queue_full: cur.queue_full - last.queue_full,
-                queue_empty: cur.queue_empty - last.queue_empty,
-                sem: cur.sem - last.sem,
-                mem_bus: cur.mem_bus - last.mem_bus,
-                module_bus: cur.module_bus - last.module_bus,
-                idle: cur.idle - last.idle,
-            })
+            .map(|(cur, last)| cur.since(last))
             .collect();
         let queues = shared
             .stats
@@ -1002,14 +921,10 @@ impl TimelineState {
         rec.last_sampled = shared.cycle;
     }
 
-    #[cfg(not(feature = "obs"))]
-    fn record(&mut self, _shared: &Shared) {}
-
     /// Flush the final partial window (a run rarely halts exactly on a
     /// boundary — this keeps per-interval deltas summing to the end-of-run
     /// totals, including for timeout/deadlock partial reports) and
     /// assemble the timeline. `None` when sampling was off.
-    #[cfg(feature = "obs")]
     fn finish(mut self, shared: &Shared, thread_names: &[String]) -> Option<twill_obs::Timeline> {
         if shared.cycle > self.rec.as_ref()?.last_sampled {
             self.record(shared);
@@ -1018,7 +933,7 @@ impl TimelineState {
         Some(twill_obs::Timeline {
             sample_interval: self.interval,
             thread_names: thread_names.to_vec(),
-            queue_names: (0..shared.queue_count()).map(|i| format!("q{i}")).collect(),
+            queue_names: (0..shared.queue_count()).map(|i| QueueId::new(i).to_string()).collect(),
             intervals: rec.intervals,
         })
     }
@@ -1251,15 +1166,12 @@ int main() {
             assert_eq!(a.total(), rep.cycles, "agent {i}");
         }
         // Folding to source lines loses nothing per thread.
-        #[cfg(feature = "obs")]
-        {
-            let sp = rep.source_profile(&d.module).unwrap();
-            for (name, total) in sp.thread_totals() {
-                assert_eq!(total, rep.cycles, "thread {name}");
-            }
-            // The loop body carries real source lines (not all synthetic).
-            assert!(sp.samples.iter().any(|s| s.line != 0 && s.cycles.total() > 0));
+        let sp = rep.source_profile(&d.module).unwrap();
+        for (name, total) in sp.thread_totals() {
+            assert_eq!(total, rep.cycles, "thread {name}");
         }
+        // The loop body carries real source lines (not all synthetic).
+        assert!(sp.samples.iter().any(|s| s.line != 0 && s.cycles.total() > 0));
     }
 
     #[test]
@@ -1290,33 +1202,25 @@ int main() {
         // Sampling must not perturb timing or results.
         assert_eq!(rep.cycles, plain.cycles);
         assert_eq!(rep.output, plain.output);
-        #[cfg(feature = "obs")]
-        {
-            assert!(plain.timeline.is_none(), "no timeline unless sampling is on");
-            let t = rep.timeline.as_ref().expect("sampled run carries a timeline");
-            assert_eq!(t.sample_interval, 64);
-            assert_eq!(t.thread_names, rep.agent_names);
-            // Intervals tile [1, cycles] exactly: consecutive, no gaps.
-            assert_eq!(t.total_cycles(), rep.cycles);
-            let mut expect_start = 1;
-            for iv in &t.intervals {
-                assert_eq!(iv.start, expect_start);
-                assert!(iv.end >= iv.start);
-                expect_start = iv.end + 1;
-            }
-            // Per-interval deltas sum exactly to the end-of-run totals.
-            for (tot, cc) in t.thread_totals().iter().zip(&rep.stats.agent_cycles) {
-                assert_eq!(tot.total(), rep.cycles);
-                assert_eq!(tot.busy, cc.busy);
-                assert_eq!(tot.queue_full, cc.queue_full);
-                assert_eq!(tot.idle, cc.idle);
-            }
-            for (tot, q) in t.queue_totals().iter().zip(&rep.stats.queue_stats) {
-                assert_eq!(tot.pushes, q.pushes);
-                assert_eq!(tot.pops, q.pops);
-                assert_eq!(tot.full_stalls, q.full_stalls);
-                assert_eq!(tot.empty_stalls, q.empty_stalls);
-            }
+        assert!(plain.timeline.is_none(), "no timeline unless sampling is on");
+        let t = rep.timeline.as_ref().expect("sampled run carries a timeline");
+        assert_eq!(t.sample_interval, 64);
+        assert_eq!(t.thread_names, rep.agent_names);
+        // Intervals tile [1, cycles] exactly: consecutive, no gaps.
+        assert_eq!(t.total_cycles(), rep.cycles);
+        let mut expect_start = 1;
+        for iv in &t.intervals {
+            assert_eq!(iv.start, expect_start);
+            assert!(iv.end >= iv.start);
+            expect_start = iv.end + 1;
+        }
+        // Per-interval deltas sum exactly to the end-of-run totals.
+        assert_eq!(t.thread_totals(), rep.stats.agent_cycles);
+        for (tot, q) in t.queue_totals().iter().zip(&rep.stats.queue_stats) {
+            assert_eq!(tot.pushes, q.pushes);
+            assert_eq!(tot.pops, q.pops);
+            assert_eq!(tot.full_stalls, q.full_stalls);
+            assert_eq!(tot.empty_stalls, q.empty_stalls);
         }
     }
 

@@ -72,15 +72,12 @@ fn assert_reports_equal(a: &SimReport, b: &SimReport, ctx: &str) {
     assert_eq!(a.dropped_events, b.dropped_events, "{ctx}: dropped_events diverged");
     assert_eq!(a.profile, b.profile, "{ctx}: profile diverged");
     assert_eq!(a.fault_log, b.fault_log, "{ctx}: fault_log diverged");
-    #[cfg(feature = "obs")]
-    {
-        assert_eq!(a.events, b.events, "{ctx}: trace events diverged");
-        // Full sampled timelines must match — including their serialized
-        // bytes, since golden files and CI artifacts are compared as text.
-        assert_eq!(a.timeline, b.timeline, "{ctx}: timelines diverged");
-        if let (Some(x), Some(y)) = (&a.timeline, &b.timeline) {
-            assert_eq!(x.to_json(), y.to_json(), "{ctx}: timeline JSON diverged");
-        }
+    assert_eq!(a.events, b.events, "{ctx}: trace events diverged");
+    // Full sampled timelines must match — including their serialized
+    // bytes, since golden files and CI artifacts are compared as text.
+    assert_eq!(a.timeline, b.timeline, "{ctx}: timelines diverged");
+    if let (Some(x), Some(y)) = (&a.timeline, &b.timeline) {
+        assert_eq!(x.to_json(), y.to_json(), "{ctx}: timeline JSON diverged");
     }
 }
 

@@ -131,11 +131,8 @@ fn nonzero_rates_inject_counted_and_logged() {
     assert!(total > 0);
     assert_eq!(rep.fault_log.len() as u64, total, "log must hold every fault below its cap");
     assert!(rep.fault_log.iter().all(|r| r.cycle <= rep.cycles));
-    #[cfg(feature = "obs")]
-    {
-        let json = rep.metrics().to_json();
-        assert!(json.contains("\"faults\""), "metrics JSON must expose the fault block:\n{json}");
-    }
+    let json = rep.metrics().to_json();
+    assert!(json.contains("\"faults\""), "metrics JSON must expose the fault block:\n{json}");
 }
 
 /// A pinned queue drop fires exactly once, at the first enqueue at or
@@ -225,7 +222,6 @@ proptest! {
         prop_assert_eq!(&none.output, &zero.output);
         prop_assert_eq!(zero.stats.faults.total(), 0);
         prop_assert!(zero.fault_log.is_empty());
-        #[cfg(feature = "obs")]
         prop_assert_eq!(none.metrics().to_json(), zero.metrics().to_json());
     }
 }

@@ -53,7 +53,6 @@ fn cycle_counts_match_committed_baseline() {
 
 /// Turning the recorder on must observe, not perturb: same cycle counts
 /// with a large ring as with tracing off.
-#[cfg(feature = "obs")]
 #[test]
 fn tracing_is_timing_neutral() {
     let off = SimConfig::default();

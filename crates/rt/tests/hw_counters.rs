@@ -9,8 +9,6 @@
 //! `TWILL_NO_FAST_FORWARD=1`, exercising the env-default path on top of
 //! the explicit per-mode configs below.
 
-#![cfg(feature = "obs")]
-
 use twill_dswp::{run_dswp, DswpOptions};
 use twill_obs::json;
 use twill_obs::regmap::{hardware_view, CounterDump, RegMap};

@@ -9,8 +9,6 @@
 //! ```sh
 //! TWILL_UPDATE_GOLDEN=1 cargo test -p twill-rt --test perfetto_golden
 //! ```
-#![cfg(feature = "obs")]
-
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 

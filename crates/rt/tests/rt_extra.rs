@@ -85,9 +85,12 @@ fn stats_track_queue_occupancy_and_agents() {
     let rep = simulate_hybrid(&d, chstone::input_for(b.name, 2), &SimConfig::default()).unwrap();
     assert!(rep.stats.queue_peak.iter().any(|&p| p > 0), "queues saw traffic");
     assert!(rep.stats.queue_peak.iter().all(|&p| p <= 8), "depth-8 bound respected");
-    let busy: u64 = rep.stats.agent_busy.iter().sum();
+    let busy: u64 = rep.stats.agent_cycles.iter().map(|c| c.busy).sum();
     assert!(busy > 0);
-    assert_eq!(rep.stats.agent_busy.len(), 1 + rep.hw_threads);
+    assert_eq!(rep.stats.agent_cycles.len(), 1 + rep.hw_threads);
+    for c in &rep.stats.agent_cycles {
+        assert_eq!(c.total(), rep.cycles, "every agent cycle lands in one class");
+    }
 }
 
 /// The `Progress` enum is part of the public agent API.
@@ -96,7 +99,6 @@ fn progress_enum_is_usable() {
     assert_ne!(Progress::Busy, Progress::Blocked);
 }
 
-#[cfg(feature = "obs")]
 #[test]
 fn event_trace_records_queue_traffic() {
     use twill_rt::obs::EventKind;
@@ -150,7 +152,6 @@ int main() {
 
 /// A tiny ring keeps the most recent events and reports the loss in
 /// `dropped_events` — truncation is never silent.
-#[cfg(feature = "obs")]
 #[test]
 fn trace_truncation_is_reported_not_silent() {
     let src = r#"

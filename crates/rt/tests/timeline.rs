@@ -9,8 +9,6 @@
 //! ```sh
 //! TWILL_UPDATE_GOLDEN=1 cargo test -p twill-rt --test timeline
 //! ```
-#![cfg(feature = "obs")]
-
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
