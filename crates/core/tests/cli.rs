@@ -104,3 +104,52 @@ fn recursion_needs_explicit_flag() {
     assert!(allowed.status.success(), "{stdout}\n{}", String::from_utf8_lossy(&allowed.stderr));
     assert!(stdout.contains("output: [120]"), "{stdout}");
 }
+
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("twillc-test-{}-{tag}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+const BLOWFISH_C: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../chstone/src/c/blowfish.c");
+const BLOWFISH_GOLDEN: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/../rt/tests/data/blowfish_artifacts");
+
+/// The blowfish hybrid run `twill-rt`'s artifact golden pins in process,
+/// driven through the real `twillc`: every artifact it writes must be the
+/// committed golden byte for byte.
+#[test]
+fn blowfish_artifacts_match_the_committed_golden() {
+    let dir = temp_dir("golden");
+    let input: Vec<String> =
+        chstone::input_for("blowfish", 1).iter().map(|v| v.to_string()).collect();
+    let artifacts = [
+        ("--metrics", "metrics.json"),
+        ("--metrics-text", "metrics.prom"),
+        ("--profile-json", "profile.json"),
+        ("--folded", "folded.txt"),
+        ("--counter-dump", "dump.json"),
+    ];
+    let mut cmd = twillc();
+    cmd.arg(BLOWFISH_C)
+        .args(["--partitions", "3", "--input", &input.join(","), "--sample-interval", "4096"])
+        .arg("--emit-regmap")
+        .arg(dir.join("regmap.json"));
+    for (flag, file) in artifacts {
+        cmd.arg(flag).arg(dir.join(file));
+    }
+    let out = cmd.output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    for (flag, file) in artifacts {
+        let golden = std::fs::read(std::path::Path::new(BLOWFISH_GOLDEN).join(file)).unwrap();
+        let written = std::fs::read(dir.join(file)).unwrap();
+        assert!(written == golden, "{flag} {file} differs from the golden");
+    }
+    // The golden regmap names the design after the benchmark; the tool
+    // names it after the partitioned module, like the in-process build.
+    let src = std::fs::read_to_string(BLOWFISH_C).unwrap();
+    let build = twill::Compiler::new().partitions(3).hw_counters(true).compile("blowfish", &src);
+    let regmap = std::fs::read_to_string(dir.join("regmap.json")).unwrap();
+    assert_eq!(regmap, *build.unwrap().regmap_json());
+}
