@@ -1,38 +1,18 @@
 //! Runs every experiment in sequence (the data source for EXPERIMENTS.md).
 //!
 //! ```console
-//! all_experiments [--trace FILE] [--metrics FILE] [--obs-ring-capacity N]
+//! all_experiments
 //! ```
 //!
-//! `--trace` / `--metrics` additionally run a traced hybrid of the
-//! blowfish benchmark (the §6.4 case study) and write the Perfetto
-//! `trace_event` JSON / metrics JSON for it; `--obs-ring-capacity`
-//! bounds the event ring for that traced run (default 2^22).
+//! For the traced §6.4 blowfish run, use
+//! `profile blowfish --trace FILE --metrics FILE`.
 
 use std::process::Command;
 
-use twill::experiments::benchmark_graph;
-use twill::Compiler;
-
-fn usage() -> ! {
-    eprintln!("usage: all_experiments [--trace FILE] [--metrics FILE] [--obs-ring-capacity N]");
-    std::process::exit(2);
-}
-
 fn main() {
-    let mut trace: Option<String> = None;
-    let mut metrics: Option<String> = None;
-    let mut ring_capacity: usize = 1 << 22;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--trace" => trace = it.next(),
-            "--metrics" => metrics = it.next(),
-            "--obs-ring-capacity" => {
-                ring_capacity = twill_bench::parse_ring_capacity(&mut it).unwrap_or_else(|| usage())
-            }
-            _ => usage(),
-        }
+    if std::env::args().len() > 1 {
+        eprintln!("usage: all_experiments");
+        std::process::exit(2);
     }
 
     // Run in-process for the tables to avoid rebuild churn.
@@ -51,33 +31,4 @@ fn main() {
         "default: {} cycles / {} queues; tuned: {} cycles / {} queues ({:.2}x vs pure HW)",
         t.default_cycles, t.default_queues, t.tuned_cycles, t.tuned_queues, t.tuned_vs_hw
     );
-
-    if trace.is_some() || metrics.is_some() {
-        let b = chstone::by_name("blowfish").unwrap();
-        let graph = benchmark_graph(&b);
-        let build = Compiler::new().partitions(b.partitions).build_on(&graph);
-        let input = chstone::input_for(b.name, b.default_scale);
-        let cfg = twill::SimulationConfig {
-            trace_events: if trace.is_some() { ring_capacity } else { 0 },
-            ..build.sim_config()
-        };
-        let rep = build.simulate_hybrid_with(input, &cfg).expect("hybrid simulation");
-        println!();
-        println!("{}", twill_obs::profile_report("blowfish hybrid profile", &rep.metrics(), None));
-        if let Some(f) = &trace {
-            let json = rep.trace_builder().spans(graph.spans()).build();
-            std::fs::write(f, json).expect("write trace");
-            println!("Perfetto trace written to {f} ({} event(s))", rep.events.len());
-        }
-        if rep.dropped_events > 0 {
-            eprintln!(
-                "all_experiments: WARN: trace truncated: {} event(s) dropped — raise --obs-ring-capacity",
-                rep.dropped_events
-            );
-        }
-        if let Some(f) = &metrics {
-            std::fs::write(f, rep.metrics().to_json()).expect("write metrics");
-            println!("metrics JSON written to {f}");
-        }
-    }
 }

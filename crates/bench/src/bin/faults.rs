@@ -3,7 +3,7 @@
 //! ```console
 //! faults [--benches a,b,c] [--rates 1e-6,1e-5,1e-4] [--seed N]
 //!        [--attempts K] [--scale S] [--watchdog CYCLES] [--json FILE]
-//!        [--strict-obs] [--obs-ring-capacity N] [--no-fast-forward]
+//!        [--strict-obs] [--obs-ring-capacity N]
 //! ```
 //!
 //! Sweeps per-cycle fault rates across the CHStone suite, injecting queue
@@ -16,16 +16,18 @@
 //! (corruption that slipped past retry and fallback), or — with
 //! `--strict-obs` — when observability data was lost (dropped trace
 //! events or a truncated fault log). Fixed seeds make the `--json`
-//! artifact byte-identical across runs.
+//! artifact byte-identical across runs. `--strict-obs` arms the event ring
+//! on every run with the shared default of [`twill::cli`].
 
 use std::process::ExitCode;
+use twill::cli::{self, RingArgs};
 use twill_bench::campaign::{run_campaign, CampaignOptions};
 
 fn usage() -> ! {
     eprintln!(
         "usage: faults [--benches a,b,c] [--rates r1,r2] [--seed N] \
          [--attempts K] [--scale S] [--watchdog CYCLES] [--json FILE] \
-         [--strict-obs] [--obs-ring-capacity N] [--no-fast-forward]"
+         [--strict-obs] [--obs-ring-capacity N]"
     );
     std::process::exit(2);
 }
@@ -34,8 +36,7 @@ fn main() -> ExitCode {
     let mut opts = CampaignOptions::default();
     let mut benches = chstone::all();
     let mut json_out: Option<String> = None;
-    let mut strict_obs = false;
-    let mut ring_capacity = 1usize << 20;
+    let mut ring = RingArgs::default();
 
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -56,31 +57,16 @@ fn main() -> ExitCode {
                     .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
                     .collect();
             }
-            "--seed" => {
-                opts.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--attempts" => {
-                opts.attempts = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--scale" => {
-                opts.scale = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--watchdog" => {
-                opts.watchdog = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
+            "--seed" => opts.seed = cli::value(&mut it).unwrap_or_else(|| usage()),
+            "--attempts" => opts.attempts = cli::value(&mut it).unwrap_or_else(|| usage()),
+            "--scale" => opts.scale = cli::value(&mut it).unwrap_or_else(|| usage()),
+            "--watchdog" => opts.watchdog = cli::value(&mut it).unwrap_or_else(|| usage()),
             "--json" => json_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--strict-obs" => strict_obs = true,
-            "--no-fast-forward" => opts.fast_forward = false,
-            "--obs-ring-capacity" => {
-                ring_capacity = twill_bench::parse_ring_capacity(&mut it).unwrap_or_else(|| usage())
-            }
+            flag if ring.take(flag, &mut it) => {}
             _ => usage(),
         }
     }
-    if strict_obs {
-        // Arm the event ring so data loss is accounted, not invisible.
-        opts.trace_capacity = ring_capacity;
-    }
+    opts.trace_capacity = ring.trace_events(false);
 
     eprintln!(
         "fault campaign: {} benchmark(s) x {} rate(s), seed {}, up to {} attempt(s)...",
@@ -104,9 +90,9 @@ fn main() -> ExitCode {
         eprintln!("faults: FAIL: a served output is corrupt");
         return ExitCode::FAILURE;
     }
-    if strict_obs && campaign.obs_data_lost() {
-        eprintln!("faults: --strict-obs: observability data was lost");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    let dropped = campaign.cells.iter().map(|c| {
+        (format!("{} at rate {:e}", c.bench, c.rate), c.attempts.iter().map(|a| a.obs_lost).sum())
+    });
+    let log_truncated = campaign.cells.iter().any(|c| c.log_truncated);
+    ring.check_data_loss("faults", dropped, log_truncated).err().unwrap_or(ExitCode::SUCCESS)
 }

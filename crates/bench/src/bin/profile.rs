@@ -2,89 +2,61 @@
 //!
 //! ```console
 //! profile [BENCH] [--scale N] [--trace FILE] [--metrics FILE]
-//!         [--metrics-text FILE] [--regmap-out FILE] [--dump-out FILE]
-//!         [--annotate-out FILE] [--folded-out FILE]
-//!         [--sample-interval N] [--timeline-out FILE] [--phases-out FILE]
-//!         [--obs-ring-capacity N] [--strict-obs] [--no-fast-forward]
+//!         [--metrics-text FILE] [--profile-json FILE] [--folded FILE]
+//!         [--annotate FILE] [--timeline-out FILE] [--phases FILE]
+//!         [--emit-regmap FILE] [--counter-dump FILE] [--sample-interval N]
+//!         [--obs-ring-capacity N] [--strict-obs]
 //! ```
 //!
 //! With no benchmark name, profiles all eight. Prints the per-thread
 //! stall/utilization table (busy / queue-full / queue-empty / semaphore /
-//! memory-bus / module-bus / idle) and names the critical pipeline stage;
-//! `--trace` writes a Chrome/Perfetto `trace_event` JSON of the run
-//! (compiler stages + cycle timeline, open at <https://ui.perfetto.dev>),
-//! `--metrics` writes the structured metrics report as JSON,
-//! `--metrics-text` writes the same metrics in the Prometheus text
-//! exposition format, `--regmap-out`/`--dump-out` write the hardware
+//! memory-bus / module-bus / idle) and names the critical pipeline stage.
+//! The observability flags are `twillc`'s ([`twill::cli`]): same
+//! spelling, defaults and bytes. `--trace` writes a Chrome/Perfetto
+//! `trace_event` JSON of the run (compiler stages + cycle timeline, open
+//! at <https://ui.perfetto.dev>), `--metrics` the structured metrics
+//! report as JSON and `--metrics-text` the same metrics in the Prometheus
+//! text exposition format. `--profile-json`, `--folded` and `--annotate`
+//! write the line-granular profile as JSON, folded-stack lines for
+//! flamegraph tooling and the benchmark's C source annotated with the
+//! per-line cycles/stall gutter. `--timeline-out` writes the
+//! interval-sampled counter timeline as JSON and `--phases` the
+//! phase-segmentation report (runs of intervals sharing a dominant
+//! stall-class signature, each named by its hottest C line); both sample
+//! every [`cli::DEFAULT_SAMPLE_INTERVAL`] cycles unless `--sample-interval`
+//! says otherwise. `--emit-regmap`/`--counter-dump` write the hardware
 //! performance-counter register map and the simulated word-for-word
-//! counter dump (DESIGN.md §14 readback artifacts),
-//! `--annotate-out` writes the benchmark's C source annotated with the
-//! per-line cycles/stall gutter, `--folded-out` writes folded-stack lines
-//! for flamegraph tooling. `--timeline-out` writes the interval-sampled
-//! counter timeline as JSON and `--phases-out` the phase-segmentation
-//! report (runs of intervals sharing a dominant stall-class signature,
-//! each named by its hottest C line); both default to one sample every
-//! 4096 cycles unless `--sample-interval` says otherwise, and both are
-//! the artifacts CI archives for the blowfish perf gate.
-//! `--obs-ring-capacity` bounds the event ring
-//! used with `--trace` (default 2^22 events; overflow warns on stderr,
-//! never silent — and exits non-zero under `--strict-obs`).
+//! counter dump (DESIGN.md §14 readback artifacts). `--strict-obs` arms
+//! the event ring ([`cli::DEFAULT_RING_CAPACITY`] events unless
+//! `--obs-ring-capacity` says otherwise) and exits non-zero if any run
+//! lost an event; a loss always warns on stderr.
 
+use std::process::ExitCode;
+use twill::cli::{self, ObsArgs};
 use twill::experiments::benchmark_graph;
 use twill::Compiler;
 
 fn usage() -> ! {
     eprintln!(
         "usage: profile [BENCH] [--scale N] [--trace FILE] [--metrics FILE] \
-         [--metrics-text FILE] [--regmap-out FILE] [--dump-out FILE] \
-         [--annotate-out FILE] [--folded-out FILE] [--sample-interval N] \
-         [--timeline-out FILE] [--phases-out FILE] [--obs-ring-capacity N] \
-         [--strict-obs] [--no-fast-forward]"
+         [--metrics-text FILE] [--profile-json FILE] [--folded FILE] \
+         [--annotate FILE] [--timeline-out FILE] [--phases FILE] \
+         [--emit-regmap FILE] [--counter-dump FILE] [--sample-interval N] \
+         [--obs-ring-capacity N] [--strict-obs]"
     );
     std::process::exit(2);
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut bench: Option<String> = None;
     let mut scale: Option<u32> = None;
-    let mut trace: Option<String> = None;
-    let mut metrics: Option<String> = None;
-    let mut metrics_text: Option<String> = None;
-    let mut regmap_out: Option<String> = None;
-    let mut dump_out: Option<String> = None;
-    let mut annotate_out: Option<String> = None;
-    let mut folded_out: Option<String> = None;
-    let mut sample_interval: Option<u64> = None;
-    let mut timeline_out: Option<String> = None;
-    let mut phases_out: Option<String> = None;
-    let mut ring_capacity: usize = 1 << 22;
-    let mut strict_obs = false;
-    let mut no_fast_forward = false;
+    let mut obs = ObsArgs::default();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => {
-                scale = Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--trace" => trace = Some(it.next().unwrap_or_else(|| usage())),
-            "--metrics" => metrics = Some(it.next().unwrap_or_else(|| usage())),
-            "--metrics-text" => metrics_text = Some(it.next().unwrap_or_else(|| usage())),
-            "--regmap-out" => regmap_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--dump-out" => dump_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--annotate-out" => annotate_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--folded-out" => folded_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--sample-interval" => {
-                sample_interval =
-                    Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--timeline-out" => timeline_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--phases-out" => phases_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--obs-ring-capacity" => {
-                ring_capacity = twill_bench::parse_ring_capacity(&mut it).unwrap_or_else(|| usage())
-            }
-            "--strict-obs" => strict_obs = true,
-            "--no-fast-forward" => no_fast_forward = true,
+            "--scale" => scale = Some(cli::value(&mut it).unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),
+            flag if obs.take(flag, &mut it) => {}
             other if !other.starts_with('-') && bench.is_none() => bench = Some(other.to_string()),
             _ => usage(),
         }
@@ -99,38 +71,20 @@ fn main() {
         }
         None => chstone::all(),
     };
-    if benches.len() > 1
-        && (trace.is_some()
-            || metrics.is_some()
-            || metrics_text.is_some()
-            || regmap_out.is_some()
-            || dump_out.is_some()
-            || annotate_out.is_some()
-            || folded_out.is_some()
-            || timeline_out.is_some()
-            || phases_out.is_some())
-    {
+    if benches.len() > 1 && obs.writes_files() {
         eprintln!("profile: per-file output flags need a single benchmark");
         std::process::exit(2);
     }
 
-    let mut obs_data_lost = false;
+    let mut dropped = Vec::new();
     for b in &benches {
         let graph = benchmark_graph(b);
-        let hw_counters = regmap_out.is_some() || dump_out.is_some();
-        let build =
-            Compiler::new().partitions(b.partitions).hw_counters(hw_counters).build_on(&graph);
+        let build = Compiler::new()
+            .partitions(b.partitions)
+            .hw_counters(obs.hw_counters())
+            .build_on(&graph);
         let input = chstone::input_for(b.name, scale.unwrap_or(b.default_scale));
-        let sampling = sample_interval.is_some() || timeline_out.is_some() || phases_out.is_some();
-        let cfg = twill::SimulationConfig {
-            trace_events: if trace.is_some() { ring_capacity } else { 0 },
-            // Phase reports name each phase's hottest C line, so
-            // `--phases-out` needs the line-granular profile too.
-            profile: annotate_out.is_some() || folded_out.is_some() || phases_out.is_some(),
-            sample_interval: sampling.then(|| sample_interval.unwrap_or(4096)),
-            fast_forward: !no_fast_forward && build.sim_config().fast_forward,
-            ..build.sim_config()
-        };
+        let cfg = obs.sim_config(build.sim_config(), false, false);
         let rep = build.simulate_hybrid_with(input, &cfg).expect("hybrid simulation");
         let c = graph.counters();
         let spans = graph.spans();
@@ -142,74 +96,11 @@ fn main() {
                 Some(twill_obs::StageSection { spans: &spans, runs: c.runs(), hits: c.hits() }),
             )
         );
-
-        if let Some(f) = &trace {
-            let json = rep.trace_builder().spans(graph.spans()).build();
-            std::fs::write(f, json).expect("write trace");
-            println!("Perfetto trace written to {f} ({} event(s))", rep.events.len());
+        if let Err(e) = obs.write(b.source, &build, Some(&rep)) {
+            eprintln!("profile: {e}");
+            return ExitCode::FAILURE;
         }
-        if let Some(f) = &metrics {
-            std::fs::write(f, rep.metrics().to_json()).expect("write metrics");
-            println!("metrics JSON written to {f}");
-        }
-        if let Some(f) = &metrics_text {
-            std::fs::write(f, rep.metrics().metrics_text()).expect("write text metrics");
-            println!("Prometheus text metrics written to {f}");
-        }
-        if let Some(f) = &regmap_out {
-            std::fs::write(f, build.regmap_json().as_bytes()).expect("write register map");
-            println!("counter register map written to {f}");
-        }
-        if let Some(f) = &dump_out {
-            std::fs::write(f, build.counter_bank(&rep).dump().to_json()).expect("write dump");
-            println!("hardware counter dump written to {f}");
-        }
-        if annotate_out.is_some() || folded_out.is_some() {
-            let sp = rep
-                .source_profile(&build.dswp().module)
-                .expect("source profile requested but missing");
-            if let Some(f) = &annotate_out {
-                let mut text = sp.annotate_source(b.source);
-                text.push('\n');
-                text.push_str(&sp.report(10));
-                std::fs::write(f, text).expect("write annotated source");
-                println!("annotated source written to {f}");
-            }
-            if let Some(f) = &folded_out {
-                std::fs::write(f, sp.folded_stacks()).expect("write folded stacks");
-                println!("folded stacks written to {f} (feed to flamegraph.pl / inferno)");
-            }
-        }
-        if let Some(f) = &timeline_out {
-            let t = rep.timeline.as_ref().expect("sampling was enabled");
-            std::fs::write(f, t.to_json()).expect("write timeline");
-            println!(
-                "sampled timeline written to {f} ({} interval(s) of {} cycles)",
-                t.intervals.len(),
-                t.sample_interval
-            );
-        }
-        if let Some(f) = &phases_out {
-            let t = rep.timeline.as_ref().expect("sampling was enabled");
-            let mut pr = twill_obs::segment(t);
-            let sp = rep
-                .source_profile(&build.dswp().module)
-                .expect("source profile requested but missing");
-            pr.annotate(&sp);
-            std::fs::write(f, pr.to_json()).expect("write phase report");
-            print!("{}", pr.render_text());
-            println!("phase report written to {f} ({} phase(s))", pr.phases.len());
-        }
-        if rep.dropped_events > 0 {
-            obs_data_lost = true;
-            eprintln!(
-                "profile: WARN: trace truncated for {}: {} event(s) dropped — raise --obs-ring-capacity",
-                b.name, rep.dropped_events
-            );
-        }
+        dropped.push((b.name, rep.dropped_events));
     }
-    if strict_obs && obs_data_lost {
-        eprintln!("profile: --strict-obs: observability data was lost");
-        std::process::exit(1);
-    }
+    obs.ring.check_data_loss("profile", dropped, false).err().unwrap_or(ExitCode::SUCCESS)
 }

@@ -3,7 +3,7 @@
 //!
 //! ```console
 //! tune [--out FILE] [--seed N] [--rounds N] [--bench a,b,c]
-//!      [--report-dir DIR] [--trace-dir DIR] [--no-fast-forward]
+//!      [--report-dir DIR] [--trace-dir DIR]
 //!      [--obs-ring-capacity N] [--strict-obs]
 //! ```
 //!
@@ -20,14 +20,16 @@
 //! deterministic: same tree, seed, and benchmark set ⇒ byte-identical
 //! outputs.
 //!
-//! `--obs-ring-capacity` arms the event recorder on each benchmark's
-//! *baseline* run with a ring of that many events (trials always run
-//! untraced — tracing is observation-only either way); truncation warns
-//! on stderr, never silent, and exits non-zero under `--strict-obs`.
+//! `--obs-ring-capacity` or `--strict-obs` arm the event recorder on each
+//! benchmark's *baseline* run (trials always run untraced — tracing is
+//! observation-only either way), with the shared ring default of
+//! [`twill::cli`]; truncation warns on stderr, never silent, and exits
+//! non-zero under `--strict-obs`.
 
 use std::path::Path;
 use std::process::ExitCode;
 
+use twill::cli::{self, RingArgs};
 use twill::{Compiler, TuneOptions};
 
 /// Default path of the tuning record, relative to the repo root.
@@ -40,15 +42,13 @@ struct Args {
     benches: Option<Vec<String>>,
     report_dir: Option<String>,
     trace_dir: Option<String>,
-    no_fast_forward: bool,
-    ring_capacity: Option<usize>,
-    strict_obs: bool,
+    ring: RingArgs,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: tune [--out FILE] [--seed N] [--rounds N] [--bench a,b,c] \
-         [--report-dir DIR] [--trace-dir DIR] [--no-fast-forward] \
+         [--report-dir DIR] [--trace-dir DIR] \
          [--obs-ring-capacity N] [--strict-obs]"
     );
     std::process::exit(2);
@@ -62,20 +62,14 @@ fn parse_args() -> Args {
         benches: None,
         report_dir: None,
         trace_dir: None,
-        no_fast_forward: false,
-        ring_capacity: None,
-        strict_obs: false,
+        ring: RingArgs::default(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--out" => args.out = it.next().unwrap_or_else(|| usage()),
-            "--seed" => {
-                args.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--rounds" => {
-                args.rounds = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
+            "--seed" => args.seed = cli::value(&mut it).unwrap_or_else(|| usage()),
+            "--rounds" => args.rounds = cli::value(&mut it).unwrap_or_else(|| usage()),
             "--bench" => {
                 let list = it.next().unwrap_or_else(|| usage());
                 args.benches =
@@ -83,12 +77,7 @@ fn parse_args() -> Args {
             }
             "--report-dir" => args.report_dir = Some(it.next().unwrap_or_else(|| usage())),
             "--trace-dir" => args.trace_dir = Some(it.next().unwrap_or_else(|| usage())),
-            "--no-fast-forward" => args.no_fast_forward = true,
-            "--obs-ring-capacity" => {
-                args.ring_capacity =
-                    Some(twill_bench::parse_ring_capacity(&mut it).unwrap_or_else(|| usage()))
-            }
-            "--strict-obs" => args.strict_obs = true,
+            flag if args.ring.take(flag, &mut it) => {}
             _ => usage(),
         }
     }
@@ -116,20 +105,17 @@ fn main() -> ExitCode {
     let mut rows = Vec::new();
     let mut regressed = false;
     let mut improved = 0usize;
-    let mut obs_data_lost = false;
+    let mut dropped = Vec::new();
     for b in &selected {
         let build = Compiler::new()
             .partitions(b.partitions)
             .compile(b.name, b.source)
             .unwrap_or_else(|e| panic!("{}: {e}", b.name));
         let input = chstone::input_for(b.name, twill_bench::BASELINE_SCALE);
-        let mut cfg = build.sim_config();
-        if args.no_fast_forward {
-            cfg.fast_forward = false;
-        }
-        if let Some(cap) = args.ring_capacity {
-            cfg.trace_events = cap;
-        }
+        let cfg = twill::SimulationConfig {
+            trace_events: args.ring.trace_events(false),
+            ..build.sim_config()
+        };
         let topts = TuneOptions {
             seed: args.seed,
             max_rounds: args.rounds,
@@ -143,14 +129,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if outcome.dropped_events > 0 {
-            obs_data_lost = true;
-            eprintln!(
-                "tune: WARN: trace truncated for {}: {} event(s) dropped — \
-                 raise --obs-ring-capacity",
-                b.name, outcome.dropped_events
-            );
-        }
+        dropped.push((b.name, outcome.dropped_events));
         let r = &outcome.report;
         if r.tuned_cycles > r.baseline_cycles {
             eprintln!(
@@ -211,9 +190,8 @@ fn main() -> ExitCode {
         rows.len(),
         args.seed
     );
-    if args.strict_obs && obs_data_lost {
-        eprintln!("tune: --strict-obs: observability data was lost");
-        return ExitCode::FAILURE;
+    if let Err(code) = args.ring.check_data_loss("tune", dropped, false) {
+        return code;
     }
     if regressed {
         return ExitCode::FAILURE;

@@ -38,9 +38,6 @@ pub struct CampaignOptions {
     /// Event-ring capacity armed on every run (0 = tracing off). With
     /// tracing armed, dropped events count as observability data loss.
     pub trace_capacity: usize,
-    /// Run the simulator's event-driven fast-forward loop (the default;
-    /// false forces the naive tick-every-cycle loop for cross-checking).
-    pub fast_forward: bool,
 }
 
 impl Default for CampaignOptions {
@@ -53,7 +50,6 @@ impl Default for CampaignOptions {
             watchdog: 200_000,
             max_cycles: 20_000_000,
             trace_capacity: 0,
-            fast_forward: true,
         }
     }
 }
@@ -159,7 +155,6 @@ pub fn run_campaign(benches: &[chstone::Benchmark], opts: &CampaignOptions) -> C
                     watchdog_window: opts.watchdog,
                     max_cycles: opts.max_cycles,
                     trace_events: opts.trace_capacity,
-                    fast_forward: opts.fast_forward && build.sim_config().fast_forward,
                     ..build.sim_config()
                 };
                 let (attempt, report) = match build.simulate_hybrid_with(input.clone(), &cfg) {
@@ -212,11 +207,7 @@ pub fn run_campaign(benches: &[chstone::Benchmark], opts: &CampaignOptions) -> C
             if cell.served != "hybrid" {
                 // Degraded path: the whole program on the soft CPU,
                 // injection off — must produce the golden output.
-                let cfg = SimulationConfig {
-                    fault: None,
-                    fast_forward: opts.fast_forward && build.sim_config().fast_forward,
-                    ..build.sim_config()
-                };
+                let cfg = SimulationConfig { fault: None, ..build.sim_config() };
                 let rep = twill_rt::simulate_pure_sw(build.prepared(), input.clone(), &cfg)
                     .unwrap_or_else(|e| panic!("{}: pure-SW fallback failed: {e}", b.name));
                 cell.final_ok = rep.output == golden;
@@ -232,12 +223,6 @@ impl Campaign {
     /// past both the retry policy and the fallback.
     pub fn undetected_corruption(&self) -> bool {
         self.cells.iter().any(|c| !c.final_ok)
-    }
-
-    /// Observability data was lost somewhere (dropped trace events or a
-    /// truncated fault log).
-    pub fn obs_data_lost(&self) -> bool {
-        self.cells.iter().any(|c| c.log_truncated || c.attempts.iter().any(|a| a.obs_lost > 0))
     }
 
     /// The survival/detection/corruption table.

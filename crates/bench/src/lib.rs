@@ -1,6 +1,7 @@
 //! Shared helpers for the experiment binaries: printing, the perf
 //! baseline collector (`twill-bench baseline` / `compare` / the CI perf
-//! gate all measure through [`collect_baseline`]), and common CLI flags.
+//! gate all measure through [`collect_baseline`]). The bins' shared
+//! observability flags live in [`twill::cli`].
 
 pub mod campaign;
 
@@ -77,10 +78,4 @@ pub fn collect_baseline() -> Baseline {
         });
     }
     Baseline { schema_version: SCHEMA_VERSION, env: env_metadata(), entries, stages }
-}
-
-/// Parse a `--obs-ring-capacity N` occurrence shared by the bench bins
-/// and `twillc`: the event-ring bound used when tracing is armed.
-pub fn parse_ring_capacity(it: &mut impl Iterator<Item = String>) -> Option<usize> {
-    it.next().and_then(|v| v.parse().ok())
 }

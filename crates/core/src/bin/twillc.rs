@@ -4,18 +4,22 @@
 //! twillc program.c [--partitions N] [--sw-fraction F] [--queue-depth D]
 //!        [--queue-depths q0=4,q1=32]
 //!        [--allow-recursion] [--run] [--input 1,2,3] [--emit-verilog FILE]
-//!        [--emit-ir FILE] [--stats] [--profile] [--annotate]
+//!        [--emit-ir FILE] [--stats] [--profile] [--annotate FILE]
 //!        [--folded FILE] [--profile-json FILE] [--trace FILE]
 //!        [--metrics FILE] [--metrics-text FILE] [--compare BASELINE]
 //!        [--compare-profile PROFILE.json] [--compare-timeline TIMELINE.json]
-//!        [--sample-interval N] [--timeline-out FILE] [--phases]
+//!        [--sample-interval N] [--timeline-out FILE] [--phases FILE]
 //!        [--obs-ring-capacity N]
 //!        [--strict-obs] [--fault-rate R] [--fault-seed N]
-//!        [--watchdog CYCLES] [--resilient] [--no-fast-forward]
+//!        [--watchdog CYCLES] [--resilient]
 //!        [--hw-counters] [--emit-regmap FILE] [--counter-dump FILE]
 //!        [--tune] [--tune-report FILE] [--tune-trace FILE]
 //!        [--tune-seed N] [--tune-rounds N]
 //! ```
+//!
+//! The observability flags (`--trace` through `--strict-obs`, plus
+//! `--emit-regmap` and `--counter-dump`) are shared with the `profile`
+//! bench bin through [`twill::cli`]: same spelling, defaults and output.
 //!
 //! `--hw-counters` instruments the emitted Verilog with the synthesizable
 //! `twill_perf` register file (DESIGN.md §14): per-thread busy/stall/idle
@@ -38,10 +42,6 @@
 //! best-so-far cycles); `--tune-seed`/`--tune-rounds` control the seeded
 //! deterministic search (same program + seed ⇒ byte-identical outputs).
 //!
-//! `--no-fast-forward` runs the simulator's naive tick-every-cycle loop
-//! instead of the event-driven fast-forward core — an escape hatch for
-//! cross-checking the two (they are observably identical by contract).
-//!
 //! `--fault-rate` injects deterministic faults (queue bit flips, drops,
 //! duplications, transient hardware-thread stalls, memory upsets) at the
 //! given per-cycle rate, seeded by `--fault-seed` (default 1) — same
@@ -51,38 +51,47 @@
 //! software instead of failing.
 //!
 //! `--profile` prints the hybrid run's stall/utilization table plus
-//! compiler-stage timings; `--annotate` reprints the C source with a
-//! per-line cycles/stall-class gutter (plus the top stall sites);
-//! `--folded` writes folded-stack lines for flamegraph tooling;
-//! `--profile-json` writes the line-granular profile as JSON (feed it to
-//! a later `--compare-profile`); `--trace` writes a Chrome/Perfetto
-//! `trace_event` JSON (open at <https://ui.perfetto.dev>) with the
-//! compiler stages and the cycle-level simulator timeline; `--metrics`
-//! writes the structured metrics report as JSON; `--compare` diffs the
-//! hybrid run against the matching entry of a recorded baseline
-//! (`BENCH_baseline.json`) and prints the ranked cycle-delta attribution
-//! — add `--compare-profile` with a previously saved `--profile-json`
-//! file and the diff also names the source line the regression comes
-//! from; `--obs-ring-capacity` bounds the `--trace` event ring (default
-//! 2^20). `--strict-obs` turns observability data loss (trace
-//! truncation) into a non-zero exit instead of just a warning.
+//! compiler-stage timings; `--annotate` writes the C source with a
+//! per-line cycles/stall-class gutter (plus the top stall sites; give
+//! `/dev/stdout` to print it); `--folded` writes folded-stack lines for
+//! flamegraph tooling; `--profile-json` writes the line-granular profile
+//! as JSON (feed it to a later `--compare-profile`); `--trace` writes a
+//! Chrome/Perfetto `trace_event` JSON (open at <https://ui.perfetto.dev>)
+//! with the compiler stages and the cycle-level simulator timeline;
+//! `--metrics` writes the structured metrics report as JSON; `--compare`
+//! diffs the hybrid run against the matching entry of a recorded
+//! baseline (`BENCH_baseline.json`) and prints the ranked cycle-delta
+//! attribution — add `--compare-profile` with a previously saved
+//! `--profile-json` file and the diff also names the source line the
+//! regression comes from. `--strict-obs` or `--obs-ring-capacity` arm
+//! the event ring even without `--trace` (default
+//! [`cli::DEFAULT_RING_CAPACITY`] events); lost events always warn on
+//! stderr, and under `--strict-obs` they turn into a non-zero exit.
 //!
 //! `--sample-interval N` snapshots every cycle-class and queue counter
 //! each N cycles into a sampled timeline (printed as a per-interval
 //! table); `--timeline-out` writes that timeline as JSON (feed it to a
 //! later `--compare-timeline`); `--phases` segments the timeline into
 //! execution phases — runs of intervals with the same dominant
-//! stall-class signature — and names each phase's hottest C line;
-//! `--compare-timeline` with a previously saved timeline makes
-//! `--compare` attribute the cycle delta phase by phase ("the +41k
-//! cycles come from phase 2 of 5"). Timeline flags without an explicit
-//! `--sample-interval` default to one sample every 4096 cycles; a
-//! sampled `--trace` additionally carries per-thread/per-class and
-//! per-queue-occupancy counter tracks over time.
+//! stall-class signature — names each phase's hottest C line, prints the
+//! phase table and writes it as JSON; `--compare-timeline` with a
+//! previously saved timeline makes `--compare` attribute the cycle delta
+//! phase by phase ("the +41k cycles come from phase 2 of 5"). Timeline
+//! flags without an explicit `--sample-interval` default to one sample
+//! every [`cli::DEFAULT_SAMPLE_INTERVAL`] cycles; a sampled `--trace`
+//! additionally carries per-thread/per-class and per-queue-occupancy
+//! counter tracks over time.
+//!
+//! Set `TWILL_NO_FAST_FORWARD=1` to run the simulator's naive
+//! tick-every-cycle loop instead of the event-driven fast-forward core
+//! (they are observably identical by contract).
 
 use std::process::ExitCode;
+use std::str::FromStr;
+use twill::cli::{self, ObsArgs};
 use twill::Compiler;
 
+#[derive(Default)]
 struct Args {
     source: Option<String>,
     partitions: usize,
@@ -96,42 +105,24 @@ struct Args {
     emit_ir: Option<String>,
     stats: bool,
     profile: bool,
-    annotate: bool,
-    folded: Option<String>,
-    profile_json: Option<String>,
-    trace: Option<String>,
-    metrics: Option<String>,
-    metrics_text: Option<String>,
     compare: Option<String>,
     compare_profile: Option<String>,
     compare_timeline: Option<String>,
-    sample_interval: Option<u64>,
-    timeline_out: Option<String>,
-    phases: bool,
-    ring_capacity: usize,
-    strict_obs: bool,
     fault_rate: Option<f64>,
     fault_seed: u64,
     watchdog: Option<u64>,
     resilient: bool,
-    no_fast_forward: bool,
     hw_counters: bool,
-    emit_regmap: Option<String>,
-    counter_dump: Option<String>,
     tune: bool,
     tune_report: Option<String>,
     tune_trace: Option<String>,
     tune_seed: u64,
     tune_rounds: usize,
+    obs: ObsArgs,
 }
 
 /// Hybrid attempts before `--resilient` degrades to pure software.
 const RESILIENT_ATTEMPTS: u32 = 3;
-
-/// Sample window when a timeline flag is used without an explicit
-/// `--sample-interval`: coarse enough to stay cheap on long runs, fine
-/// enough that CHStone-sized programs still get several intervals.
-const DEFAULT_SAMPLE_INTERVAL: u64 = 4096;
 
 /// Parse `q0=4,q1=32` (the `q` prefix is optional) into per-queue depth
 /// overrides. `None` on any malformed entry or a zero depth.
@@ -155,14 +146,14 @@ fn usage() -> ! {
          [--queue-depth D] [--queue-depths q0=4,q1=32] \
          [--allow-recursion] [--run] [--input a,b,c] \
          [--emit-verilog FILE] [--emit-ir FILE] [--stats] [--profile] \
-         [--annotate] [--folded FILE] [--profile-json FILE] \
+         [--annotate FILE] [--folded FILE] [--profile-json FILE] \
          [--trace FILE] [--metrics FILE] [--metrics-text FILE] \
          [--compare BASELINE] \
          [--compare-profile PROFILE.json] [--compare-timeline TIMELINE.json] \
-         [--sample-interval N] [--timeline-out FILE] [--phases] \
+         [--sample-interval N] [--timeline-out FILE] [--phases FILE] \
          [--obs-ring-capacity N] \
          [--strict-obs] [--fault-rate R] [--fault-seed N] \
-         [--watchdog CYCLES] [--resilient] [--no-fast-forward] \
+         [--watchdog CYCLES] [--resilient] \
          [--hw-counters] [--emit-regmap FILE] [--counter-dump FILE] \
          [--tune] [--tune-report FILE] [--tune-trace FILE] \
          [--tune-seed N] [--tune-rounds N]"
@@ -170,130 +161,51 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The next argument as the current flag's value, or a usage error.
+fn arg<T: FromStr>(it: &mut impl Iterator<Item = String>) -> T {
+    cli::value(it).unwrap_or_else(|| usage())
+}
+
 fn parse_args() -> Args {
-    let mut args = Args {
-        source: None,
-        partitions: 3,
-        sw_fraction: None,
-        queue_depth: None,
-        queue_depths: Vec::new(),
-        allow_recursion: false,
-        run: false,
-        input: Vec::new(),
-        emit_verilog: None,
-        emit_ir: None,
-        stats: false,
-        profile: false,
-        annotate: false,
-        folded: None,
-        profile_json: None,
-        trace: None,
-        metrics: None,
-        metrics_text: None,
-        compare: None,
-        compare_profile: None,
-        compare_timeline: None,
-        sample_interval: None,
-        timeline_out: None,
-        phases: false,
-        ring_capacity: 1 << 20,
-        strict_obs: false,
-        fault_rate: None,
-        fault_seed: 1,
-        watchdog: None,
-        resilient: false,
-        no_fast_forward: false,
-        hw_counters: false,
-        emit_regmap: None,
-        counter_dump: None,
-        tune: false,
-        tune_report: None,
-        tune_trace: None,
-        tune_seed: 0,
-        tune_rounds: 4,
-    };
+    let mut args = Args { partitions: 3, fault_seed: 1, tune_rounds: 4, ..Default::default() };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--partitions" => {
-                args.partitions = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--sw-fraction" => {
-                args.sw_fraction =
-                    Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--queue-depth" => {
-                args.queue_depth =
-                    Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
-            }
+            "--partitions" => args.partitions = arg(&mut it),
+            "--sw-fraction" => args.sw_fraction = Some(arg(&mut it)),
+            "--queue-depth" => args.queue_depth = Some(arg(&mut it)),
             "--queue-depths" => {
-                let list = it.next().unwrap_or_else(|| usage());
-                args.queue_depths = parse_queue_depths(&list).unwrap_or_else(|| usage());
+                args.queue_depths =
+                    parse_queue_depths(&arg::<String>(&mut it)).unwrap_or_else(|| usage())
             }
             "--allow-recursion" => args.allow_recursion = true,
             "--run" => args.run = true,
             "--input" => {
-                let list = it.next().unwrap_or_else(|| usage());
-                args.input = list
+                args.input = arg::<String>(&mut it)
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
                     .collect();
             }
-            "--emit-verilog" => args.emit_verilog = Some(it.next().unwrap_or_else(|| usage())),
-            "--emit-ir" => args.emit_ir = Some(it.next().unwrap_or_else(|| usage())),
+            "--emit-verilog" => args.emit_verilog = Some(arg(&mut it)),
+            "--emit-ir" => args.emit_ir = Some(arg(&mut it)),
             "--stats" => args.stats = true,
             "--profile" => args.profile = true,
-            "--annotate" => args.annotate = true,
-            "--folded" => args.folded = Some(it.next().unwrap_or_else(|| usage())),
-            "--profile-json" => args.profile_json = Some(it.next().unwrap_or_else(|| usage())),
-            "--trace" => args.trace = Some(it.next().unwrap_or_else(|| usage())),
-            "--metrics" => args.metrics = Some(it.next().unwrap_or_else(|| usage())),
-            "--metrics-text" => args.metrics_text = Some(it.next().unwrap_or_else(|| usage())),
-            "--compare" => args.compare = Some(it.next().unwrap_or_else(|| usage())),
-            "--compare-profile" => {
-                args.compare_profile = Some(it.next().unwrap_or_else(|| usage()))
-            }
-            "--compare-timeline" => {
-                args.compare_timeline = Some(it.next().unwrap_or_else(|| usage()))
-            }
-            "--sample-interval" => {
-                args.sample_interval =
-                    Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--timeline-out" => args.timeline_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--phases" => args.phases = true,
-            "--strict-obs" => args.strict_obs = true,
-            "--fault-rate" => {
-                args.fault_rate =
-                    Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--fault-seed" => {
-                args.fault_seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--watchdog" => {
-                args.watchdog =
-                    Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
-            }
+            "--compare" => args.compare = Some(arg(&mut it)),
+            "--compare-profile" => args.compare_profile = Some(arg(&mut it)),
+            "--compare-timeline" => args.compare_timeline = Some(arg(&mut it)),
+            "--fault-rate" => args.fault_rate = Some(arg(&mut it)),
+            "--fault-seed" => args.fault_seed = arg(&mut it),
+            "--watchdog" => args.watchdog = Some(arg(&mut it)),
             "--resilient" => args.resilient = true,
-            "--no-fast-forward" => args.no_fast_forward = true,
             "--hw-counters" => args.hw_counters = true,
-            "--emit-regmap" => args.emit_regmap = Some(it.next().unwrap_or_else(|| usage())),
-            "--counter-dump" => args.counter_dump = Some(it.next().unwrap_or_else(|| usage())),
             "--tune" => args.tune = true,
-            "--tune-report" => args.tune_report = Some(it.next().unwrap_or_else(|| usage())),
-            "--tune-trace" => args.tune_trace = Some(it.next().unwrap_or_else(|| usage())),
-            "--tune-seed" => {
-                args.tune_seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--tune-rounds" => {
-                args.tune_rounds = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--obs-ring-capacity" => {
-                args.ring_capacity =
-                    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
+            "--tune-report" => args.tune_report = Some(arg(&mut it)),
+            "--tune-trace" => args.tune_trace = Some(arg(&mut it)),
+            "--tune-seed" => args.tune_seed = arg(&mut it),
+            "--tune-rounds" => args.tune_rounds = arg(&mut it),
             "--help" | "-h" => usage(),
+            flag if args.obs.take(flag, &mut it) => {}
             other if !other.starts_with('-') && args.source.is_none() => {
                 args.source = Some(other.to_string())
             }
@@ -319,12 +231,10 @@ fn main() -> ExitCode {
         .unwrap_or("program")
         .to_string();
 
-    // Either counter artifact flag implies instrumentation.
-    let hw_counters = args.hw_counters || args.emit_regmap.is_some() || args.counter_dump.is_some();
     let mut compiler = Compiler::new()
         .partitions(args.partitions)
         .allow_recursion(args.allow_recursion)
-        .hw_counters(hw_counters);
+        .hw_counters(args.hw_counters || args.obs.hw_counters());
     if let Some(f) = args.sw_fraction {
         compiler = compiler.sw_fraction(f);
     }
@@ -375,24 +285,12 @@ fn main() -> ExitCode {
         println!("hardware-thread Verilog written to {f}");
     }
 
-    if let Some(f) = &args.emit_regmap {
-        if let Err(e) = std::fs::write(f, build.regmap_json().as_bytes()) {
-            eprintln!("twillc: cannot write {f}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("performance-counter register map written to {f}");
-    }
-
     if args.tune || args.tune_report.is_some() || args.tune_trace.is_some() {
-        // The tuner gets the same loop-mode/watchdog knobs as the main
-        // run, but never fault injection: it optimizes the healthy
-        // machine.
+        // The tuner gets the same watchdog as the main run, but never
+        // fault injection: it optimizes the healthy machine.
         let mut tune_cfg = build.sim_config();
         if let Some(w) = args.watchdog {
             tune_cfg.watchdog_window = w;
-        }
-        if args.no_fast_forward {
-            tune_cfg.fast_forward = false;
         }
         let topts = twill::TuneOptions {
             seed: args.tune_seed,
@@ -427,47 +325,28 @@ fn main() -> ExitCode {
         }
     }
 
-    let line_profiling = args.annotate
-        || args.folded.is_some()
-        || args.profile_json.is_some()
-        || args.compare_profile.is_some()
-        // Phase reports name each phase's hottest C line, which needs
-        // the line-granular profile of the same run.
-        || args.phases
-        || args.compare_timeline.is_some();
-    let sampling = args.sample_interval.is_some()
-        || args.timeline_out.is_some()
-        || args.phases
-        || args.compare_timeline.is_some();
-    let observing = args.profile
-        || args.trace.is_some()
-        || args.metrics.is_some()
-        || args.metrics_text.is_some()
-        || args.counter_dump.is_some()
+    let observing = args.run
+        || args.profile
         || args.compare.is_some()
-        || sampling
-        || line_profiling;
-    let mut obs_data_lost = false;
-    if args.run || observing {
-        // One hybrid run serves --run, --profile, --annotate, --folded,
-        // --trace, --metrics and --compare; the event recorder is only
-        // armed when a trace was requested, and per-instruction cycle
-        // attribution only when a line-granular view was.
+        || args.compare_profile.is_some()
+        || args.compare_timeline.is_some()
+        || args.obs.needs_run();
+    let mut report = None;
+    if observing {
+        // One hybrid run serves --run, --profile, --compare and every
+        // observability artifact; it records what those flags need.
         let mut cfg = twill::SimulationConfig {
-            trace_events: if args.trace.is_some() { args.ring_capacity } else { 0 },
-            profile: line_profiling,
-            sample_interval: sampling
-                .then(|| args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL)),
             fault: args
                 .fault_rate
                 .map(|r| twill::FaultPlan::new(args.fault_seed, twill::FaultSpec::uniform(r))),
-            ..build.sim_config()
+            ..args.obs.sim_config(
+                build.sim_config(),
+                args.compare_profile.is_some(),
+                args.compare_timeline.is_some(),
+            )
         };
         if let Some(w) = args.watchdog {
             cfg.watchdog_window = w;
-        }
-        if args.no_fast_forward {
-            cfg.fast_forward = false;
         }
         let tw = if args.resilient {
             match build.run_resilient(args.input.clone(), &cfg, RESILIENT_ATTEMPTS) {
@@ -546,37 +425,12 @@ fn main() -> ExitCode {
             );
         }
 
-        if args.sample_interval.is_some() {
+        if args.obs.sample_interval.is_some() {
             let t = tw.timeline.as_ref().expect("sampling was enabled");
             print!("{}", twill_obs::timeline_table(t));
         }
 
         let source_profile = tw.source_profile(&build.dswp().module);
-
-        if args.annotate {
-            let sp = source_profile.as_ref().expect("profiling was enabled");
-            print!("{}", sp.annotate_source(&src));
-            println!();
-            print!("{}", sp.report(10));
-        }
-
-        if let Some(f) = &args.folded {
-            let sp = source_profile.as_ref().expect("profiling was enabled");
-            if let Err(e) = std::fs::write(f, sp.folded_stacks()) {
-                eprintln!("twillc: cannot write {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("folded stacks written to {f} (feed to flamegraph.pl / inferno)");
-        }
-
-        if let Some(f) = &args.profile_json {
-            let sp = source_profile.as_ref().expect("profiling was enabled");
-            if let Err(e) = std::fs::write(f, sp.to_json()) {
-                eprintln!("twillc: cannot write {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("line-granular profile written to {f}");
-        }
 
         if let Some(f) = &args.compare {
             let baseline = match twill_obs::Baseline::load(std::path::Path::new(f)) {
@@ -663,79 +517,13 @@ fn main() -> ExitCode {
                 print!("{}", twill_obs::render_phase_attribution(&deltas, cycle_delta));
             }
         }
-
-        if let Some(f) = &args.trace {
-            let json = tw.trace_builder().spans(build.graph().spans()).build();
-            if let Err(e) = std::fs::write(f, json) {
-                eprintln!("twillc: cannot write {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "Perfetto trace written to {f} ({} event(s), {} dropped) — open at https://ui.perfetto.dev",
-                tw.events.len(),
-                tw.dropped_events
-            );
-        }
-
-        if let Some(f) = &args.timeline_out {
-            let t = tw.timeline.as_ref().expect("sampling was enabled");
-            if let Err(e) = std::fs::write(f, t.to_json()) {
-                eprintln!("twillc: cannot write {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "sampled timeline written to {f} ({} interval(s) of {} cycles)",
-                t.intervals.len(),
-                t.sample_interval
-            );
-        }
-
-        if args.phases {
-            let t = tw.timeline.as_ref().expect("sampling was enabled");
-            let mut pr = twill_obs::segment(t);
-            if let Some(sp) = source_profile.as_ref() {
-                pr.annotate(sp);
-            }
-            print!("{}", pr.render_text());
-        }
-
-        if let Some(f) = &args.metrics {
-            if let Err(e) = std::fs::write(f, tw.metrics().to_json()) {
-                eprintln!("twillc: cannot write {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("metrics JSON written to {f}");
-        }
-
-        if let Some(f) = &args.metrics_text {
-            if let Err(e) = std::fs::write(f, tw.metrics().metrics_text()) {
-                eprintln!("twillc: cannot write {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("Prometheus text metrics written to {f}");
-        }
-
-        if let Some(f) = &args.counter_dump {
-            let dump = build.counter_bank(&tw).dump();
-            if let Err(e) = std::fs::write(f, dump.to_json()) {
-                eprintln!("twillc: cannot write {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("hardware counter dump written to {f} (decode with --emit-regmap)");
-        }
-
-        if tw.dropped_events > 0 {
-            obs_data_lost = true;
-            eprintln!(
-                "twillc: WARN: trace truncated: {} event(s) dropped — \
-                 raise --obs-ring-capacity",
-                tw.dropped_events
-            );
-        }
+        report = Some(tw);
     }
-    if args.strict_obs && obs_data_lost {
-        eprintln!("twillc: --strict-obs: observability data was lost");
+
+    if let Err(e) = args.obs.write(&src, &build, report.as_ref()) {
+        eprintln!("twillc: {e}");
         return ExitCode::FAILURE;
     }
-    ExitCode::SUCCESS
+    let dropped = report.iter().map(|tw| (&name, tw.dropped_events));
+    args.obs.ring.check_data_loss("twillc", dropped, false).err().unwrap_or(ExitCode::SUCCESS)
 }

@@ -42,6 +42,7 @@
 //! Chapter 6.
 
 pub mod artifacts;
+pub mod cli;
 pub mod experiments;
 pub mod report;
 pub mod tune;

@@ -117,7 +117,8 @@ const BLOWFISH_GOLDEN: &str =
 
 /// The blowfish hybrid run `twill-rt`'s artifact golden pins in process,
 /// driven through the real `twillc`: every artifact it writes must be the
-/// committed golden byte for byte.
+/// committed golden byte for byte. The `profile` bench bin is held to the
+/// same files, so both tools write identical bytes.
 #[test]
 fn blowfish_artifacts_match_the_committed_golden() {
     let dir = temp_dir("golden");
@@ -129,6 +130,8 @@ fn blowfish_artifacts_match_the_committed_golden() {
         ("--profile-json", "profile.json"),
         ("--folded", "folded.txt"),
         ("--counter-dump", "dump.json"),
+        ("--annotate", "annotated.txt"),
+        ("--phases", "phases.json"),
     ];
     let mut cmd = twillc();
     cmd.arg(BLOWFISH_C)
@@ -152,4 +155,30 @@ fn blowfish_artifacts_match_the_committed_golden() {
     let build = twill::Compiler::new().partitions(3).hw_counters(true).compile("blowfish", &src);
     let regmap = std::fs::read_to_string(dir.join("regmap.json")).unwrap();
     assert_eq!(regmap, *build.unwrap().regmap_json());
+}
+
+#[test]
+fn strict_obs_arms_the_event_ring_without_trace() {
+    let hotspot = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/hotspot.c");
+    let metrics = temp_dir("strict").join("m.json");
+    let out = twillc()
+        .arg(hotspot)
+        .args(["--partitions", "2", "--metrics"])
+        .arg(&metrics)
+        .args(["--strict-obs", "--obs-ring-capacity", "1"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("twillc: WARN: trace truncated for hotspot: "), "{stderr}");
+    assert!(stderr.contains("twillc: --strict-obs: observability data was lost"), "{stderr}");
+}
+
+#[test]
+fn usage_errors_exit_2() {
+    let p = write_temp("usage.c", SRC);
+    for args in [&["--no-such-flag"][..], &["--metrics"], &["--sample-interval", "x"]] {
+        let out = twillc().arg(&p).args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "twillc {args:?}");
+    }
 }

@@ -42,8 +42,8 @@ pub struct SimConfig {
     /// agent is provably burning charge or re-polling a blocked op
     /// (observably identical to ticking each cycle; see DESIGN.md §12).
     /// `false` forces the naive tick-every-cycle loop — the bisection
-    /// escape hatch behind `--no-fast-forward`. Defaults to on unless the
-    /// `TWILL_NO_FAST_FORWARD` environment variable is set.
+    /// escape hatch. Defaults to on unless the `TWILL_NO_FAST_FORWARD`
+    /// environment variable is set, which is how every tool selects it.
     pub fast_forward: bool,
     /// Sample the always-on counters every N cycles into a
     /// `twill_obs::Timeline` on the report (`SimReport::timeline`):

@@ -2,7 +2,7 @@
  * line-granular profiler:
  *
  *     cargo run --release --bin twillc -- examples/hotspot.c \
- *         --partitions 2 --annotate --folded hotspot.folded
+ *         --partitions 2 --annotate /dev/stdout --folded hotspot.folded
  *
  * The annotated listing shows most cycles landing on the mix loop below;
  * feed hotspot.folded to flamegraph.pl / inferno for the same picture as
