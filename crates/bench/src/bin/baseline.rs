@@ -31,7 +31,7 @@ fn main() {
 
     eprintln!("recording baseline (8 benchmarks x 3 modes)...");
     let baseline = twill_bench::collect_baseline();
-    std::fs::write(&out, baseline.to_json()).unwrap_or_else(|e| {
+    std::fs::write(&out, twill_obs::ToJson::to_json(&baseline)).unwrap_or_else(|e| {
         eprintln!("baseline: cannot write {out}: {e}");
         std::process::exit(1);
     });
@@ -39,7 +39,7 @@ fn main() {
         "baseline written to {out}: {} entries, {} stage records, schema v{}",
         baseline.entries.len(),
         baseline.stages.len(),
-        baseline.schema_version
+        twill_obs::baseline::SCHEMA_VERSION
     );
     for e in &baseline.entries {
         println!("  {:<10} {:<8} {:>12} cycles", e.bench, e.mode, e.cycles());

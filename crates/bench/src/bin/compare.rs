@@ -15,8 +15,8 @@
 //! recorded value. `--report` additionally writes the full diff report as
 //! JSON (the CI artifact).
 
-use std::fmt::Write as _;
 use twill_obs::baseline::Baseline;
+use twill_obs::json::{self, Json};
 
 struct Args {
     against: String,
@@ -68,7 +68,7 @@ fn main() {
     let current = twill_bench::collect_baseline();
 
     let mut failures: Vec<String> = Vec::new();
-    let mut report_json: Vec<String> = Vec::new();
+    let mut report_json: Vec<Json> = Vec::new();
     let mut clean = 0usize;
 
     for base in &baseline.entries {
@@ -78,7 +78,7 @@ fn main() {
             continue;
         };
         let d = twill_obs::diff(&base.metrics, &now.metrics);
-        report_json.push(d.to_json(&label));
+        report_json.push(d.to_tree(&label));
         if d.cycle_delta == 0 && !d.structural {
             clean += 1;
             if args.verbose {
@@ -122,15 +122,11 @@ fn main() {
     }
 
     if let Some(f) = &args.report {
-        let mut doc = String::from("{\n  \"diffs\": [\n");
-        for (i, d) in report_json.iter().enumerate() {
-            let block: String = d.trim_end().lines().map(|l| format!("    {l}\n")).collect();
-            doc.push_str(block.trim_end_matches('\n'));
-            doc.push_str(if i + 1 < report_json.len() { ",\n" } else { "\n" });
-        }
-        let _ = writeln!(doc, "  ],\n  \"failures\": {},", failures.len());
-        let _ = writeln!(doc, "  \"entries\": {}", baseline.entries.len());
-        doc.push_str("}\n");
+        let doc = json::print(&Json::obj([
+            ("diffs", Json::Arr(report_json)),
+            ("failures", failures.len().into()),
+            ("entries", baseline.entries.len().into()),
+        ]));
         std::fs::write(f, doc).unwrap_or_else(|e| {
             eprintln!("compare: cannot write {f}: {e}");
             std::process::exit(2);

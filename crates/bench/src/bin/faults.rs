@@ -79,7 +79,7 @@ fn main() -> ExitCode {
     print!("{}", campaign.table());
 
     if let Some(f) = &json_out {
-        if let Err(e) = std::fs::write(f, campaign.to_json()) {
+        if let Err(e) = std::fs::write(f, twill_obs::ToJson::to_json(&campaign)) {
             eprintln!("faults: cannot write {f}: {e}");
             return ExitCode::FAILURE;
         }

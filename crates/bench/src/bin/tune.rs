@@ -31,6 +31,7 @@ use std::process::ExitCode;
 
 use twill::cli::{self, RingArgs};
 use twill::{Compiler, TuneOptions};
+use twill_obs::json::{self, Json, ToJson};
 
 /// Default path of the tuning record, relative to the repo root.
 const TUNING_PATH: &str = "BENCH_tuning.json";
@@ -168,14 +169,14 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        rows.push((
-            b.name.to_string(),
-            r.baseline_cycles,
-            r.tuned_cycles,
-            r.trials.len(),
-            r.speedup(),
-            r.tuned.as_flags(),
-        ));
+        rows.push(Json::obj([
+            ("bench", Json::from(b.name)),
+            ("default_cycles", r.baseline_cycles.into()),
+            ("tuned_cycles", r.tuned_cycles.into()),
+            ("trials", r.trials.len().into()),
+            ("speedup", r.speedup().into()),
+            ("tuned_flags", r.tuned.as_flags().into()),
+        ]));
     }
 
     let doc = render_json(args.seed, args.rounds, &rows);
@@ -201,33 +202,11 @@ fn main() -> ExitCode {
 
 /// `BENCH_tuning.json`: benchmark × {default, tuned} cycles + trial
 /// count. Cycle data is deterministic; env metadata is provenance.
-fn render_json(
-    seed: u64,
-    rounds: usize,
-    rows: &[(String, u64, u64, usize, f64, String)],
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"rounds\": {rounds},");
-    out.push_str("  \"env\": {");
-    let env = twill_bench::env_metadata();
-    for (i, (k, v)) in env.iter().enumerate() {
-        let sep = if i + 1 < env.len() { ", " } else { "" };
-        let _ = write!(out, "{}: {}{sep}", twill_obs::json::quote(k), twill_obs::json::quote(v));
-    }
-    out.push_str("},\n  \"benches\": [\n");
-    for (i, (bench, base, tuned, trials, speedup, flags)) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"bench\": {}, \"default_cycles\": {base}, \"tuned_cycles\": {tuned}, \
-             \"trials\": {trials}, \"speedup\": {}, \"tuned_flags\": {}}}",
-            twill_obs::json::quote(bench),
-            twill_obs::json::number(*speedup),
-            twill_obs::json::quote(flags),
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+fn render_json(seed: u64, rounds: usize, rows: &[Json]) -> String {
+    json::print(&Json::obj([
+        ("seed", Json::from(seed)),
+        ("rounds", rounds.into()),
+        ("env", Json::obj(twill_bench::env_metadata())),
+        ("benches", Json::Arr(rows.to_vec())),
+    ]))
 }

@@ -12,7 +12,7 @@
 //! produces byte-identical JSON twice.
 
 use twill::{Compiler, FaultPlan, FaultSpec, SimulationConfig};
-use twill_obs::json;
+use twill_obs::json::{Json, Schema, Tag, ToJson};
 use twill_rt::SimError;
 
 /// Campaign parameters.
@@ -266,42 +266,30 @@ impl Campaign {
             &rows,
         )
     }
+}
 
-    /// Deterministic JSON document (same seed + spec → byte-identical).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"schema\": 1,");
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"attempts\": {},", self.attempts);
-        let _ = writeln!(s, "  \"scale\": {},", self.scale);
-        let _ = writeln!(s, "  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            let _ = writeln!(s, "    {{");
-            let _ = writeln!(s, "      \"bench\": {},", json::quote(&c.bench));
-            let _ = writeln!(s, "      \"rate\": {},", json::number(c.rate));
-            let _ = writeln!(s, "      \"served\": {},", json::quote(c.served));
-            let _ = writeln!(s, "      \"served_attempt\": {},", c.served_attempt);
-            let _ = writeln!(s, "      \"final_ok\": {},", c.final_ok);
-            let _ = writeln!(s, "      \"log_truncated\": {},", c.log_truncated);
-            let _ = writeln!(s, "      \"attempts\": [");
-            for (j, a) in c.attempts.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "        {{\"outcome\": {}, \"faults\": {}, \"diagnosed\": {}, \"obs_lost\": {}}}",
-                    json::quote(a.outcome.label()),
-                    a.faults,
-                    a.diagnosed,
-                    a.obs_lost
-                );
-                let _ = writeln!(s, "{}", if j + 1 < c.attempts.len() { "," } else { "" });
-            }
-            let _ = writeln!(s, "      ]");
-            let _ = writeln!(s, "    }}{}", if i + 1 < self.cells.len() { "," } else { "" });
-        }
-        let _ = writeln!(s, "  ]");
-        let _ = writeln!(s, "}}");
-        s
+/// The campaign document's format tag.
+pub const SCHEMA: Schema = Schema(&[("schema", Tag::Int(1))]);
+
+impl ToJson for Outcome {
+    fn to_tree(&self) -> Json {
+        self.label().into()
+    }
+}
+
+twill_obs::json_object!(Attempt { outcome, faults, diagnosed, obs_lost } write-only);
+twill_obs::json_object!(Cell {
+    bench, rate, served, served_attempt, final_ok, log_truncated, attempts
+} write-only);
+
+impl ToJson for Campaign {
+    /// Deterministic: same seed + spec → byte-identical document.
+    fn to_tree(&self) -> Json {
+        SCHEMA.doc([
+            ("seed", Json::from(self.seed)),
+            ("attempts", self.attempts.into()),
+            ("scale", self.scale.into()),
+            ("cells", self.cells.to_tree()),
+        ])
     }
 }

@@ -9,7 +9,7 @@ pub use twill::experiments;
 pub use twill::report::format_table;
 
 use twill::Compiler;
-use twill_obs::baseline::{Baseline, BaselineEntry, StageTimings, SCHEMA_VERSION};
+use twill_obs::baseline::{Baseline, BaselineEntry, StageSpan, StageTimings, SCHEMA_VERSION};
 
 /// Print a markdown-ish section header.
 pub fn section(title: &str) {
@@ -69,13 +69,16 @@ pub fn collect_baseline() -> Baseline {
                 metrics: rep.metrics(),
             });
         }
-        let c = build.graph().counters();
+        let (c, spans) = (build.graph().counters(), build.graph().spans());
         stages.push(StageTimings {
             bench: b.name.to_string(),
-            spans: build.graph().spans().into_iter().map(|s| (s.name, s.dur_ns)).collect(),
+            spans: spans
+                .into_iter()
+                .map(|s| StageSpan { name: s.name, dur_ns: s.dur_ns })
+                .collect(),
             runs: c.runs() as u64,
             hits: c.hits() as u64,
         });
     }
-    Baseline { schema_version: SCHEMA_VERSION, env: env_metadata(), entries, stages }
+    Baseline { env: env_metadata(), entries, stages }
 }

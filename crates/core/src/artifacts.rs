@@ -30,7 +30,7 @@ use twill_dswp::{run_dswp, DswpOptions, DswpResult};
 use twill_frontend::CError;
 use twill_hls::schedule::{schedule_module_threads, HlsOptions, ModuleSchedule};
 use twill_ir::Module;
-use twill_obs::Span;
+use twill_obs::{Span, ToJson};
 
 /// Minimal FNV-1a 64-bit hasher — deterministic across runs and platforms
 /// (unlike `DefaultHasher`), which keeps artifact keys stable.

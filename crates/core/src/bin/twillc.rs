@@ -90,6 +90,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use twill::cli::{self, ObsArgs};
 use twill::Compiler;
+use twill_obs::{FromJson, ToJson};
 
 #[derive(Default)]
 struct Args {
@@ -454,9 +455,8 @@ fn main() -> ExitCode {
                         std::process::exit(1);
                     }
                 };
-                let base_profile = twill_obs::json::parse(&text)
-                    .and_then(|doc| twill_obs::SourceProfile::from_json(&doc))
-                    .unwrap_or_else(|e| {
+                let base_profile =
+                    twill_obs::SourceProfile::from_json_str(&text).unwrap_or_else(|e| {
                         eprintln!("twillc: {pf}: {e}");
                         std::process::exit(1);
                     });
@@ -487,9 +487,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let base_t = match twill_obs::json::parse(&text)
-                .and_then(|doc| twill_obs::Timeline::from_json(&doc))
-            {
+            let base_t = match twill_obs::Timeline::from_json_str(&text) {
                 Ok(t) => t,
                 Err(e) => {
                     eprintln!("twillc: {tf}: {e}");
@@ -509,7 +507,7 @@ fn main() -> ExitCode {
             if let Some(sp) = source_profile.as_ref() {
                 new_phases.annotate(sp);
             }
-            let cycle_delta = tw.cycles as i64 - base_t.total_cycles() as i64;
+            let cycle_delta = (tw.cycles as i64).saturating_sub(base_t.total_cycles() as i64);
             let deltas = twill_obs::phase_attribution(&base_phases, &new_phases);
             if cycle_delta == 0 && deltas.iter().all(|d| d.delta == 0) {
                 println!("compare timeline: identical phase timing ({} cycles)", tw.cycles);

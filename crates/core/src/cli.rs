@@ -14,6 +14,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use crate::{SimulationConfig, TwillBuild};
+use twill_obs::ToJson;
 use twill_rt::SimReport;
 
 /// Event-ring bound when a run arms the recorder without an explicit

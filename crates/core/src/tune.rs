@@ -660,6 +660,7 @@ fn crit_breakdown(m: &SimMetrics) -> ClassCycles {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twill_obs::ToJson;
 
     const SRC: &str = r#"
 int main() {

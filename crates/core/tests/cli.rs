@@ -174,6 +174,39 @@ fn strict_obs_arms_the_event_ring_without_trace() {
     assert!(stderr.contains("twillc: --strict-obs: observability data was lost"), "{stderr}");
 }
 
+/// A `--compare-timeline` file whose intervals do not tile the run is
+/// rejected with an error naming the bad interval instead of a panic in
+/// phase segmentation.
+#[test]
+fn compare_timeline_rejects_intervals_that_do_not_tile_the_run() {
+    let hotspot = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/hotspot.c");
+    let timeline = temp_dir("tiling").join("t.json");
+    let out = twillc()
+        .arg(hotspot)
+        .args(["--partitions", "2", "--timeline-out"])
+        .arg(&timeline)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&timeline).unwrap();
+    let bad = text.replacen("\"start\": 4097, \"end\": 8192", "\"start\": 5000, \"end\": 3", 1);
+    assert_ne!(bad, text, "the sampled timeline has a second 4096-cycle interval");
+    std::fs::write(&timeline, bad).unwrap();
+    let out = twillc()
+        .arg(hotspot)
+        .args(["--partitions", "2", "--compare-timeline"])
+        .arg(&timeline)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr
+            .contains(".intervals[1]: starts at cycle 5000, expected 4097 (the previous end + 1)"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn usage_errors_exit_2() {
     let p = write_temp("usage.c", SRC);

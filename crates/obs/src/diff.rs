@@ -22,7 +22,7 @@
 //! diff reports a structural change instead of pretending the counters
 //! line up.
 
-use crate::json;
+use crate::json::{self, Json, ToJson};
 use crate::metrics::SimMetrics;
 use crate::stall::StallClass;
 use std::fmt::Write as _;
@@ -93,6 +93,11 @@ pub struct MetricsDiff {
     pub critical_after: Option<String>,
     pub dropped_events_delta: i64,
 }
+
+crate::json_object!(ClassDelta { class, delta } write-only);
+crate::json_object!(QueueDelta {
+    name, full_stalls, empty_stalls, high_water, pushes, pops
+} write-only);
 
 /// The pseudo-class used when the two runs are structurally different.
 pub const STRUCTURAL_CLASS: &str = "structural-change";
@@ -320,60 +325,35 @@ impl MetricsDiff {
         out
     }
 
-    /// Machine-readable form of the same explanation (parses back with
-    /// [`crate::json`]).
-    pub fn to_json(&self, label: &str) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"label\": {},", json::quote(label));
-        let _ = writeln!(out, "  \"base_cycles\": {},", self.base_cycles);
-        let _ = writeln!(out, "  \"new_cycles\": {},", self.new_cycles);
-        let _ = writeln!(out, "  \"cycle_delta\": {},", self.cycle_delta);
-        let _ = writeln!(out, "  \"percent\": {},", json::number(self.percent()));
-        let _ = writeln!(out, "  \"structural\": {},", self.structural);
-        let _ = writeln!(
-            out,
-            "  \"attribution_thread\": {},",
-            self.attribution_thread.as_deref().map(json::quote).unwrap_or_else(|| "null".into())
-        );
-        out.push_str("  \"attribution\": [");
-        for (i, c) in self.attribution.iter().enumerate() {
-            let sep = if i + 1 < self.attribution.len() { ", " } else { "" };
-            let _ =
-                write!(out, "{{\"class\": {}, \"delta\": {}}}{sep}", json::quote(c.class), c.delta);
-        }
-        out.push_str("],\n  \"threads\": [\n");
-        for (i, t) in self.threads.iter().enumerate() {
-            let _ = write!(out, "    {{\"name\": {}", json::quote(&t.name));
+    /// Machine-readable form of the same explanation, labelled `label`.
+    pub fn to_tree(&self, label: &str) -> Json {
+        let thread = |t: &ThreadDelta| {
+            let mut row = Json::obj([("name", &t.name)]);
             for (class, d) in StallClass::ALL.into_iter().zip(t.deltas) {
-                let _ = write!(out, ", {}: {}", json::quote(class.name()), d);
+                row.push(class.name(), d);
             }
-            out.push('}');
-            out.push_str(if i + 1 < self.threads.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n  \"queues\": [\n");
-        for (i, q) in self.queues.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"full_stalls\": {}, \"empty_stalls\": {}, \
-                 \"high_water\": {}, \"pushes\": {}, \"pops\": {}}}",
-                json::quote(&q.name),
-                q.full_stalls,
-                q.empty_stalls,
-                q.high_water,
-                q.pushes,
-                q.pops,
-            );
-            out.push_str(if i + 1 < self.queues.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n");
-        let quote_opt =
-            |v: &Option<String>| v.as_deref().map(json::quote).unwrap_or_else(|| "null".into());
-        let _ = writeln!(out, "  \"critical_before\": {},", quote_opt(&self.critical_before));
-        let _ = writeln!(out, "  \"critical_after\": {},", quote_opt(&self.critical_after));
-        let _ = writeln!(out, "  \"dropped_events_delta\": {}", self.dropped_events_delta);
-        out.push_str("}\n");
-        out
+            row
+        };
+        Json::obj([
+            ("label", Json::from(label)),
+            ("base_cycles", self.base_cycles.into()),
+            ("new_cycles", self.new_cycles.into()),
+            ("cycle_delta", self.cycle_delta.into()),
+            ("percent", self.percent().into()),
+            ("structural", self.structural.into()),
+            ("attribution_thread", self.attribution_thread.to_tree()),
+            ("attribution", self.attribution.to_tree()),
+            ("threads", Json::arr(self.threads.iter().map(thread))),
+            ("queues", self.queues.to_tree()),
+            ("critical_before", self.critical_before.to_tree()),
+            ("critical_after", self.critical_after.to_tree()),
+            ("dropped_events_delta", self.dropped_events_delta.into()),
+        ])
+    }
+
+    /// The printed [`MetricsDiff::to_tree`] document.
+    pub fn to_json(&self, label: &str) -> String {
+        json::print(&self.to_tree(label))
     }
 }
 
@@ -421,8 +401,10 @@ pub fn phase_attribution(
     for i in 0..n {
         let b = base.phases.get(i);
         let w = new.phases.get(i);
-        let b_cycles = b.map(|p| p.cycles() as i64).unwrap_or(0);
-        let w_cycles = w.map(|p| p.cycles() as i64).unwrap_or(0);
+        let cycles = |p: Option<&crate::phase::Phase>| {
+            p.map_or(0, |p| i64::try_from(p.cycles()).unwrap_or(i64::MAX))
+        };
+        let (b_cycles, w_cycles) = (cycles(b), cycles(w));
         // Describe by the new run's phase when it exists (that is where
         // the cycles are being spent now), else by the vanished base one.
         let desc = w.or(b).expect("i < max(len, len)");
@@ -430,7 +412,7 @@ pub fn phase_attribution(
             index: i,
             base: b.map(|p| (p.start, p.end)),
             new: w.map(|p| (p.start, p.end)),
-            delta: w_cycles - b_cycles,
+            delta: w_cycles.saturating_sub(b_cycles),
             thread: desc.thread.clone(),
             class: desc.class,
             queue: desc.queue.clone(),

@@ -8,7 +8,7 @@
 //! timeline view.
 
 use crate::event::FaultClass;
-use crate::json;
+use crate::json::{self, FromJson, Json, ToJson};
 use crate::stall::{ClassCycles, StallClass};
 use std::fmt::Write as _;
 
@@ -144,125 +144,6 @@ impl SimMetrics {
             critical_thread: self.critical_thread().unwrap_or(0),
             max_queue_high_water: self.queues.iter().map(|q| q.high_water).max().unwrap_or(0),
         }
-    }
-
-    /// Serialize as a JSON document (parse it back with [`crate::json`]).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"cycles\": {},", self.cycles);
-        let _ = writeln!(out, "  \"dropped_events\": {},", self.dropped_events);
-        if self.faults.total() > 0 {
-            // Only emitted when faults were injected: unfaulted runs keep
-            // producing byte-identical documents (e.g. the committed
-            // baseline), and `from_json` defaults a missing block to zero.
-            let f = &self.faults;
-            let _ = writeln!(
-                out,
-                "  \"faults\": {{\"bit_flips\": {}, \"drops\": {}, \"dups\": {}, \
-                 \"stalls\": {}, \"mem_upsets\": {}}},",
-                f.bit_flips, f.drops, f.dups, f.stalls, f.mem_upsets,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  \"critical_thread\": {},",
-            self.critical_thread().map(|i| i.to_string()).unwrap_or_else(|| "null".into())
-        );
-        out.push_str("  \"threads\": [\n");
-        for (i, t) in self.threads.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, {}, \"utilization\": {}}}",
-                json::quote(&t.name),
-                t.cycles.json_fields(),
-                json::number(t.cycles.utilization()),
-            );
-            out.push_str(if i + 1 < self.threads.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n  \"queues\": [\n");
-        for (i, q) in self.queues.iter().enumerate() {
-            let hist: Vec<String> = q.occupancy_hist.iter().map(|n| n.to_string()).collect();
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"depth\": {}, \"pushes\": {}, \"pops\": {}, \
-                 \"high_water\": {}, \"full_stalls\": {}, \"empty_stalls\": {}, \
-                 \"mean_occupancy\": {}, \"occupancy_hist\": [{}]}}",
-                json::quote(&q.name),
-                q.depth,
-                q.pushes,
-                q.pops,
-                q.high_water,
-                q.full_stalls,
-                q.empty_stalls,
-                json::number(q.mean_occupancy()),
-                hist.join(", "),
-            );
-            out.push_str(if i + 1 < self.queues.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Parse a metrics document produced by [`SimMetrics::to_json`] (or
-    /// embedded in a baseline file) back into a `SimMetrics`. Derived
-    /// fields (`utilization`, `mean_occupancy`, `critical_thread`) are
-    /// recomputed, not read.
-    pub fn from_json(doc: &json::Json) -> Result<SimMetrics, String> {
-        let u64_field = |obj: &json::Json, key: &str| -> Result<u64, String> {
-            obj.get(key)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("metrics: missing or non-integer field {key:?}"))
-        };
-        let str_field = |obj: &json::Json, key: &str| -> Result<String, String> {
-            obj.get(key)
-                .and_then(|v| v.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("metrics: missing or non-string field {key:?}"))
-        };
-        let mut m = SimMetrics {
-            cycles: u64_field(doc, "cycles")?,
-            dropped_events: u64_field(doc, "dropped_events")?,
-            ..Default::default()
-        };
-        // Optional block: documents written before fault injection existed
-        // (and unfaulted runs) simply omit it.
-        if let Some(f) = doc.get("faults") {
-            m.faults = FaultMetrics {
-                bit_flips: u64_field(f, "bit_flips")?,
-                drops: u64_field(f, "drops")?,
-                dups: u64_field(f, "dups")?,
-                stalls: u64_field(f, "stalls")?,
-                mem_upsets: u64_field(f, "mem_upsets")?,
-            };
-        }
-        for t in doc.get("threads").and_then(|v| v.as_arr()).unwrap_or(&[]) {
-            let mut cycles = ClassCycles::default();
-            for class in StallClass::ALL {
-                cycles[class] = u64_field(t, class.key())?;
-            }
-            m.threads.push(ThreadMetrics { name: str_field(t, "name")?, cycles });
-        }
-        for q in doc.get("queues").and_then(|v| v.as_arr()).unwrap_or(&[]) {
-            let hist = q
-                .get("occupancy_hist")
-                .and_then(|v| v.as_arr())
-                .ok_or("metrics: queue missing occupancy_hist")?
-                .iter()
-                .map(|n| n.as_u64().ok_or("metrics: non-integer histogram bin"))
-                .collect::<Result<Vec<u64>, _>>()?;
-            m.queues.push(QueueMetrics {
-                name: str_field(q, "name")?,
-                depth: u64_field(q, "depth")? as u32,
-                pushes: u64_field(q, "pushes")?,
-                pops: u64_field(q, "pops")?,
-                high_water: u64_field(q, "high_water")? as u32,
-                full_stalls: u64_field(q, "full_stalls")?,
-                empty_stalls: u64_field(q, "empty_stalls")?,
-                occupancy_hist: hist,
-            });
-        }
-        Ok(m)
     }
 
     /// Render as Prometheus text exposition format (version 0.0.4) — the
@@ -457,6 +338,77 @@ impl SimMetrics {
             let _ = writeln!(out, "\ntrace truncated: {} events dropped", self.dropped_events);
         }
         out
+    }
+}
+
+impl ToJson for ThreadMetrics {
+    /// `{"name", <one member per class>, "utilization"}`.
+    fn to_tree(&self) -> Json {
+        let mut row = Json::obj([("name", &self.name)]);
+        for class in StallClass::ALL {
+            row.push(class.key(), self.cycles[class]);
+        }
+        row.push("utilization", self.cycles.utilization());
+        row
+    }
+}
+
+impl FromJson for ThreadMetrics {
+    fn from_json(doc: &Json) -> Result<ThreadMetrics, String> {
+        Ok(ThreadMetrics { name: doc.req("name")?, cycles: ClassCycles::from_json(doc)? })
+    }
+}
+
+impl ToJson for QueueMetrics {
+    fn to_tree(&self) -> Json {
+        Json::obj([
+            ("name", Json::from(&self.name)),
+            ("depth", self.depth.into()),
+            ("pushes", self.pushes.into()),
+            ("pops", self.pops.into()),
+            ("high_water", self.high_water.into()),
+            ("full_stalls", self.full_stalls.into()),
+            ("empty_stalls", self.empty_stalls.into()),
+            ("mean_occupancy", self.mean_occupancy().into()),
+            ("occupancy_hist", Json::arr(self.occupancy_hist.iter().copied())),
+        ])
+    }
+}
+
+crate::json_object!(QueueMetrics {
+    name, depth, pushes, pops, high_water, full_stalls, empty_stalls, occupancy_hist
+} read-only);
+
+crate::json_object!(FaultMetrics { bit_flips, drops, dups, stalls, mem_upsets });
+
+impl ToJson for SimMetrics {
+    /// The derived `critical_thread`, `utilization` and `mean_occupancy`
+    /// are written for the reader's convenience and recomputed on read.
+    /// `faults` is written only when a fault was injected, so unfaulted
+    /// runs (e.g. the committed baseline) keep byte-identical documents.
+    fn to_tree(&self) -> Json {
+        let mut doc = Json::obj([("cycles", self.cycles), ("dropped_events", self.dropped_events)]);
+        if self.faults.total() > 0 {
+            doc.push("faults", self.faults.to_tree());
+        }
+        doc.push("critical_thread", self.critical_thread().to_tree());
+        doc.push("threads", self.threads.to_tree());
+        doc.push("queues", self.queues.to_tree());
+        doc
+    }
+}
+
+impl FromJson for SimMetrics {
+    /// Documents without `faults` (unfaulted runs, and files written
+    /// before fault injection existed) read as zero faults.
+    fn from_json(doc: &Json) -> Result<SimMetrics, String> {
+        Ok(SimMetrics {
+            cycles: doc.req("cycles")?,
+            dropped_events: doc.req("dropped_events")?,
+            faults: doc.opt("faults")?.unwrap_or_default(),
+            threads: doc.opt("threads")?.unwrap_or_default(),
+            queues: doc.opt("queues")?.unwrap_or_default(),
+        })
     }
 }
 

@@ -6,10 +6,10 @@
 //! that pair. The per-phase diff attribution in [`crate::diff`] aligns two
 //! of these reports to say *when* a regression happened, not just where.
 
-use crate::json::{self, Json};
+use crate::json::{FromJson, Json, Schema, Tag, ToJson};
 use crate::profile::SourceProfile;
 use crate::stall::{ClassCycles, StallClass};
-use crate::timeseries::Timeline;
+use crate::timeseries::{check_tiling, Timeline};
 use std::fmt::Write as _;
 
 /// One phase: a maximal run of sample intervals with a stable per-thread
@@ -118,11 +118,12 @@ pub fn segment(t: &Timeline) -> PhaseReport {
                 let mut totals = vec![0u64; t.queue_names.len()];
                 for iv in ivs {
                     for (acc, w) in totals.iter_mut().zip(&iv.queues) {
-                        *acc += if class == StallClass::QueueFull {
+                        let n = if class == StallClass::QueueFull {
                             w.full_stalls
                         } else {
                             w.empty_stalls
                         };
+                        *acc = acc.saturating_add(n);
                     }
                 }
                 totals
@@ -200,72 +201,68 @@ impl PhaseReport {
         }
         out
     }
+}
 
-    /// Serialize as JSON (round-trips through [`PhaseReport::from_json`]).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"twill-phases-v1\",\n");
-        let _ = writeln!(out, "  \"total_cycles\": {},", self.total_cycles);
-        out.push_str("  \"phases\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"start\": {}, \"end\": {}, \"intervals\": {}, \"thread\": {}, \
-                 \"class\": {}, \"stall_cycles\": {}, \"line\": {}",
-                p.start,
-                p.end,
-                p.intervals,
-                json::quote(&p.thread),
-                json::quote(p.class.name()),
-                p.stall_cycles,
-                p.line
-            );
-            if let Some(q) = &p.queue {
-                let _ = write!(out, ", \"queue\": {}", json::quote(q));
-            }
-            if let Some(f) = &p.func {
-                let _ = write!(out, ", \"func\": {}", json::quote(f));
-            }
-            out.push('}');
+/// The phase report's format tag.
+pub const SCHEMA: Schema = Schema(&[("schema", Tag::Str("twill-phases-v1"))]);
+
+impl ToJson for Phase {
+    fn to_tree(&self) -> Json {
+        let mut doc = Json::obj([
+            ("start", Json::from(self.start)),
+            ("end", self.end.into()),
+            ("intervals", self.intervals.into()),
+            ("thread", (&self.thread).into()),
+            ("class", self.class.name().into()),
+            ("stall_cycles", self.stall_cycles.into()),
+            ("line", self.line.into()),
+        ]);
+        if let Some(q) = &self.queue {
+            doc.push("queue", q);
         }
-        out.push_str("\n  ]\n}\n");
-        out
+        if let Some(f) = &self.func {
+            doc.push("func", f);
+        }
+        doc
     }
+}
 
-    /// Parse a document produced by [`PhaseReport::to_json`].
-    pub fn from_json(doc: &Json) -> Result<PhaseReport, String> {
-        let mut r = PhaseReport {
-            total_cycles: doc
-                .get("total_cycles")
-                .and_then(|v| v.as_u64())
-                .ok_or("phases: missing total_cycles")?,
-            phases: Vec::new(),
+impl FromJson for Phase {
+    fn from_json(doc: &Json) -> Result<Phase, String> {
+        let class: String = doc.req("class")?;
+        Ok(Phase {
+            start: doc.req("start")?,
+            end: doc.req("end")?,
+            intervals: doc.req("intervals")?,
+            thread: doc.req("thread")?,
+            class: StallClass::from_name(&class)
+                .ok_or_else(|| format!(".class: unknown stall class {class:?}"))?,
+            stall_cycles: doc.req("stall_cycles")?,
+            queue: doc.opt("queue")?,
+            func: doc.opt("func")?,
+            line: doc.req("line")?,
+        })
+    }
+}
+
+impl ToJson for PhaseReport {
+    fn to_tree(&self) -> Json {
+        SCHEMA.doc([
+            ("total_cycles", Json::from(self.total_cycles)),
+            ("phases", self.phases.to_tree()),
+        ])
+    }
+}
+
+impl FromJson for PhaseReport {
+    /// Rejects a foreign schema and phases that do not tile the run.
+    fn from_json(doc: &Json) -> Result<PhaseReport, String> {
+        SCHEMA.check(doc)?;
+        let r = PhaseReport {
+            total_cycles: doc.req("total_cycles")?,
+            phases: doc.opt("phases")?.unwrap_or_default(),
         };
-        for p in doc.get("phases").and_then(|v| v.as_arr()).unwrap_or(&[]) {
-            let num = |key: &str| {
-                p.get(key).and_then(|v| v.as_u64()).ok_or_else(|| format!("phases: missing {key}"))
-            };
-            let s = |key: &str| {
-                p.get(key)
-                    .and_then(|v| v.as_str())
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("phases: missing {key}"))
-            };
-            r.phases.push(Phase {
-                start: num("start")?,
-                end: num("end")?,
-                intervals: num("intervals")? as usize,
-                thread: s("thread")?,
-                class: StallClass::from_name(&s("class")?).ok_or("phases: unknown class")?,
-                stall_cycles: num("stall_cycles")?,
-                queue: p.get("queue").and_then(|v| v.as_str()).map(str::to_string),
-                func: p.get("func").and_then(|v| v.as_str()).map(str::to_string),
-                line: num("line")? as u32,
-            });
-        }
+        check_tiling("phases", r.phases.iter().map(|p| (p.start, p.end)))?;
         Ok(r)
     }
 }
@@ -402,7 +399,7 @@ mod tests {
         let mut r = segment(&timeline());
         r.phases[0].func = Some("main".into());
         r.phases[0].line = 12;
-        let doc = json::parse(&r.to_json()).expect("phase JSON must parse");
+        let doc = crate::json::parse(&r.to_json()).expect("phase JSON must parse");
         assert_eq!(PhaseReport::from_json(&doc).unwrap(), r);
     }
 

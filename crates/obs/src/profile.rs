@@ -14,7 +14,7 @@
 //! Line 0 marks synthetic work with no source counterpart (runtime
 //! startup, context switches, compiler-invented glue).
 
-use crate::json::{self, Json};
+use crate::json::{FromJson, Json, ToJson};
 use crate::stall::{ClassCycles, StallClass};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -187,65 +187,38 @@ impl SourceProfile {
         }
         out
     }
+}
 
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"name\": {},", json::quote(&self.name));
-        out.push_str("  \"samples\": [\n");
-        for (i, s) in self.samples.iter().enumerate() {
-            let c = s.cycles.as_array().map(|v| v.to_string()).join(", ");
-            let _ = write!(
-                out,
-                "    {{\"thread\": {}, \"func\": {}, \"line\": {}, \"inst\": {}, \"cycles\": [{}]}}",
-                json::quote(&s.thread),
-                json::quote(&s.func),
-                s.line,
-                json::quote(&s.inst),
-                c
-            );
-            out.push_str(if i + 1 < self.samples.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    pub fn from_json(doc: &Json) -> Result<SourceProfile, String> {
-        let name =
-            doc.get("name").and_then(|v| v.as_str()).ok_or("profile: missing name")?.to_string();
-        let mut samples = Vec::new();
-        for s in doc.get("samples").and_then(|v| v.as_arr()).ok_or("profile: missing samples")? {
-            let cyc = s.get("cycles").and_then(|v| v.as_arr()).ok_or("sample: missing cycles")?;
-            if cyc.len() != 7 {
-                return Err("sample: cycles must have 7 entries".into());
-            }
-            let mut cycles = ClassCycles::default();
-            for (class, v) in StallClass::ALL.into_iter().zip(cyc) {
-                cycles[class] = v.as_u64().ok_or("sample: bad cycle count")?;
-            }
-            samples.push(SiteSample {
-                thread: s
-                    .get("thread")
-                    .and_then(|v| v.as_str())
-                    .ok_or("sample: missing thread")?
-                    .to_string(),
-                func: s
-                    .get("func")
-                    .and_then(|v| v.as_str())
-                    .ok_or("sample: missing func")?
-                    .to_string(),
-                line: s.get("line").and_then(|v| v.as_u64()).ok_or("sample: missing line")? as u32,
-                inst: s
-                    .get("inst")
-                    .and_then(|v| v.as_str())
-                    .ok_or("sample: missing inst")?
-                    .to_string(),
-                cycles,
-            });
-        }
-        Ok(SourceProfile { name, samples })
+impl ToJson for SiteSample {
+    /// `cycles` is positional, in [`StallClass::ALL`] order.
+    fn to_tree(&self) -> Json {
+        Json::obj([
+            ("thread", Json::from(&self.thread)),
+            ("func", (&self.func).into()),
+            ("line", self.line.into()),
+            ("inst", (&self.inst).into()),
+            ("cycles", Json::arr(self.cycles.as_array())),
+        ])
     }
 }
+
+impl FromJson for SiteSample {
+    fn from_json(doc: &Json) -> Result<SiteSample, String> {
+        let cycles: Vec<u64> = doc.req("cycles")?;
+        if cycles.len() != StallClass::ALL.len() {
+            return Err(format!(".cycles: needs 7 entries, found {}", cycles.len()));
+        }
+        Ok(SiteSample {
+            thread: doc.req("thread")?,
+            func: doc.req("func")?,
+            line: doc.req("line")?,
+            inst: doc.req("inst")?,
+            cycles: ClassCycles::from_fn(|c| cycles[c.index()]),
+        })
+    }
+}
+
+crate::json_object!(SourceProfile { name, samples });
 
 /// The single source line whose total cycles grew the most between two
 /// profiles (the "regression comes from line N" hint for `compare`).

@@ -27,10 +27,9 @@
 //!                  high-water word and the declared-depth word
 //! ```
 
-use crate::json::{self, Json};
+use crate::json::{FromJson, Json, Schema, Tag, ToJson};
 use crate::metrics::{QueueMetrics, SimMetrics, ThreadMetrics};
 use crate::stall::{ClassCycles, StallClass};
-use std::fmt::Write as _;
 
 /// Word 0 of every Twill counter register file: `"TWLP"` in ASCII.
 pub const REGMAP_MAGIC: u32 = 0x5457_4C50;
@@ -315,91 +314,63 @@ impl RegMap {
         }
         Ok(m)
     }
+}
 
-    /// Serialize as the machine-readable register-map artifact emitted
-    /// next to the Verilog (`--emit-regmap`). Self-describing: carries the
-    /// readback protocol constants and the full word table.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"twill-regmap\",");
-        let _ = writeln!(out, "  \"version\": {REGMAP_VERSION},");
-        let _ = writeln!(out, "  \"magic\": {REGMAP_MAGIC},");
-        let _ = writeln!(out, "  \"design\": {},", json::quote(&self.design));
-        let _ = writeln!(out, "  \"words\": {},", self.words());
-        let _ = writeln!(
-            out,
-            "  \"readback\": {{\"rt_fn\": {RT_FN_PERF_READ}, \"addr\": \"rt_target\", \
-             \"data\": \"rt_rdata\"}},"
-        );
-        let threads: Vec<String> = self.threads.iter().map(|t| json::quote(t)).collect();
-        let _ = writeln!(out, "  \"threads\": [{}],", threads.join(", "));
-        out.push_str("  \"queues\": [\n");
-        for (i, q) in self.queues.iter().enumerate() {
-            let _ =
-                write!(out, "    {{\"name\": {}, \"depth\": {}}}", json::quote(&q.name), q.depth);
-            out.push_str(if i + 1 < self.queues.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n  \"registers\": [\n");
-        let regs = self.registers();
-        for (i, r) in regs.iter().enumerate() {
-            let _ = write!(out, "    {{\"addr\": {}, \"name\": {}}}", r.addr, json::quote(&r.name));
-            out.push_str(if i + 1 < regs.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+/// The register-map artifact's format tag.
+pub const REGMAP_SCHEMA: Schema =
+    Schema(&[("schema", Tag::Str("twill-regmap")), ("version", Tag::Int(REGMAP_VERSION as u64))]);
+
+/// The counter-dump artifact's format tag.
+pub const DUMP_SCHEMA: Schema = Schema(&[
+    ("schema", Tag::Str("twill-counter-dump")),
+    ("version", Tag::Int(REGMAP_VERSION as u64)),
+]);
+
+crate::json_object!(QueueDesc { name, depth });
+crate::json_object!(Register { addr, name } write-only);
+
+impl ToJson for RegMap {
+    /// The machine-readable register-map artifact emitted next to the
+    /// Verilog (`--emit-regmap`). Self-describing: carries the readback
+    /// protocol constants and the full word table.
+    fn to_tree(&self) -> Json {
+        REGMAP_SCHEMA.doc([
+            ("magic", Json::from(REGMAP_MAGIC)),
+            ("design", (&self.design).into()),
+            ("words", self.words().into()),
+            (
+                "readback",
+                Json::obj([
+                    ("rt_fn", Json::from(RT_FN_PERF_READ)),
+                    ("addr", "rt_target".into()),
+                    ("data", "rt_rdata".into()),
+                ]),
+            ),
+            ("threads", Json::arr(&self.threads)),
+            ("queues", self.queues.to_tree()),
+            ("registers", self.registers().to_tree()),
+        ])
     }
+}
 
-    /// Parse a register-map artifact back. The word table is re-derived
-    /// from the thread/queue lists (it is redundant in the document) and
-    /// cross-checked against the recorded `words` count.
-    pub fn from_json(doc: &Json) -> Result<RegMap, String> {
-        match doc.get("schema").and_then(|v| v.as_str()) {
-            Some("twill-regmap") => {}
-            other => return Err(format!("regmap: schema {other:?}, want \"twill-regmap\"")),
+impl FromJson for RegMap {
+    /// The word table is re-derived from the thread/queue lists (it is
+    /// redundant in the document) and cross-checked against the recorded
+    /// `words` count.
+    fn from_json(doc: &Json) -> Result<RegMap, String> {
+        REGMAP_SCHEMA.check(doc)?;
+        let map = RegMap {
+            design: doc.req("design")?,
+            threads: doc.req("threads")?,
+            queues: doc.req("queues")?,
+        };
+        match doc.opt::<u64>("words")? {
+            Some(words) if words != map.words() as u64 => Err(format!(
+                ".words: document says {words} word(s), thread/queue lists imply {}",
+                map.words()
+            )),
+            _ => Ok(map),
         }
-        match doc.get("version").and_then(|v| v.as_u64()) {
-            Some(v) if v == REGMAP_VERSION as u64 => {}
-            v => {
-                return Err(format!(
-                    "regmap: layout version {v:?} (this build reads {REGMAP_VERSION})"
-                ))
-            }
-        }
-        let design =
-            doc.get("design").and_then(|v| v.as_str()).ok_or("regmap: missing design")?.to_string();
-        let threads = doc
-            .get("threads")
-            .and_then(|v| v.as_arr())
-            .ok_or("regmap: missing threads")?
-            .iter()
-            .map(|t| t.as_str().map(str::to_string).ok_or("regmap: non-string thread name"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut queues = Vec::new();
-        for q in doc.get("queues").and_then(|v| v.as_arr()).ok_or("regmap: missing queues")? {
-            queues.push(QueueDesc {
-                name: q
-                    .get("name")
-                    .and_then(|v| v.as_str())
-                    .ok_or("regmap: queue missing name")?
-                    .to_string(),
-                depth: q
-                    .get("depth")
-                    .and_then(|v| v.as_u64())
-                    .ok_or("regmap: queue missing depth")? as u32,
-            });
-        }
-        let map = RegMap { design, threads, queues };
-        if let Some(words) = doc.get("words").and_then(|v| v.as_u64()) {
-            if words != map.words() as u64 {
-                return Err(format!(
-                    "regmap: document says {} word(s), thread/queue lists imply {}",
-                    words,
-                    map.words()
-                ));
-            }
-        }
-        Ok(map)
     }
 }
 
@@ -410,38 +381,16 @@ pub struct CounterDump {
     pub words: Vec<u32>,
 }
 
-impl CounterDump {
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"twill-counter-dump\",");
-        let _ = writeln!(out, "  \"version\": {REGMAP_VERSION},");
-        let words: Vec<String> = self.words.iter().map(|w| w.to_string()).collect();
-        let _ = writeln!(out, "  \"words\": [{}]", words.join(", "));
-        out.push_str("}\n");
-        out
+impl ToJson for CounterDump {
+    fn to_tree(&self) -> Json {
+        DUMP_SCHEMA.doc([("words", Json::arr(self.words.iter().copied()))])
     }
+}
 
-    pub fn from_json(doc: &Json) -> Result<CounterDump, String> {
-        match doc.get("schema").and_then(|v| v.as_str()) {
-            Some("twill-counter-dump") => {}
-            other => {
-                return Err(format!("counter dump: schema {other:?}, want \"twill-counter-dump\""))
-            }
-        }
-        let words = doc
-            .get("words")
-            .and_then(|v| v.as_arr())
-            .ok_or("counter dump: missing words")?
-            .iter()
-            .map(|w| {
-                w.as_u64()
-                    .filter(|&w| w <= u32::MAX as u64)
-                    .map(|w| w as u32)
-                    .ok_or("counter dump: non-u32 word")
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(CounterDump { words })
+impl FromJson for CounterDump {
+    fn from_json(doc: &Json) -> Result<CounterDump, String> {
+        DUMP_SCHEMA.check(doc)?;
+        Ok(CounterDump { words: doc.req("words")? })
     }
 }
 
@@ -481,6 +430,7 @@ fn queue_counter(q: &QueueMetrics, counter: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
     use crate::metrics::FaultMetrics;
 
     fn sample_map() -> RegMap {

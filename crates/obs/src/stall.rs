@@ -8,6 +8,7 @@
 //! and the identifier [`StallClass::key`] (`queue_full`: JSON fields,
 //! Prometheus `class` label, register names).
 
+use crate::json::{FromJson, Json, ToJson};
 use std::ops::{Index, IndexMut};
 
 /// Where an agent's cycle went — the attribution classes of the stall
@@ -139,6 +140,26 @@ impl IndexMut<StallClass> for ClassCycles {
     }
 }
 
+impl ToJson for ClassCycles {
+    /// `{"busy": n, "queue_full": n, …}`: one member per
+    /// [`StallClass::key`], in [`StallClass::ALL`] order.
+    fn to_tree(&self) -> Json {
+        Json::obj(StallClass::ALL.map(|c| (c.key(), self[c])))
+    }
+}
+
+impl FromJson for ClassCycles {
+    /// Reads the [`ToJson`] members; other members of `doc` are ignored,
+    /// so a breakdown can be read out of a larger record.
+    fn from_json(doc: &Json) -> Result<ClassCycles, String> {
+        let mut c = ClassCycles::default();
+        for class in StallClass::ALL {
+            c[class] = doc.req(class.key())?;
+        }
+        Ok(c)
+    }
+}
+
 impl ClassCycles {
     /// Build from one count per class.
     pub fn from_fn(mut f: impl FnMut(StallClass) -> u64) -> ClassCycles {
@@ -171,23 +192,17 @@ impl ClassCycles {
         }
     }
 
-    /// Class-wise sum.
+    /// Class-wise sum (saturating: sums of counts read from a file must
+    /// not overflow on hostile input).
     pub fn add(&mut self, o: &ClassCycles) {
         for c in StallClass::ALL {
-            self[c] += o[c];
+            self[c] = self[c].saturating_add(o[c]);
         }
     }
 
     /// Class-wise difference from an earlier snapshot of the same counters.
     pub fn since(&self, earlier: &ClassCycles) -> ClassCycles {
         ClassCycles::from_fn(|c| self[c] - earlier[c])
-    }
-
-    /// `"busy": n, "queue_full": n, …` — the JSON object members keyed
-    /// by [`StallClass::key`], in [`StallClass::ALL`] order.
-    pub fn json_fields(&self) -> String {
-        let fields = StallClass::ALL.map(|c| format!("\"{}\": {}", c.key(), self[c]));
-        fields.join(", ")
     }
 
     /// The stall class holding the most cycles, with its count; the last
@@ -243,12 +258,13 @@ mod tests {
         let mut d = c;
         d.add(&c);
         assert_eq!(d.since(&c), c);
-        let json = ClassCycles { queue_empty: 3, idle: 4, ..Default::default() }.json_fields();
+        let sparse = ClassCycles { queue_empty: 3, idle: 4, ..Default::default() };
         assert_eq!(
-            json,
-            "\"busy\": 0, \"queue_full\": 0, \"queue_empty\": 3, \"sem\": 0, \
-             \"mem_bus\": 0, \"module_bus\": 0, \"idle\": 4"
+            sparse.to_tree().to_string(),
+            "{\"busy\": 0, \"queue_full\": 0, \"queue_empty\": 3, \"sem\": 0, \
+             \"mem_bus\": 0, \"module_bus\": 0, \"idle\": 4}"
         );
+        assert_eq!(ClassCycles::from_json(&sparse.to_tree()), Ok(sparse));
     }
 
     #[test]

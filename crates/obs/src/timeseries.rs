@@ -8,9 +8,8 @@
 //! attribution ([`crate::diff::phase_attribution`]), and the Perfetto
 //! counter-track export all consume this one structure.
 
-use crate::json::{self, Json};
+use crate::json::{FromJson, Json, Schema, Tag, ToJson};
 use crate::stall::ClassCycles;
-use std::fmt::Write as _;
 
 /// One queue's activity over a single sample window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -105,113 +104,100 @@ impl Timeline {
         }
         totals
     }
+}
 
-    /// Serialize as a compact JSON document. Per-interval numbers are
-    /// positional arrays (class order = [`crate::StallClass::ALL`], queue fields =
-    /// pushes/pops/full/empty/occupancy) to keep golden files small.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"twill-timeline-v1\",\n");
-        let _ = writeln!(out, "  \"sample_interval\": {},", self.sample_interval);
-        let names =
-            |ns: &[String]| ns.iter().map(|n| json::quote(n)).collect::<Vec<_>>().join(", ");
-        let _ = writeln!(out, "  \"threads\": [{}],", names(&self.thread_names));
-        let _ = writeln!(out, "  \"queues\": [{}],", names(&self.queue_names));
-        out.push_str("  \"intervals\": [");
-        for (i, iv) in self.intervals.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ =
-                write!(out, "\n    {{\"start\": {}, \"end\": {}, \"threads\": [", iv.start, iv.end);
-            for (j, t) in iv.threads.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "[{}]", t.as_array().map(|v| v.to_string()).join(", "));
-            }
-            out.push_str("], \"queues\": [");
-            for (j, q) in iv.queues.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "[{}, {}, {}, {}, {}]",
-                    q.pushes, q.pops, q.full_stalls, q.empty_stalls, q.occupancy
-                );
-            }
-            out.push_str("]}");
+/// The timeline document's format tag.
+pub const SCHEMA: Schema = Schema(&[("schema", Tag::Str("twill-timeline-v1"))]);
+
+/// Check that `spans` tile cycles `[1, last end]`: the first starts at
+/// cycle 1, each later one at the previous end + 1, and none ends before
+/// it starts. `what` names the array in the error (`.intervals[3]: …`).
+/// Phase reports are read under the same rule.
+pub(crate) fn check_tiling(
+    what: &str,
+    spans: impl IntoIterator<Item = (u64, u64)>,
+) -> Result<(), String> {
+    let mut next = 1;
+    for (i, (start, end)) in spans.into_iter().enumerate() {
+        if start != next {
+            return Err(format!(
+                ".{what}[{i}]: starts at cycle {start}, expected {next} (the previous end + 1)"
+            ));
         }
-        out.push_str("\n  ]\n}\n");
-        out
+        if end < start {
+            return Err(format!(".{what}[{i}]: ends at cycle {end}, before its start {start}"));
+        }
+        next = end.saturating_add(1);
     }
+    Ok(())
+}
 
-    /// Parse a document produced by [`Timeline::to_json`].
-    pub fn from_json(doc: &Json) -> Result<Timeline, String> {
-        let u64s = |v: &Json, what: &str| -> Result<Vec<u64>, String> {
-            v.as_arr()
-                .ok_or_else(|| format!("timeline: {what} is not an array"))?
-                .iter()
-                .map(|n| n.as_u64().ok_or_else(|| format!("timeline: non-integer in {what}")))
-                .collect()
-        };
-        let names = |key: &str| -> Result<Vec<String>, String> {
-            doc.get(key)
-                .and_then(|v| v.as_arr())
-                .ok_or_else(|| format!("timeline: missing {key}"))?
-                .iter()
-                .map(|n| {
-                    n.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("timeline: non-string in {key}"))
-                })
-                .collect()
-        };
-        let mut t = Timeline {
-            sample_interval: doc
-                .get("sample_interval")
-                .and_then(|v| v.as_u64())
-                .ok_or("timeline: missing sample_interval")?,
-            thread_names: names("threads")?,
-            queue_names: names("queues")?,
-            intervals: Vec::new(),
-        };
-        for iv in doc.get("intervals").and_then(|v| v.as_arr()).unwrap_or(&[]) {
-            let field = |key: &str| {
-                iv.get(key)
-                    .and_then(|v| v.as_u64())
-                    .ok_or_else(|| format!("timeline: interval missing {key}"))
+impl ToJson for Timeline {
+    /// Per-interval numbers are positional arrays (class order =
+    /// [`crate::StallClass::ALL`], queue fields =
+    /// pushes/pops/full/empty/occupancy) to keep golden files small.
+    fn to_tree(&self) -> Json {
+        let interval = |iv: &Interval| {
+            let queue = |q: &QueueWindow| {
+                Json::arr([q.pushes, q.pops, q.full_stalls, q.empty_stalls, q.occupancy.into()])
             };
-            let mut interval =
-                Interval { start: field("start")?, end: field("end")?, ..Default::default() };
-            for row in iv.get("threads").and_then(|v| v.as_arr()).unwrap_or(&[]) {
-                let a = u64s(row, "thread row")?;
-                if a.len() != 7 {
-                    return Err("timeline: thread row needs 7 classes".into());
-                }
-                interval.threads.push(ClassCycles::from_fn(|c| a[c.index()]));
-            }
-            for row in iv.get("queues").and_then(|v| v.as_arr()).unwrap_or(&[]) {
-                let a = u64s(row, "queue row")?;
-                if a.len() != 5 {
-                    return Err("timeline: queue row needs 5 fields".into());
-                }
-                interval.queues.push(QueueWindow {
-                    pushes: a[0],
-                    pops: a[1],
-                    full_stalls: a[2],
-                    empty_stalls: a[3],
-                    occupancy: a[4] as u32,
-                });
-            }
-            if interval.threads.len() != t.thread_names.len()
-                || interval.queues.len() != t.queue_names.len()
-            {
-                return Err("timeline: interval row count mismatch".into());
-            }
-            t.intervals.push(interval);
+            Json::obj([
+                ("start", iv.start.into()),
+                ("end", iv.end.into()),
+                ("threads", Json::arr(iv.threads.iter().map(|t| Json::arr(t.as_array())))),
+                ("queues", Json::arr(iv.queues.iter().map(queue))),
+            ])
+        };
+        SCHEMA.doc([
+            ("sample_interval", self.sample_interval.into()),
+            ("threads", Json::arr(&self.thread_names)),
+            ("queues", Json::arr(&self.queue_names)),
+            ("intervals", Json::arr(self.intervals.iter().map(interval))),
+        ])
+    }
+}
+
+impl FromJson for Interval {
+    fn from_json(doc: &Json) -> Result<Interval, String> {
+        let threads: Vec<Vec<u64>> = doc.req("threads")?;
+        if let Some(i) = threads.iter().position(|row| row.len() != 7) {
+            return Err(format!(".threads[{i}]: thread row needs 7 classes"));
         }
+        let mut iv = Interval {
+            start: doc.req("start")?,
+            end: doc.req("end")?,
+            threads: threads.iter().map(|a| ClassCycles::from_fn(|c| a[c.index()])).collect(),
+            queues: Vec::new(),
+        };
+        for (i, row) in doc.req::<Vec<Vec<u64>>>("queues")?.iter().enumerate() {
+            let [pushes, pops, full_stalls, empty_stalls, occupancy] = row[..] else {
+                return Err(format!(".queues[{i}]: queue row needs 5 fields"));
+            };
+            let occupancy = u32::try_from(occupancy)
+                .map_err(|_| format!(".queues[{i}][4]: {occupancy} is out of range for u32"))?;
+            iv.queues.push(QueueWindow { pushes, pops, full_stalls, empty_stalls, occupancy });
+        }
+        Ok(iv)
+    }
+}
+
+impl FromJson for Timeline {
+    /// Rejects a foreign schema, rows of the wrong width or count, and
+    /// intervals that do not tile the run.
+    fn from_json(doc: &Json) -> Result<Timeline, String> {
+        SCHEMA.check(doc)?;
+        let t = Timeline {
+            sample_interval: doc.req("sample_interval")?,
+            thread_names: doc.req("threads")?,
+            queue_names: doc.req("queues")?,
+            intervals: doc.opt("intervals")?.unwrap_or_default(),
+        };
+        for (i, iv) in t.intervals.iter().enumerate() {
+            if iv.threads.len() != t.thread_names.len() || iv.queues.len() != t.queue_names.len() {
+                return Err(format!(".intervals[{i}]: row count does not match the track names"));
+            }
+        }
+        check_tiling("intervals", t.intervals.iter().map(|iv| (iv.start, iv.end)))?;
         Ok(t)
     }
 }
@@ -219,6 +205,7 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     fn sample() -> Timeline {
         let bd = |busy, qf| ClassCycles { busy, queue_full: qf, ..Default::default() };
@@ -280,7 +267,7 @@ mod tests {
 
     #[test]
     fn from_json_rejects_malformed_documents() {
-        let bad = json::parse(r#"{"sample_interval": 10}"#).unwrap();
+        let bad = json::parse(r#"{"schema": "twill-timeline-v1", "sample_interval": 10}"#).unwrap();
         assert!(Timeline::from_json(&bad).unwrap_err().contains("threads"));
         let short_row = r#"{"schema": "twill-timeline-v1", "sample_interval": 10,
             "threads": ["cpu"], "queues": [],

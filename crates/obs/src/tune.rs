@@ -17,7 +17,7 @@
 //! (DESIGN.md §13).
 
 use crate::diff::MetricsDiff;
-use crate::json;
+use crate::json::{self, Json, ToJson};
 use crate::stall::ClassCycles;
 use std::fmt::Write as _;
 
@@ -75,22 +75,11 @@ impl ObsSignal {
             self.detail.clone()
         }
     }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"kind\": {}, \"detail\": {}, \"queue\": {}, \"thread\": {}, \
-             \"file\": {}, \"line\": {}, \"stall_class\": {}, \"charge_pct\": {}}}",
-            json::quote(&self.kind),
-            json::quote(&self.detail),
-            self.queue.map(|q| q.to_string()).unwrap_or_else(|| "null".into()),
-            self.thread.as_deref().map(json::quote).unwrap_or_else(|| "null".into()),
-            json::quote(&self.file),
-            self.line,
-            json::quote(&self.stall_class),
-            json::number(self.charge_pct),
-        )
-    }
 }
+
+crate::json_object!(ObsSignal {
+    kind, detail, queue, thread, file, line, stall_class, charge_pct
+} write-only);
 
 /// One evaluated configuration: what was tried, why, and what it cost.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,24 +105,9 @@ pub struct TrialRecord {
     pub stalls: ClassCycles,
 }
 
-impl TrialRecord {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"id\": {}, \"round\": {}, \"arm\": {}, \"action\": {}, \
-             \"signal\": {}, \"cycles\": {}, \"best_before\": {}, \"accepted\": {}, \
-             \"stalls\": {{{}}}}}",
-            self.id,
-            self.round,
-            json::quote(&self.arm),
-            json::quote(&self.action),
-            self.signal.to_json(),
-            self.cycles,
-            self.best_before,
-            self.accepted,
-            self.stalls.json_fields(),
-        )
-    }
-}
+crate::json_object!(TrialRecord {
+    id, round, arm, action, signal, cycles, best_before, accepted, stalls
+} write-only);
 
 /// The configuration the search settled on, in plain replayable terms
 /// (`twillc --sw-fraction … --queue-depths …`).
@@ -175,19 +149,17 @@ impl TunedConfig {
             parts.join(" ")
         }
     }
+}
 
-    fn to_json(&self) -> String {
-        let depths: Vec<String> = self
-            .queue_depths
-            .iter()
-            .map(|(q, d)| format!("{{\"queue\": {q}, \"depth\": {d}}}"))
-            .collect();
-        format!(
-            "{{\"partitions\": {}, \"sw_fraction\": {}, \"queue_depths\": [{}]}}",
-            self.partitions.map(|p| p.to_string()).unwrap_or_else(|| "null".into()),
-            self.sw_fraction.map(json::number).unwrap_or_else(|| "null".into()),
-            depths.join(", "),
-        )
+impl ToJson for TunedConfig {
+    fn to_tree(&self) -> Json {
+        let depth =
+            |&(q, d): &(usize, u32)| Json::obj([("queue", Json::from(q)), ("depth", d.into())]);
+        Json::obj([
+            ("partitions", self.partitions.to_tree()),
+            ("sw_fraction", self.sw_fraction.to_tree()),
+            ("queue_depths", Json::arr(self.queue_depths.iter().map(depth))),
+        ])
     }
 }
 
@@ -232,38 +204,6 @@ impl TuningReport {
         self.trials.iter().filter(|t| t.accepted)
     }
 
-    /// Deterministic JSON document. Contains no timestamps or ambient
-    /// state: same trials, same bytes.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"bench\": {},", json::quote(&self.bench));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"rounds\": {},", self.rounds);
-        let _ = writeln!(out, "  \"baseline_cycles\": {},", self.baseline_cycles);
-        let _ = writeln!(out, "  \"tuned_cycles\": {},", self.tuned_cycles);
-        let _ = writeln!(out, "  \"speedup\": {},", json::number(self.speedup()));
-        let _ = writeln!(out, "  \"tuned\": {},", self.tuned.to_json());
-        let _ = writeln!(out, "  \"tuned_flags\": {},", json::quote(&self.tuned.as_flags()));
-        out.push_str("  \"hints\": [\n");
-        for (i, h) in self.hints.iter().enumerate() {
-            let _ = write!(out, "    {}", json::quote(h));
-            out.push_str(if i + 1 < self.hints.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n  \"trials\": [\n");
-        for (i, t) in self.trials.iter().enumerate() {
-            let _ = write!(out, "    {}", t.to_json());
-            out.push_str(if i + 1 < self.trials.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n");
-        // Embed the diff-engine proof as a nested document (strip the
-        // trailing newline so the nesting stays tidy).
-        let diff_doc = self.diff.to_json(&format!("{} tuned vs default", self.bench));
-        let _ = writeln!(out, "  \"diff\": {}", indent_block(diff_doc.trim_end(), "  "));
-        out.push_str("}\n");
-        out
-    }
-
     /// Human summary: headline, accepted moves with provenance, proof.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
@@ -302,7 +242,7 @@ impl TuningReport {
     /// document: one slice track per search arm (each trial an `X` event
     /// on its arm's track, timeline = trial evaluation order), a counter
     /// track following best-so-far cycles, and an instant per accepted
-    /// move. Like [`TuningReport::to_json`], byte-deterministic.
+    /// move. Like the [`ToJson`] document, byte-deterministic.
     pub fn search_trace(&self) -> String {
         const TUNE_PID: u32 = 3;
         let mut arms: Vec<&str> = Vec::new();
@@ -369,17 +309,24 @@ impl TuningReport {
     }
 }
 
-/// Re-indent every line after the first by `pad` (for nesting one JSON
-/// document inside another without re-serializing it).
-fn indent_block(doc: &str, pad: &str) -> String {
-    let mut lines = doc.lines();
-    let mut out = String::from(lines.next().unwrap_or(""));
-    for l in lines {
-        out.push('\n');
-        out.push_str(pad);
-        out.push_str(l);
+impl ToJson for TuningReport {
+    /// Contains no timestamps or ambient state: same trials, same bytes.
+    /// The diff-engine proof nests as a sub-document.
+    fn to_tree(&self) -> Json {
+        Json::obj([
+            ("bench", Json::from(&self.bench)),
+            ("seed", self.seed.into()),
+            ("rounds", self.rounds.into()),
+            ("baseline_cycles", self.baseline_cycles.into()),
+            ("tuned_cycles", self.tuned_cycles.into()),
+            ("speedup", self.speedup().into()),
+            ("tuned", self.tuned.to_tree()),
+            ("tuned_flags", self.tuned.as_flags().as_str().into()),
+            ("hints", Json::arr(&self.hints)),
+            ("trials", self.trials.to_tree()),
+            ("diff", self.diff.to_tree(&format!("{} tuned vs default", self.bench))),
+        ])
     }
-    out
 }
 
 #[cfg(test)]

@@ -42,8 +42,8 @@ impl CounterBank {
         CounterBank { regmap, words: dump.words }
     }
 
-    /// The register map this bank implements (serialize with
-    /// [`RegMap::to_json`] for the `--emit-regmap` artifact).
+    /// The register map this bank implements (its `ToJson::to_json` is
+    /// the `--emit-regmap` artifact).
     pub fn regmap(&self) -> &RegMap {
         &self.regmap
     }

@@ -18,7 +18,7 @@
 
 use std::path::PathBuf;
 use twill_dswp::{run_dswp, DswpOptions};
-use twill_obs::{diff, fmt::timeline_table, segment};
+use twill_obs::{diff, fmt::timeline_table, segment, ToJson};
 use twill_rt::{simulate_hybrid, CounterBank, SimConfig};
 
 fn check(name: &str, actual: &str) -> Option<String> {

@@ -12,6 +12,7 @@
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use twill_dswp::{run_dswp, DswpOptions, DswpResult};
+use twill_obs::ToJson;
 use twill_rt::{
     simulate_hybrid, simulate_pure_hw, simulate_pure_sw, FaultPlan, FaultSite, FaultSpec,
     PinnedFault, SimConfig, SimError, SimReport,

@@ -13,6 +13,7 @@
 
 use proptest::prelude::*;
 use twill_dswp::{run_dswp, DswpOptions};
+use twill_obs::ToJson;
 use twill_rt::{
     simulate_hybrid, simulate_pure_hw, simulate_pure_sw, ConfigError, FaultPlan, FaultSite,
     FaultSpec, PinnedFault, SimConfig, SimError, SimReport,

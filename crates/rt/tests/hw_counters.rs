@@ -12,6 +12,7 @@
 use twill_dswp::{run_dswp, DswpOptions};
 use twill_obs::json;
 use twill_obs::regmap::{hardware_view, CounterDump, RegMap};
+use twill_obs::{FromJson, ToJson};
 use twill_rt::{simulate_hybrid, CounterBank, SimConfig, SimReport};
 
 fn hybrid_report(b: &chstone::Benchmark, fast_forward: bool) -> SimReport {

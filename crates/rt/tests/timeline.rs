@@ -14,6 +14,7 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 use twill_dswp::{run_dswp, DswpOptions, DswpResult};
 use twill_rt::obs::json;
+use twill_rt::obs::{FromJson, ToJson};
 use twill_rt::{simulate_hybrid, SimConfig};
 
 fn golden_path() -> PathBuf {

@@ -8,6 +8,7 @@
 
 use proptest::prelude::*;
 use twill::{tune, Compiler, TuneOptions};
+use twill_obs::ToJson;
 
 /// A pipeline-shaped program with enough work to give the tuner real
 /// signals (saturated queues / starved threads), but small enough that a
