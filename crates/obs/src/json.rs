@@ -319,16 +319,16 @@ fn write_value(out: &mut String, v: &Json, depth: usize, tall: bool) {
         out.push('\n');
         (0..depth).for_each(|_| out.push_str("  "));
     };
-    let (close, len) = match v {
+    let (open, close, len) = match v {
         Json::Null => return out.push_str("null"),
         Json::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
         Json::Int(n) => return out.push_str(&n.to_string()),
         Json::Num(n) => return out.push_str(&number(*n)),
         Json::Str(s) => return out.push_str(&quote(s)),
-        Json::Arr(items) => (']', items.len()),
-        Json::Obj(members) => ('}', members.len()),
+        Json::Arr(items) => ('[', ']', items.len()),
+        Json::Obj(members) => ('{', '}', members.len()),
     };
-    out.push(if close == ']' { '[' } else { '{' });
+    out.push(open);
     for i in 0..len {
         if i > 0 {
             out.push_str(if tall { "," } else { ", " });
