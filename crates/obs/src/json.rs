@@ -1,5 +1,5 @@
 //! The project's one JSON codec, and the only place that knows JSON
-//! syntax. Artifacts build a [`Json`] tree ([`ToJson`]), which [`print`]
+//! syntax. Artifacts build a [`Json`] tree ([`ToJson`]), which [`print()`]
 //! writes under one layout rule; readers [`parse`] text and read the tree
 //! back ([`FromJson`]) through the typed accessors [`Json::req`] and
 //! [`Json::opt`], whose errors name the offending member as a jq-style
