@@ -6,6 +6,31 @@ use twill_ir::{BlockId, FuncId, Function, InstId, Intr, Module, Op, Value};
 use twill_passes::domtree::DomTree;
 use twill_passes::loops::LoopInfo;
 
+/// Operand-visit counter behind the live-value complexity guard
+/// (`live_value_count_is_linear`). Compiled out of non-test builds.
+#[cfg(test)]
+mod work {
+    use std::cell::Cell;
+
+    thread_local! {
+        static VISITS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn touch(n: usize) {
+        VISITS.with(|t| t.set(t.get() + n as u64));
+    }
+
+    pub(super) fn take() -> u64 {
+        VISITS.with(|t| t.replace(0))
+    }
+}
+
+#[cfg(not(test))]
+mod work {
+    #[inline(always)]
+    pub(super) fn touch(_n: usize) {}
+}
+
 #[derive(Debug, Clone, Copy)]
 pub struct HlsOptions {
     /// Pack chains of dependent combinational ops into one cycle.
@@ -357,35 +382,28 @@ pub fn schedule_function(
     }
 
     // Live values across states: results used in a later cycle or block.
+    // One pass over every operand in the layout flags each defining
+    // instruction that some user sees from another block or a later state.
     let sched_start: HashMap<InstId, u32> =
         blocks.iter().flat_map(|b| b.ops.iter().copied()).collect();
+    let start = |i: InstId| sched_start.get(&i).copied().unwrap_or(0);
     let owner = f.inst_blocks();
-    let mut live = 0u32;
-    for (b, iid) in f.inst_ids_in_layout() {
-        let inst = f.inst(iid);
-        if inst.ty == twill_ir::Ty::Void {
-            continue;
-        }
-        let my_start = sched_start.get(&iid).copied().unwrap_or(0);
-        let mut crosses = false;
-        // Does any user sit in a later state or another block?
-        for (ub, uid) in f.inst_ids_in_layout() {
-            let mut uses = false;
-            f.inst(uid).op.for_each_value(|v| {
-                if v == Value::Inst(iid) {
-                    uses = true;
+    let mut crosses = vec![false; f.insts.len()];
+    for (ub, uid) in f.inst_ids_in_layout() {
+        f.inst(uid).op.for_each_value(|v| {
+            work::touch(1);
+            if let Value::Inst(d) = v {
+                if owner[d.index()].is_some_and(|db| db != ub || start(uid) > start(d)) {
+                    crosses[d.index()] = true;
                 }
-            });
-            if uses && (ub != b || sched_start.get(&uid).copied().unwrap_or(0) > my_start) {
-                crosses = true;
-                break;
             }
-        }
-        let _ = owner[iid.index()];
-        if crosses {
-            live += 1;
-        }
+        });
     }
+    let live = f
+        .inst_ids_in_layout()
+        .into_iter()
+        .filter(|&(_, i)| f.inst(i).ty != twill_ir::Ty::Void && crosses[i.index()])
+        .count() as u32;
 
     let states = blocks.iter().map(|b| b.depth).sum();
     FuncSchedule { func: func_id, blocks, states, peak_units: peak, live_values: live }
@@ -796,6 +814,34 @@ bb2:
 "#;
         let (_, s) = sched(src, &HlsOptions::default());
         assert!(s.funcs[0].live_values >= 1, "{}", s.funcs[0].live_values);
+    }
+
+    #[test]
+    fn live_value_count_is_linear() {
+        // Complexity guard: operand visits of the live-value count on a
+        // chain of N, 2N and 4N blocks, each with several instructions
+        // reading the previous block. Linear work grows 4x, quadratic 16x.
+        fn visits(blocks: usize) -> u64 {
+            let mut src = String::from("func @f(i32) -> i32 {\nbb0:\n  br bb1\n");
+            let mut prev = "%a0".to_string();
+            for b in 1..=blocks {
+                src.push_str(&format!(
+                    "bb{b}:\n  %x{b} = add i32 {prev}, {b}:i32\n  %y{b} = mul i32 %x{b}, {prev}\n  \
+                     %z{b} = xor i32 %y{b}, %x{b}\n  %w{b} = sub i32 %z{b}, {prev}\n  br bb{}\n",
+                    b + 1
+                ));
+                prev = format!("%w{b}");
+            }
+            src.push_str(&format!("bb{}:\n  ret {prev}\n}}\n", blocks + 1));
+            let m = parse_module(&src).unwrap();
+            work::take();
+            let s = schedule_function(&m, &m.funcs[0], FuncId(0), &HlsOptions::default());
+            assert!(s.live_values as usize >= blocks, "{}", s.live_values);
+            work::take()
+        }
+        let w = [visits(64), visits(128), visits(256)];
+        let growth = w[2] as f64 / w[0] as f64;
+        assert!(growth <= 6.0, "operand visits at N/2N/4N = {w:?} grow {growth:.1}x");
     }
 
     #[test]

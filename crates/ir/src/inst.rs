@@ -420,6 +420,17 @@ impl Op {
         }
     }
 
+    /// Number of successor edges of a terminator (`successors().len()`
+    /// without allocating).
+    pub fn num_successors(&self) -> usize {
+        match self {
+            Op::Br(_) => 1,
+            Op::CondBr(..) => 2,
+            Op::Switch(_, cases, _) => cases.len() + 1,
+            _ => 0,
+        }
+    }
+
     /// Mutably visit successor block ids of a terminator.
     pub fn for_each_successor_mut(&mut self, mut f: impl FnMut(&mut BlockId)) {
         match self {

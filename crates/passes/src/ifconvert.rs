@@ -7,19 +7,28 @@
 //! * triangle: B → T, M;  T → M           (T pure, small)
 //!
 //! The speculated instructions are hoisted into B, each phi in M becomes a
-//! `select cond, v_true, v_false`, and B branches straight to M.
+//! `select cond, v_true, v_false`, and B branches straight to M. Each round
+//! converts the lowest-index convertible B; rounds edit a [`CfgEdit`], so
+//! a conversion costs only work local to its blocks.
 
-use std::collections::HashSet;
-use twill_ir::{BlockId, Function, InstId, Op, Ty, Value};
+use crate::utils::{work, CfgEdit};
+use twill_ir::{BlockId, Function, Op, Ty, Value};
 
 /// Maximum instructions speculated per arm.
 pub const MAX_SPECULATED: usize = 24;
 
 pub fn ifconvert(f: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
-        let mut did = false;
-        'outer: for b in 0..f.blocks.len() {
+    // Blocks unreachable on entry must not count as predecessors of a
+    // merge block, so sweep them before the first candidate is checked.
+    let mut changed = crate::utils::remove_unreachable_blocks(f);
+    let mut cfg = CfgEdit::new(f);
+    // `diamond_arm` per block, invalidated when a conversion edits it.
+    let mut arms: Vec<Option<Option<BlockId>>> = vec![None; f.blocks.len()];
+    let arm = |f: &Function, arms: &mut Vec<Option<Option<BlockId>>>, a: BlockId| {
+        *arms[a.index()].get_or_insert_with(|| diamond_arm(f, a))
+    };
+    'round: loop {
+        for b in 0..f.blocks.len() {
             let b = BlockId::new(b);
             let Some(term) = f.block(b).terminator() else { continue };
             let Op::CondBr(cond, t, e) = f.inst(term).op else { continue };
@@ -27,86 +36,46 @@ pub fn ifconvert(f: &mut Function) -> bool {
                 continue;
             }
             // Identify the shape.
-            let (arm_t, arm_f, merge) = match (diamond_arm(f, b, t), diamond_arm(f, b, e)) {
+            let (arm_t, arm_f, merge) = match (arm(f, &mut arms, t), arm(f, &mut arms, e)) {
                 // Full diamond: both arms are pure pass-through blocks with
                 // the same successor.
-                (Some((mt, _)), Some((mf, _))) if mt == mf && t != mf && e != mt => {
-                    (Some(t), Some(e), mt)
-                }
-                _ => {
-                    // Triangle: one arm falls straight to the other target.
-                    if let Some((mt, _)) = diamond_arm(f, b, t) {
-                        if mt == e {
-                            (Some(t), None, e)
-                        } else {
-                            continue;
-                        }
-                    } else if let Some((mf, _)) = diamond_arm(f, b, e) {
-                        if mf == t {
-                            (None, Some(e), t)
-                        } else {
-                            continue;
-                        }
-                    } else {
-                        continue;
-                    }
-                }
+                (Some(mt), Some(mf)) if mt == mf && t != mf && e != mt => (Some(t), Some(e), mt),
+                // Triangle: one arm falls straight to the other target.
+                (Some(mt), _) if mt == e => (Some(t), None, e),
+                (Some(_), _) => continue,
+                (None, Some(mf)) if mf == t => (None, Some(e), t),
+                _ => continue,
             };
-            // The merge must not have other predecessors (phis stay simple)
-            // and the arms must have exactly one predecessor (b).
-            let preds = f.predecessors();
-            let mut expected: Vec<BlockId> = vec![b];
-            if let Some(a) = arm_t {
-                expected.push(a);
-                if preds[a.index()].len() != 1 {
-                    continue;
-                }
+            // The arms must have exactly one predecessor (b), and the merge
+            // no predecessors besides the arms (phis stay simple). For a
+            // full diamond b is not a pred of merge; for a triangle it is.
+            if [arm_t, arm_f].into_iter().flatten().any(|a| cfg.preds[a.index()].len() != 1) {
+                continue;
             }
-            if let Some(a) = arm_f {
-                expected.push(a);
-                if preds[a.index()].len() != 1 {
-                    continue;
-                }
-            }
-            let mut mp: Vec<BlockId> = preds[merge.index()].clone();
-            mp.sort();
-            let _ = &expected;
-            // For a full diamond b is not a pred of merge; for a triangle
-            // it is.
-            let mut exp_sorted = match (arm_t, arm_f) {
-                (Some(at), Some(af)) => vec![at, af],
-                (Some(at), None) => vec![b, at],
-                (None, Some(af)) => vec![b, af],
+            let mut expected = match (arm_t, arm_f) {
+                (Some(at), Some(af)) => [at, af],
+                (Some(at), None) => [b, at],
+                (None, Some(af)) => [b, af],
                 (None, None) => continue,
             };
-            exp_sorted.sort();
-            if mp != exp_sorted {
+            expected.sort();
+            if cfg.preds[merge.index()] != expected {
                 continue;
             }
 
             // Hoist arms into b (before the terminator).
-            let term_pos = f.block(b).insts.len() - 1;
-            let mut insert_at = term_pos;
-            for arm in [arm_t, arm_f].into_iter().flatten() {
-                let moved: Vec<InstId> = f.block(arm).insts.clone();
+            f.block_mut(b).insts.pop();
+            for a in [arm_t, arm_f].into_iter().flatten() {
+                let moved = &f.block(a).insts;
                 // last is the Br; move everything before it.
-                for &iid in &moved[..moved.len() - 1] {
-                    f.block_mut(b).insts.insert(insert_at, iid);
-                    insert_at += 1;
-                }
-                let keep_br = *moved.last().unwrap();
-                f.block_mut(arm).insts = vec![keep_br];
+                let body = moved[..moved.len() - 1].to_vec();
+                work::touch(body.len());
+                f.block_mut(b).insts.extend(body);
             }
 
             // Convert merge phis to selects placed before the terminator.
-            let phis: Vec<InstId> = f
-                .block(merge)
-                .insts
-                .iter()
-                .copied()
-                .take_while(|&i| f.inst(i).op.is_phi())
-                .collect();
-            for phi in phis {
+            let phis = crate::utils::phis(f, merge);
+            for &phi in &phis {
                 let (vt, vf, ty) = {
                     let inst = f.inst(phi);
                     let Op::Phi(incoming) = &inst.op else { unreachable!() };
@@ -123,32 +92,36 @@ pub fn ifconvert(f: &mut Function) -> bool {
                 };
                 // The select inherits the merged phi's source line.
                 let sel = f.create_inst_at(Op::Select(cond, vt, vf), ty, f.loc(phi));
-                f.block_mut(b).insts.insert(insert_at, sel);
-                insert_at += 1;
-                // Phi becomes dead; replace its uses.
-                f.replace_all_uses(Value::Inst(phi), Value::Inst(sel));
-                let pos = f.block(merge).insts.iter().position(|&x| x == phi).unwrap();
-                f.block_mut(merge).insts.remove(pos);
+                f.block_mut(b).insts.push(sel);
+                // Phi becomes dead; its uses move to the select.
+                cfg.replace_uses(phi, Value::Inst(sel));
             }
+            f.block_mut(merge).insts.drain(..phis.len());
+            f.block_mut(b).insts.push(term);
 
-            // Rewrite b's terminator to jump straight to merge; arms become
-            // unreachable.
+            // Rewrite b's terminator to jump straight to merge; the arms
+            // become unreachable and are deleted.
             f.inst_mut(term).op = Op::Br(merge);
-            did = true;
+            cfg.remove_edge(b, t);
+            cfg.remove_edge(b, e);
+            cfg.add_edge(b, merge);
+            for a in [arm_t, arm_f].into_iter().flatten() {
+                cfg.delete_block(f, a);
+            }
+            arms[b.index()] = None;
+            arms[merge.index()] = None;
             changed = true;
-            break 'outer;
+            continue 'round;
         }
-        if !did {
-            break;
-        }
-        crate::utils::remove_unreachable_blocks(f);
+        break;
     }
+    cfg.finish(f);
     changed
 }
 
 /// If `arm` is a pure pass-through block (only speculatable instructions,
-/// ends in an unconditional branch), return (successor, inst count).
-fn diamond_arm(f: &Function, _from: BlockId, arm: BlockId) -> Option<(BlockId, usize)> {
+/// ends in an unconditional branch), return its successor.
+fn diamond_arm(f: &Function, arm: BlockId) -> Option<BlockId> {
     let blk = f.block(arm);
     let term = blk.terminator()?;
     let Op::Br(succ) = f.inst(term).op else { return None };
@@ -156,7 +129,7 @@ fn diamond_arm(f: &Function, _from: BlockId, arm: BlockId) -> Option<(BlockId, u
     if body.len() > MAX_SPECULATED {
         return None;
     }
-    let mut seen: HashSet<InstId> = HashSet::new();
+    work::touch(body.len());
     for &iid in body {
         let inst = f.inst(iid);
         if inst.op.is_phi() || inst.op.has_side_effect() || inst.op.is_terminator() {
@@ -169,9 +142,8 @@ fn diamond_arm(f: &Function, _from: BlockId, arm: BlockId) -> Option<(BlockId, u
         if inst.ty == Ty::Void {
             return None;
         }
-        seen.insert(iid);
     }
-    Some((succ, body.len()))
+    Some(succ)
 }
 
 #[cfg(test)]
@@ -212,6 +184,38 @@ bb3:
   %3 = phi i32 [bb1: %1], [bb2: %2]
   out %3
   ret %3
+}
+"#,
+            vec![5],
+        );
+        assert!(out.contains("select"), "{out}");
+        assert!(!out.contains("condbr"), "{out}");
+    }
+
+    #[test]
+    fn stale_unreachable_pred_does_not_block_conversion() {
+        // bb4 is unreachable but still branches into the merge block. It is
+        // swept on entry, so the diamond converts even though no other
+        // conversion happens first.
+        let out = check(
+            r#"
+func @main() -> i32 {
+bb0:
+  %0 = in
+  %c = cmp sgt %0, 0:i32
+  condbr %c, bb1, bb2
+bb1:
+  %1 = mul i32 %0, 2:i32
+  br bb3
+bb2:
+  %2 = sub i32 0:i32, %0
+  br bb3
+bb3:
+  %3 = phi i32 [bb1: %1], [bb2: %2], [bb4: 7:i32]
+  out %3
+  ret %3
+bb4:
+  br bb3
 }
 "#,
             vec![5],

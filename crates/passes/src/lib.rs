@@ -14,6 +14,8 @@
 
 pub mod alias;
 pub mod callgraph;
+#[cfg(test)]
+mod complexity_guard;
 pub mod constfold;
 pub mod dce;
 pub mod domtree;

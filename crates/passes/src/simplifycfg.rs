@@ -9,35 +9,43 @@
 //! * deduplicates identical phi incoming entries.
 //!
 //! Every rewrite preserves phi correctness; the pass runs to fixpoint.
+//! Each round collapses every same-target `condbr`, then performs one
+//! merge and one forward, each on the lowest-index eligible block. That
+//! order decides phi incoming order and which blocks merge rather than
+//! forward, so it is kept exactly; the rounds edit a [`CfgEdit`] so each
+//! costs only work local to its rewrite (DESIGN.md §7).
 
+use crate::utils::{work, CfgEdit};
 use std::collections::HashSet;
-use twill_ir::{BlockId, Function, Op, Value};
+use twill_ir::{BlockId, Function, Op};
 
 pub fn simplifycfg(f: &mut Function) -> bool {
-    let mut changed_any = false;
+    // Merging, forwarding and collapsing never change which blocks are
+    // reachable, so one sweep up front is all the fixpoint ever needs.
+    let mut changed_any = crate::utils::remove_unreachable_blocks(f);
+    let mut cfg = CfgEdit::new(f);
     loop {
-        let mut changed = false;
-        changed |= crate::utils::remove_unreachable_blocks(f);
-        changed |= collapse_same_target_condbr(f);
-        changed |= merge_into_predecessor(f);
-        changed |= forward_empty_blocks(f);
-        changed |= crate::utils::remove_unreachable_blocks(f);
+        let mut changed = collapse_same_target_condbr(f, &mut cfg);
+        changed |= merge_into_predecessor(f, &mut cfg);
+        changed |= forward_empty_blocks(f, &mut cfg);
         changed_any |= changed;
         if !changed {
             break;
         }
     }
+    cfg.finish(f);
     changed_any
 }
 
 /// `condbr c, t, t` → `br t`.
-fn collapse_same_target_condbr(f: &mut Function) -> bool {
+fn collapse_same_target_condbr(f: &mut Function, cfg: &mut CfgEdit) -> bool {
     let mut changed = false;
     for b in 0..f.blocks.len() {
         let Some(term) = f.blocks[b].terminator() else { continue };
         if let Op::CondBr(_, t, e) = f.inst(term).op {
             if t == e {
                 f.inst_mut(term).op = Op::Br(t);
+                cfg.remove_edge(BlockId::new(b), t);
                 // Target phis may now have a duplicate entry for this pred;
                 // drop extras (values are identical only if the IR was
                 // unambiguous; we keep the first, matching the interpreter).
@@ -50,80 +58,64 @@ fn collapse_same_target_condbr(f: &mut Function) -> bool {
 }
 
 fn dedup_phi_entries(f: &mut Function, b: BlockId) {
-    let insts: Vec<twill_ir::InstId> = f.block(b).insts.clone();
-    for iid in insts {
+    for iid in crate::utils::phis(f, b) {
         if let Op::Phi(incoming) = &mut f.inst_mut(iid).op {
             let mut seen = HashSet::new();
             incoming.retain(|(p, _)| seen.insert(*p));
-        } else {
-            break;
         }
     }
 }
 
 /// Merge block `s` into `p` when `p -> s` is the only edge out of `p` and
 /// into `s`.
-fn merge_into_predecessor(f: &mut Function) -> bool {
-    let preds = f.predecessors();
+fn merge_into_predecessor(f: &mut Function, cfg: &mut CfgEdit) -> bool {
     for si in 0..f.blocks.len() {
         let s = BlockId::new(si);
         if s == f.entry {
             continue;
         }
-        let ps = &preds[s.index()];
-        if ps.len() != 1 {
-            continue;
-        }
-        let p = ps[0];
+        let [p] = cfg.preds[si][..] else { continue };
         if p == s {
             continue; // self-loop
         }
-        if f.successors(p).len() != 1 {
+        let term = f.block(p).terminator().unwrap();
+        if f.inst(term).op.num_successors() != 1 {
             continue;
         }
         // p ends in `br s`; merge.
-        let term = f.block(p).terminator().unwrap();
         debug_assert!(matches!(f.inst(term).op, Op::Br(_)));
         // Phis in s have a single incoming (from p): replace with the value.
-        let s_insts = f.block(s).insts.clone();
-        let mut tail: Vec<twill_ir::InstId> = Vec::new();
+        let s_insts = std::mem::take(&mut f.block_mut(s).insts);
+        work::touch(s_insts.len());
+        let mut tail = Vec::with_capacity(s_insts.len());
         for iid in s_insts {
-            let is_phi = f.inst(iid).op.is_phi();
-            if is_phi {
-                let v = match &f.inst(iid).op {
-                    Op::Phi(inc) => {
-                        debug_assert_eq!(inc.len(), 1);
-                        inc[0].1
-                    }
-                    _ => unreachable!(),
-                };
-                f.replace_all_uses(Value::Inst(iid), v);
-            } else {
-                tail.push(iid);
+            match &f.inst(iid).op {
+                Op::Phi(inc) => {
+                    debug_assert_eq!(inc.len(), 1);
+                    cfg.replace_uses(iid, inc[0].1);
+                }
+                _ => tail.push(iid),
             }
         }
         // Remove p's terminator, append s's non-phi instructions.
         f.block_mut(p).insts.pop();
         f.block_mut(p).insts.extend(tail);
-        f.block_mut(s).insts.clear();
-        // Phis in s's successors referring to s must now refer to p.
+        cfg.delete_block(f, s);
+        // s's out-edges now leave p; their phis must refer to p.
         let succs_of_s: Vec<BlockId> =
             f.block(p).terminator().map(|t| f.inst(t).op.successors()).unwrap_or_default();
         for t in succs_of_s {
+            cfg.remove_edge(s, t);
+            cfg.add_edge(p, t);
             crate::utils::retarget_phi_pred(f, t, s, p);
         }
-        // s is now empty/unreachable; compact.
-        let mut keep = vec![true; f.blocks.len()];
-        keep[s.index()] = false;
-        crate::utils::compact_blocks(f, &keep);
-        return true; // one merge per iteration keeps indices simple
+        return true; // one merge per round fixes the rewrite order
     }
     false
 }
 
 /// Redirect predecessors of empty `br`-only blocks straight to the target.
-fn forward_empty_blocks(f: &mut Function) -> bool {
-    let preds = f.predecessors();
+fn forward_empty_blocks(f: &mut Function, cfg: &mut CfgEdit) -> bool {
     for ei in 0..f.blocks.len() {
         let e = BlockId::new(ei);
         if e == f.entry {
@@ -137,21 +129,21 @@ fn forward_empty_blocks(f: &mut Function) -> bool {
         if t == e {
             continue;
         }
-        let ps: Vec<BlockId> = preds[e.index()].clone();
+        let ps = &cfg.preds[ei];
         if ps.is_empty() {
             continue;
         }
         // Check safety for each pred: after forwarding, `t`'s phis must be
         // unambiguous. If t has phis, require that no pred of e is already
-        // a predecessor of t, and that each pred appears only once.
+        // a predecessor of t, and that each pred appears only once. Both
+        // multisets are sorted, so the checks are linear scans.
         let t_has_phis = f.block(t).insts.first().map(|&i| f.inst(i).op.is_phi()).unwrap_or(false);
-        if t_has_phis {
-            let t_preds: HashSet<BlockId> = f.predecessors()[t.index()].iter().copied().collect();
-            let mut uniq = HashSet::new();
-            if ps.iter().any(|p| t_preds.contains(p) || !uniq.insert(*p)) {
-                continue;
-            }
+        if t_has_phis
+            && (ps.windows(2).any(|w| w[0] == w[1]) || sorted_intersect(ps, &cfg.preds[t.index()]))
+        {
+            continue;
         }
+        let ps = ps.clone();
         // Rewrite each pred's terminator edge e -> t.
         for &p in &ps {
             let term = f.block(p).terminator().unwrap();
@@ -162,25 +154,35 @@ fn forward_empty_blocks(f: &mut Function) -> bool {
             });
         }
         // Phi entries in t coming from e: duplicate for each pred.
-        let t_insts = f.block(t).insts.clone();
-        for iid in t_insts {
-            let op = &mut f.inst_mut(iid).op;
-            if let Op::Phi(incoming) = op {
+        for iid in crate::utils::phis(f, t) {
+            if let Op::Phi(incoming) = &mut f.inst_mut(iid).op {
                 if let Some(pos) = incoming.iter().position(|(b, _)| *b == e) {
                     let (_, v) = incoming.remove(pos);
                     for &p in &ps {
                         incoming.push((p, v));
                     }
                 }
-            } else {
-                break;
             }
         }
-        // e is unreachable now; remove.
-        let mut keep = vec![true; f.blocks.len()];
-        keep[e.index()] = false;
-        crate::utils::compact_blocks(f, &keep);
+        // e is unreachable now; its preds branch to t instead.
+        cfg.delete_block(f, e);
+        for &p in &ps {
+            cfg.add_edge(p, t);
+        }
         return true;
+    }
+    false
+}
+
+/// Whether two sorted block lists share an element.
+fn sorted_intersect(a: &[BlockId], b: &[BlockId]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
     }
     false
 }

@@ -3,6 +3,130 @@
 use std::collections::{HashMap, HashSet};
 use twill_ir::{BlockId, Function, InstId, Module, Op, Ty, Value};
 
+/// Instruction-touch counter behind the complexity guard
+/// (`complexity_guard` tests): CFG edits report every instruction they
+/// rewrite or scan, so a test can bound how the work grows with function
+/// size without timing anything. Compiled out of non-test builds.
+#[cfg(test)]
+pub(crate) mod work {
+    use std::cell::Cell;
+
+    thread_local! {
+        static TOUCHES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn touch(n: usize) {
+        TOUCHES.with(|t| t.set(t.get() + n as u64));
+    }
+
+    /// Read and reset this thread's counter.
+    pub(crate) fn take() -> u64 {
+        TOUCHES.with(|t| t.replace(0))
+    }
+}
+
+#[cfg(not(test))]
+pub(crate) mod work {
+    #[inline(always)]
+    pub(crate) fn touch(_n: usize) {}
+}
+
+/// Incremental CFG state for the fixpoint passes (`simplifycfg`,
+/// `ifconvert`). Each rewrite updates it locally instead of recomputing
+/// whole-function facts:
+///
+/// * `preds[b]` is `b`'s predecessor multiset (one entry per edge), kept
+///   sorted by block index exactly as [`Function::predecessors`] returns it;
+/// * deleted blocks are tombstoned (emptied, flagged) and the function is
+///   compacted once in [`CfgEdit::finish`] — compaction preserves relative
+///   block order, so "lowest index first" choices made on the tombstoned
+///   numbering are the ones the compacted numbering would make;
+/// * value replacements are deferred into a substitution map and resolved
+///   over the instruction arena once, in [`CfgEdit::finish`].
+pub struct CfgEdit {
+    pub preds: Vec<Vec<BlockId>>,
+    dead: Vec<bool>,
+    subst: Vec<Option<Value>>,
+}
+
+impl CfgEdit {
+    pub fn new(f: &Function) -> CfgEdit {
+        CfgEdit {
+            preds: f.predecessors(),
+            dead: vec![false; f.blocks.len()],
+            subst: vec![None; f.insts.len()],
+        }
+    }
+
+    /// Record one new edge `from -> to`.
+    pub fn add_edge(&mut self, from: BlockId, to: BlockId) {
+        let ps = &mut self.preds[to.index()];
+        let at = ps.partition_point(|&p| p <= from);
+        ps.insert(at, from);
+    }
+
+    /// Forget one edge `from -> to`.
+    pub fn remove_edge(&mut self, from: BlockId, to: BlockId) {
+        let ps = &mut self.preds[to.index()];
+        let at = ps.binary_search(&from).expect("removing an edge that is not recorded");
+        ps.remove(at);
+    }
+
+    /// Tombstone block `b`: drop its instructions and the edges out of its
+    /// terminator (if it still has one). Its own incoming edges must
+    /// already be gone from the function.
+    pub fn delete_block(&mut self, f: &mut Function, b: BlockId) {
+        let insts = std::mem::take(&mut f.block_mut(b).insts);
+        if let Some(&term) = insts.last() {
+            for s in f.inst(term).op.successors() {
+                self.remove_edge(b, s);
+            }
+        }
+        self.preds[b.index()].clear();
+        self.dead[b.index()] = true;
+    }
+
+    fn resolve(&self, mut v: Value) -> Value {
+        while let Value::Inst(i) = v {
+            match self.subst.get(i.index()) {
+                Some(&Some(r)) => v = r,
+                _ => break,
+            }
+        }
+        v
+    }
+
+    /// Replace every use of `from` with `to`, deferred to
+    /// [`CfgEdit::finish`]. Equivalent to an eager
+    /// [`Function::replace_all_uses`] as long as no decision in between
+    /// reads operand values: `to` is resolved against earlier
+    /// replacements now, so chains stay acyclic.
+    pub fn replace_uses(&mut self, from: InstId, to: Value) {
+        let to = self.resolve(to);
+        if to != Value::Inst(from) {
+            if self.subst.len() <= from.index() {
+                self.subst.resize(from.index() + 1, None);
+            }
+            self.subst[from.index()] = Some(to);
+        }
+    }
+
+    /// Apply the deferred replacements across the instruction arena and
+    /// compact away the tombstoned blocks.
+    pub fn finish(self, f: &mut Function) {
+        if self.subst.iter().any(Option::is_some) {
+            work::touch(f.insts.len());
+            for inst in &mut f.insts {
+                inst.op.for_each_value_mut(|v| *v = self.resolve(*v));
+            }
+        }
+        if self.dead.iter().any(|&d| d) {
+            let keep: Vec<bool> = self.dead.iter().map(|&d| !d).collect();
+            compact_blocks(f, &keep);
+        }
+    }
+}
+
 /// Blocks reachable from the entry.
 pub fn reachable_blocks(f: &Function) -> Vec<bool> {
     let mut seen = vec![false; f.blocks.len()];
@@ -53,6 +177,7 @@ pub fn remove_unreachable_blocks(f: &mut Function) -> bool {
     // First drop phi entries whose predecessor is being removed.
     let removed: HashSet<BlockId> =
         (0..f.blocks.len()).filter(|&i| !keep[i]).map(BlockId::new).collect();
+    work::touch(f.insts.len());
     for inst in &mut f.insts {
         if let Op::Phi(incoming) = &mut inst.op {
             incoming.retain(|(b, _)| !removed.contains(b));
@@ -83,6 +208,7 @@ pub fn compact_blocks(f: &mut Function, keep: &[bool]) {
     // Only live (block-resident) instructions are rewritten; dead arena
     // slots may hold stale references and are never consulted.
     let live: Vec<InstId> = f.inst_ids_in_layout().into_iter().map(|(_, i)| i).collect();
+    work::touch(live.len());
     for iid in live {
         let inst = f.inst_mut(iid);
         inst.op.for_each_successor_mut(|b| {
@@ -100,18 +226,23 @@ pub fn compact_blocks(f: &mut Function, keep: &[bool]) {
 /// Replace, in block `tgt`'s phis, incoming entries from `old_pred` with
 /// `new_pred` (used when an edge is re-routed through a new block).
 pub fn retarget_phi_pred(f: &mut Function, tgt: BlockId, old_pred: BlockId, new_pred: BlockId) {
-    let insts: Vec<InstId> = f.block(tgt).insts.clone();
-    for iid in insts {
+    for iid in phis(f, tgt) {
         if let Op::Phi(incoming) = &mut f.inst_mut(iid).op {
             for (b, _) in incoming.iter_mut() {
                 if *b == old_pred {
                     *b = new_pred;
                 }
             }
-        } else {
-            break;
         }
     }
+}
+
+/// The phis at the head of block `b`.
+pub fn phis(f: &Function, b: BlockId) -> Vec<InstId> {
+    let phis: Vec<InstId> =
+        f.block(b).insts.iter().copied().take_while(|&i| f.inst(i).op.is_phi()).collect();
+    work::touch(phis.len() + 1);
+    phis
 }
 
 /// Split the CFG edge `from -> to`, inserting a fresh block containing only
