@@ -49,7 +49,7 @@ pub fn ifconvert(f: &mut Function) -> bool {
             // The arms must have exactly one predecessor (b), and the merge
             // no predecessors besides the arms (phis stay simple). For a
             // full diamond b is not a pred of merge; for a triangle it is.
-            if [arm_t, arm_f].into_iter().flatten().any(|a| cfg.preds[a.index()].len() != 1) {
+            if [arm_t, arm_f].into_iter().flatten().any(|a| cfg.preds(a).len() != 1) {
                 continue;
             }
             let mut expected = match (arm_t, arm_f) {
@@ -59,7 +59,7 @@ pub fn ifconvert(f: &mut Function) -> bool {
                 (None, None) => continue,
             };
             expected.sort();
-            if cfg.preds[merge.index()] != expected {
+            if cfg.preds(merge) != expected {
                 continue;
             }
 

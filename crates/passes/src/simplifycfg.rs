@@ -74,11 +74,11 @@ fn merge_into_predecessor(f: &mut Function, cfg: &mut CfgEdit) -> bool {
         if s == f.entry {
             continue;
         }
-        let [p] = cfg.preds[si][..] else { continue };
+        let [p] = *cfg.preds(s) else { continue };
         if p == s {
             continue; // self-loop
         }
-        let term = f.block(p).terminator().unwrap();
+        let term = f.block(p).terminator().expect("live block without terminator");
         if f.inst(term).op.num_successors() != 1 {
             continue;
         }
@@ -129,7 +129,7 @@ fn forward_empty_blocks(f: &mut Function, cfg: &mut CfgEdit) -> bool {
         if t == e {
             continue;
         }
-        let ps = &cfg.preds[ei];
+        let ps = cfg.preds(e);
         if ps.is_empty() {
             continue;
         }
@@ -138,12 +138,11 @@ fn forward_empty_blocks(f: &mut Function, cfg: &mut CfgEdit) -> bool {
         // a predecessor of t, and that each pred appears only once. Both
         // multisets are sorted, so the checks are linear scans.
         let t_has_phis = f.block(t).insts.first().map(|&i| f.inst(i).op.is_phi()).unwrap_or(false);
-        if t_has_phis
-            && (ps.windows(2).any(|w| w[0] == w[1]) || sorted_intersect(ps, &cfg.preds[t.index()]))
+        if t_has_phis && (ps.windows(2).any(|w| w[0] == w[1]) || sorted_intersect(ps, cfg.preds(t)))
         {
             continue;
         }
-        let ps = ps.clone();
+        let ps = ps.to_vec();
         // Rewrite each pred's terminator edge e -> t.
         for &p in &ps {
             let term = f.block(p).terminator().unwrap();

@@ -43,14 +43,14 @@ pub(crate) mod work {
 ///   numbering are the ones the compacted numbering would make;
 /// * value replacements are deferred into a substitution map and resolved
 ///   over the instruction arena once, in [`CfgEdit::finish`].
-pub struct CfgEdit {
-    pub preds: Vec<Vec<BlockId>>,
+pub(crate) struct CfgEdit {
+    preds: Vec<Vec<BlockId>>,
     dead: Vec<bool>,
     subst: Vec<Option<Value>>,
 }
 
 impl CfgEdit {
-    pub fn new(f: &Function) -> CfgEdit {
+    pub(crate) fn new(f: &Function) -> CfgEdit {
         CfgEdit {
             preds: f.predecessors(),
             dead: vec![false; f.blocks.len()],
@@ -58,15 +58,20 @@ impl CfgEdit {
         }
     }
 
+    /// Predecessor multiset of `b`, sorted by block index.
+    pub(crate) fn preds(&self, b: BlockId) -> &[BlockId] {
+        &self.preds[b.index()]
+    }
+
     /// Record one new edge `from -> to`.
-    pub fn add_edge(&mut self, from: BlockId, to: BlockId) {
+    pub(crate) fn add_edge(&mut self, from: BlockId, to: BlockId) {
         let ps = &mut self.preds[to.index()];
         let at = ps.partition_point(|&p| p <= from);
         ps.insert(at, from);
     }
 
     /// Forget one edge `from -> to`.
-    pub fn remove_edge(&mut self, from: BlockId, to: BlockId) {
+    pub(crate) fn remove_edge(&mut self, from: BlockId, to: BlockId) {
         let ps = &mut self.preds[to.index()];
         let at = ps.binary_search(&from).expect("removing an edge that is not recorded");
         ps.remove(at);
@@ -75,7 +80,7 @@ impl CfgEdit {
     /// Tombstone block `b`: drop its instructions and the edges out of its
     /// terminator (if it still has one). Its own incoming edges must
     /// already be gone from the function.
-    pub fn delete_block(&mut self, f: &mut Function, b: BlockId) {
+    pub(crate) fn delete_block(&mut self, f: &mut Function, b: BlockId) {
         let insts = std::mem::take(&mut f.block_mut(b).insts);
         if let Some(&term) = insts.last() {
             for s in f.inst(term).op.successors() {
@@ -101,7 +106,7 @@ impl CfgEdit {
     /// [`Function::replace_all_uses`] as long as no decision in between
     /// reads operand values: `to` is resolved against earlier
     /// replacements now, so chains stay acyclic.
-    pub fn replace_uses(&mut self, from: InstId, to: Value) {
+    pub(crate) fn replace_uses(&mut self, from: InstId, to: Value) {
         let to = self.resolve(to);
         if to != Value::Inst(from) {
             if self.subst.len() <= from.index() {
@@ -113,7 +118,7 @@ impl CfgEdit {
 
     /// Apply the deferred replacements across the instruction arena and
     /// compact away the tombstoned blocks.
-    pub fn finish(self, f: &mut Function) {
+    pub(crate) fn finish(self, f: &mut Function) {
         if self.subst.iter().any(Option::is_some) {
             work::touch(f.insts.len());
             for inst in &mut f.insts {
@@ -238,7 +243,7 @@ pub fn retarget_phi_pred(f: &mut Function, tgt: BlockId, old_pred: BlockId, new_
 }
 
 /// The phis at the head of block `b`.
-pub fn phis(f: &Function, b: BlockId) -> Vec<InstId> {
+pub(crate) fn phis(f: &Function, b: BlockId) -> Vec<InstId> {
     let phis: Vec<InstId> =
         f.block(b).insts.iter().copied().take_while(|&i| f.inst(i).op.is_phi()).collect();
     work::touch(phis.len() + 1);
