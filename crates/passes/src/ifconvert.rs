@@ -24,7 +24,7 @@ pub fn ifconvert(f: &mut Function) -> bool {
     let mut cfg = CfgEdit::new(f);
     // `diamond_arm` per block, invalidated when a conversion edits it.
     let mut arms: Vec<Option<Option<BlockId>>> = vec![None; f.blocks.len()];
-    let arm = |f: &Function, arms: &mut Vec<Option<Option<BlockId>>>, a: BlockId| {
+    let arm = |f: &Function, arms: &mut [Option<Option<BlockId>>], a: BlockId| {
         *arms[a.index()].get_or_insert_with(|| diamond_arm(f, a))
     };
     'round: loop {
