@@ -339,6 +339,8 @@ pub struct Interp {
     finished: Option<Option<i64>>,
     /// Total instructions executed.
     pub steps: u64,
+    /// Phi parallel-copy staging, reused across branches.
+    phi_buf: Vec<(InstId, i64)>,
 }
 
 impl Interp {
@@ -355,7 +357,14 @@ impl Interp {
             sp_save: stack.0,
             pending_call: None,
         };
-        Interp { frames: vec![frame], sp: stack.0, stack_limit: stack.1, finished: None, steps: 0 }
+        Interp {
+            frames: vec![frame],
+            sp: stack.0,
+            stack_limit: stack.1,
+            finished: None,
+            steps: 0,
+            phi_buf: Vec::new(),
+        }
     }
 
     pub fn is_finished(&self) -> bool {
@@ -398,7 +407,8 @@ impl Interp {
         // pre-branch values.
         let fid = self.frames.last().unwrap().func;
         let f = m.func(fid);
-        let mut updates: Vec<(InstId, i64)> = Vec::new();
+        let mut updates = std::mem::take(&mut self.phi_buf);
+        updates.clear();
         for &iid in &f.block(target).insts {
             match &f.inst(iid).op {
                 Op::Phi(incoming) => {
@@ -414,12 +424,12 @@ impl Interp {
             }
         }
         let fr = self.frames.last_mut().unwrap();
-        let nphis = updates.len();
-        for (iid, v) in updates {
+        for &(iid, v) in &updates {
             fr.regs[iid.index()] = v;
         }
         fr.block = target;
-        fr.pc = nphis;
+        fr.pc = updates.len();
+        self.phi_buf = updates;
     }
 
     /// Execute one instruction. `mem` is the unified memory; `rt` handles

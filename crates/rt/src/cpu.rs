@@ -9,7 +9,7 @@ use crate::hwthread::{Progress, SkipSpec};
 use crate::shared::{op_class, OpKind, PendState, Pending, Shared};
 use twill_ir::cost;
 use twill_ir::interp::{Interp, RtPoll, Runtime, StepEvent};
-use twill_ir::{FuncId, Intr, Module};
+use twill_ir::{FuncId, Intr, Module, Op};
 use twill_obs::{EventKind, StallClass};
 
 /// Cycles charged when the HW scheduler switches the active SW thread
@@ -27,7 +27,12 @@ pub struct Cpu {
     /// Entry function of each software thread (wait-for-graph analysis).
     entries: Vec<FuncId>,
     threads: Vec<SwThread>,
+    /// Threads not yet finished.
+    live: usize,
     active: usize,
+    /// Per function, per instruction: cycles an executed instruction
+    /// costs (built once per run from `twill_ir::cost`).
+    costs: Vec<Vec<u32>>,
     /// Busy cycles left for the current instruction.
     charge: u32,
     /// In-flight runtime op (owned by the active thread).
@@ -55,8 +60,14 @@ impl Cpu {
         Cpu {
             agent_id,
             entries: entries.to_vec(),
+            live: entries.len(),
             threads,
             active: 0,
+            costs: m
+                .funcs
+                .iter()
+                .map(|f| f.insts.iter().map(|i| inst_cycles(&i.op)).collect())
+                .collect(),
             charge: 0,
             pending: None,
             ready: None,
@@ -69,7 +80,7 @@ impl Cpu {
     }
 
     pub fn is_finished(&self) -> bool {
-        self.threads.iter().all(|t| t.finished)
+        self.live == 0
     }
 
     /// Charge startup work (the master's StartThread stream operations).
@@ -179,16 +190,7 @@ impl Cpu {
         match ev {
             Ok(StepEvent::Executed(fid, iid)) => {
                 self.attr_site = Some((fid.index(), iid.index()));
-                let op = &m.func(fid).inst(iid).op;
-                let cycles = match op {
-                    // Queue/sem cost was paid through the pending op;
-                    // stream I/O charges its five cycles here.
-                    twill_ir::Op::Intrin(Intr::Out | Intr::In, _) => cost::SW_IO as u32,
-                    twill_ir::Op::Intrin(..) => 1,
-                    twill_ir::Op::Phi(_) => 1,
-                    _ => (cost::sw_cycles(op) + cost::SW_EXPANSION_OVERHEAD).max(1) as u32,
-                };
-                self.charge = cycles - 1;
+                self.charge = self.costs[fid.index()][iid.index()] - 1;
                 self.busy_cycles += 1;
                 Progress::Busy
             }
@@ -201,6 +203,7 @@ impl Cpu {
             }
             Ok(StepEvent::Finished(_)) => {
                 self.threads[self.active].finished = true;
+                self.live -= 1;
                 self.finish_cycle = sh.cycle;
                 self.attr_site = None;
                 if let Some(next) = self.next_runnable() {
@@ -328,6 +331,18 @@ impl Cpu {
         (0..self.threads.len())
             .map(|i| (self.active + 1 + i) % self.threads.len())
             .find(|&i| !self.threads[i].finished)
+    }
+}
+
+/// Cycles one executed instruction costs the CPU.
+fn inst_cycles(op: &Op) -> u32 {
+    match op {
+        // Queue/sem cost was paid through the pending op; stream I/O
+        // charges its five cycles here.
+        Op::Intrin(Intr::Out | Intr::In, _) => cost::SW_IO as u32,
+        Op::Intrin(..) => 1,
+        Op::Phi(_) => 1,
+        _ => (cost::sw_cycles(op) + cost::SW_EXPANSION_OVERHEAD).max(1) as u32,
     }
 }
 

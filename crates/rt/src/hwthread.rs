@@ -1,11 +1,20 @@
 //! Hardware-thread agent: cycle-accurate execution of `twill-hls` FSM
 //! schedules against the simulated buses.
+//!
+//! Each simulation lowers the functions its hardware threads can reach
+//! against their schedules once ([`HwPlan`]): operands become register
+//! slots or pre-masked constants, constant-ROM loads are flagged, each phi
+//! run becomes one parallel-copy list per predecessor, and every entry
+//! carries its schedule offset inline. The executor then steps the lowered
+//! form without consulting the `Module` or the `ModuleSchedule`.
 
 use crate::shared::{OpKind, PendState, Pending, Shared};
 use twill_hls::schedule::ModuleSchedule;
 use twill_ir::cost;
 use twill_ir::interp::{eval_bin, eval_cast, eval_cmp};
-use twill_ir::{BlockId, FuncId, InstId, Intr, Module, Op, Ty, Value};
+use twill_ir::{
+    BinOp, BlockId, CastOp, CmpOp, FuncId, Intr, Module, Op, QueueId, SemId, Ty, Value,
+};
 use twill_obs::StallClass;
 
 /// What an agent did this tick (for stats/progress detection).
@@ -31,6 +40,253 @@ pub(crate) struct SkipSpec {
     pub stall_kind: Option<OpKind>,
 }
 
+/// A lowered operand.
+#[derive(Debug, Clone, Copy)]
+enum Opnd {
+    /// The frame register of an instruction result.
+    Reg(u32),
+    /// A function argument, masked to its parameter type on read.
+    Arg(u16, Ty),
+    /// A constant, already masked to its type.
+    Imm(i64),
+}
+
+/// A runtime intrinsic with its queue width resolved.
+#[derive(Debug, Clone, Copy)]
+enum LIntr {
+    Enqueue(QueueId, Ty),
+    Dequeue(QueueId),
+    SemRaise(SemId),
+    SemLower(SemId),
+    Out,
+    In,
+}
+
+/// A branch edge: target block and the gap waiver it grants (`None`
+/// leaves the current waiver untouched).
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    target: BlockId,
+    waive: Option<u32>,
+}
+
+/// One schedule entry lowered against its function. Results land in the
+/// register of the entry's instruction.
+#[derive(Debug, Clone)]
+enum LOp {
+    Bin(BinOp, Opnd, Opnd),
+    /// Compare; the type is the operands'.
+    Cmp(CmpOp, Ty, Opnd, Opnd),
+    Select(Opnd, Opnd, Opnd),
+    /// Cast from the given source type.
+    Cast(CastOp, Ty, Opnd),
+    /// `base + sext(index: ty) * size`.
+    Gep(Opnd, Opnd, Ty, u32),
+    /// A global's or a function's address.
+    Const(i64),
+    Alloca(u32),
+    /// `rom`: the address derives from a constant global, read from the
+    /// thread-local ROM without bus traffic.
+    Load {
+        addr: Opnd,
+        rom: bool,
+    },
+    Store {
+        val: Opnd,
+        addr: Opnd,
+    },
+    Intrin(LIntr, Option<Opnd>),
+    Call(FuncId, Box<[Opnd]>),
+    Ret(Option<Opnd>),
+    Br(Edge),
+    CondBr(Opnd, Edge, Edge),
+    /// A run of consecutive phis, resolved atomically on block entry: per
+    /// predecessor, the range of its parallel copies in [`LFunc::copies`].
+    Phis(Box<[(BlockId, u32, u32)]>),
+    /// An op hardware cannot execute; panics if reached.
+    Unsupported(&'static str),
+}
+
+/// One lowered schedule entry.
+#[derive(Debug, Clone)]
+struct LEntry {
+    /// Schedule offset (FSM state) the entry issues in.
+    start: u32,
+    /// The instruction (attribution site and result register).
+    iid: u32,
+    /// The instruction's result type.
+    ty: Ty,
+    op: LOp,
+}
+
+/// A phi's copy on one incoming edge.
+#[derive(Debug, Clone, Copy)]
+struct PhiCopy {
+    dst: u32,
+    ty: Ty,
+    src: Opnd,
+}
+
+/// One function lowered against its schedule.
+#[derive(Debug, Clone)]
+struct LFunc {
+    entry: BlockId,
+    regs: usize,
+    blocks: Vec<Vec<LEntry>>,
+    copies: Vec<PhiCopy>,
+}
+
+/// The hardware threads' code for one simulation: every function reachable
+/// from a hardware entry, lowered against its schedule.
+#[derive(Debug, Clone, Default)]
+pub struct HwPlan {
+    /// Indexed by function; functions no hardware thread reaches stay empty.
+    funcs: Vec<LFunc>,
+}
+
+impl HwPlan {
+    /// Lower every function reachable from `entries` (`sched` must have
+    /// been produced from `m`).
+    pub fn new(m: &Module, sched: &ModuleSchedule, entries: &[FuncId]) -> HwPlan {
+        let unreached =
+            LFunc { entry: BlockId::new(0), regs: 0, blocks: Vec::new(), copies: Vec::new() };
+        let mut funcs = vec![unreached; m.funcs.len()];
+        let mut lowered = vec![false; m.funcs.len()];
+        let mut work: Vec<FuncId> = entries.to_vec();
+        while let Some(fid) = work.pop() {
+            if std::mem::replace(&mut lowered[fid.index()], true) {
+                continue;
+            }
+            let lf = lower_func(m, sched, fid);
+            for block in &lf.blocks {
+                for e in block {
+                    if let LOp::Call(callee, _) = e.op {
+                        work.push(callee);
+                    }
+                }
+            }
+            funcs[fid.index()] = lf;
+        }
+        HwPlan { funcs }
+    }
+}
+
+fn lower_opnd(m: &Module, fid: FuncId, v: Value) -> Opnd {
+    match v {
+        Value::Inst(i) => Opnd::Reg(i.0),
+        Value::Arg(n) => Opnd::Arg(n, m.func(fid).params[n as usize]),
+        Value::Imm(x, t) => Opnd::Imm(t.mask(x)),
+    }
+}
+
+fn lower_func(m: &Module, sched: &ModuleSchedule, fid: FuncId) -> LFunc {
+    let f = m.func(fid);
+    let fs = sched.for_func(fid);
+    let opnd = |v: Value| lower_opnd(m, fid, v);
+    let mut copies = Vec::new();
+    let mut blocks = Vec::with_capacity(fs.blocks.len());
+    for (bi, bs) in fs.blocks.iter().enumerate() {
+        let from = BlockId::new(bi);
+        // Pipelined back edge: the next iteration initiates after II cycles
+        // instead of the full depth, so the edge grants a gap waiver; a
+        // plain self-loop keeps the current one, any other edge clears it.
+        let edge = |target: BlockId| Edge {
+            target,
+            waive: if target == from {
+                bs.ii.map(|ii| bs.depth.saturating_sub(ii))
+            } else {
+                Some(0)
+            },
+        };
+        let mut ops: Vec<LEntry> = Vec::with_capacity(bs.ops.len());
+        let mut i = 0;
+        while i < bs.ops.len() {
+            let (iid, start) = bs.ops[i];
+            let inst = f.inst(iid);
+            i += 1;
+            let op = match &inst.op {
+                Op::Phi(_) => {
+                    // Collect the whole run of consecutive phis.
+                    let mut run = vec![iid];
+                    while i < bs.ops.len() && f.inst(bs.ops[i].0).op.is_phi() {
+                        run.push(bs.ops[i].0);
+                        i += 1;
+                    }
+                    let incoming = |pid: twill_ir::InstId| match &f.inst(pid).op {
+                        Op::Phi(inc) => inc,
+                        _ => unreachable!(),
+                    };
+                    let mut preds: Vec<BlockId> = Vec::new();
+                    for &pid in &run {
+                        for (b, _) in incoming(pid) {
+                            if !preds.contains(b) {
+                                preds.push(*b);
+                            }
+                        }
+                    }
+                    let mut edges = Vec::with_capacity(preds.len());
+                    for pred in preds {
+                        let lo = copies.len() as u32;
+                        // Duplicate predecessors (condbr with equal
+                        // targets) carry equal values; take the first.
+                        let srcs: Option<Vec<PhiCopy>> = run
+                            .iter()
+                            .map(|&pid| {
+                                let (_, v) = incoming(pid).iter().find(|(b, _)| *b == pred)?;
+                                Some(PhiCopy { dst: pid.0, ty: f.inst(pid).ty, src: opnd(*v) })
+                            })
+                            .collect();
+                        // A predecessor some phi lacks stays unlisted and
+                        // panics if that edge is ever taken.
+                        if let Some(srcs) = srcs {
+                            copies.extend(srcs);
+                            edges.push((pred, lo, copies.len() as u32));
+                        }
+                    }
+                    LOp::Phis(edges.into())
+                }
+                Op::Bin(b, x, y) => LOp::Bin(*b, opnd(*x), opnd(*y)),
+                Op::Cmp(c, x, y) => LOp::Cmp(*c, f.value_ty(*x), opnd(*x), opnd(*y)),
+                Op::Select(c, a, b) => LOp::Select(opnd(*c), opnd(*a), opnd(*b)),
+                Op::Cast(c, v) => LOp::Cast(*c, f.value_ty(*v), opnd(*v)),
+                Op::Gep(b, idx, sz) => LOp::Gep(opnd(*b), opnd(*idx), f.value_ty(*idx), *sz),
+                Op::GlobalAddr(g) => LOp::Const(m.global(*g).addr as i64),
+                Op::FuncAddr(func) => LOp::Const(twill_ir::interp::func_addr_encode(*func)),
+                Op::Alloca(size) => LOp::Alloca(*size),
+                Op::Load(a) => {
+                    LOp::Load { addr: opnd(*a), rom: m.const_global_base(f, *a).is_some() }
+                }
+                Op::Store(v, a) => LOp::Store { val: opnd(*v), addr: opnd(*a) },
+                Op::Intrin(intr, args) => {
+                    let i = match intr {
+                        Intr::Enqueue(q) => LIntr::Enqueue(*q, m.queues[q.index()].width),
+                        Intr::Dequeue(q) => LIntr::Dequeue(*q),
+                        Intr::SemRaise(s) => LIntr::SemRaise(*s),
+                        Intr::SemLower(s) => LIntr::SemLower(*s),
+                        Intr::Out => LIntr::Out,
+                        Intr::In => LIntr::In,
+                    };
+                    LOp::Intrin(i, args.first().map(|a| opnd(*a)))
+                }
+                Op::Call(callee, args) => {
+                    LOp::Call(*callee, args.iter().map(|a| opnd(*a)).collect())
+                }
+                Op::Ret(v) => LOp::Ret(v.map(opnd)),
+                Op::Br(t) => LOp::Br(edge(*t)),
+                Op::CondBr(c, t, e) => LOp::CondBr(opnd(*c), edge(*t), edge(*e)),
+                Op::Switch(..) => LOp::Unsupported("switch reaches HW executor"),
+                Op::CallIndirect(..) => LOp::Unsupported(
+                    "indirect call reached a hardware thread: function pointers require \
+                     the processor (thesis §7); DSWP pins them to the software master",
+                ),
+            };
+            ops.push(LEntry { start, iid: iid.0, ty: inst.ty, op });
+        }
+        blocks.push(ops);
+    }
+    LFunc { entry: f.entry, regs: f.insts.len(), blocks, copies }
+}
+
 struct HwFrame {
     func: FuncId,
     block: BlockId,
@@ -39,8 +295,38 @@ struct HwFrame {
     cur_offset: u32,
     regs: Vec<i64>,
     args: Vec<i64>,
-    pending_call: Option<InstId>,
+    /// The call awaiting its callee: result register and type.
+    pending_call: Option<(u32, Ty)>,
     sp_save: u32,
+}
+
+impl HwFrame {
+    fn eval(&self, o: Opnd) -> i64 {
+        match o {
+            Opnd::Reg(r) => self.regs[r as usize],
+            Opnd::Arg(n, ty) => ty.mask(self.args[n as usize]),
+            Opnd::Imm(x) => x,
+        }
+    }
+
+    /// Land a completed result and move to the next entry.
+    fn retire(&mut self, dst: u32, ty: Ty, v: i64) {
+        if ty != Ty::Void {
+            self.regs[dst as usize] = ty.mask(v);
+        }
+        self.op_idx += 1;
+    }
+}
+
+/// An in-flight runtime/memory operation and where its result goes.
+struct InFlight {
+    dst: u32,
+    ty: Ty,
+    op: Pending,
+    /// Polls so far, the issue cycle included.
+    ticks: u32,
+    /// Schedule offset the op issued in.
+    issue_off: u32,
 }
 
 /// One hardware thread executing a (partition) entry function.
@@ -49,10 +335,13 @@ pub struct HwThread {
     /// The partition entry function (wait-for-graph analysis).
     entry: FuncId,
     frames: Vec<HwFrame>,
+    /// Returned frames kept for reuse, so calls do not allocate.
+    spare: Vec<HwFrame>,
+    /// Phi parallel-copy staging, reused across block entries.
+    phi_buf: Vec<i64>,
     /// Idle cycles left to burn (schedule gaps).
     charge: u32,
-    /// In-flight runtime/memory operation and its destination register.
-    pending: Option<(InstId, Pending, u32 /*ticks so far*/, u32 /*issue offset*/)>,
+    pending: Option<InFlight>,
     /// Pipelined-loop gap waiver (depth - II) granted per back edge.
     waive_credit: u32,
     /// Instruction the current/most recent cycle belongs to (profiling);
@@ -84,6 +373,8 @@ impl HwThread {
                 pending_call: None,
                 sp_save: stack.0,
             }],
+            spare: Vec::new(),
+            phi_buf: Vec::new(),
             charge: 0,
             pending: None,
             waive_credit: 0,
@@ -103,7 +394,7 @@ impl HwThread {
 
     /// Attribution for a cycle this agent reported [`Progress::Blocked`].
     pub fn stall_class(&self) -> StallClass {
-        self.pending.as_ref().map(|(_, p, _, _)| p.stall_class()).unwrap_or(StallClass::Busy)
+        self.pending.as_ref().map(|p| p.op.stall_class()).unwrap_or(StallClass::Busy)
     }
 
     /// Delay execution until the master's StartThread message arrives.
@@ -118,7 +409,7 @@ impl HwThread {
 
     /// The kind of the in-flight runtime op, if any (hang diagnosis).
     pub fn pending_kind(&self) -> Option<OpKind> {
-        self.pending.as_ref().map(|(_, p, _, _)| p.kind)
+        self.pending.as_ref().map(|p| p.op.kind)
     }
 
     /// The partition entry function (hang diagnosis).
@@ -146,7 +437,7 @@ impl HwThread {
             return now + self.charge as u64 + 1;
         }
         match &self.pending {
-            Some((_, p, _, _)) => match p.state {
+            Some(p) => match p.op.state {
                 // Latency(n) polls down to Done at tick now+n.
                 PendState::Latency(n) => now + n as u64,
                 // Blocked on a queue/sem: only a peer can unblock it, and
@@ -155,7 +446,7 @@ impl HwThread {
                 // it (the peer served later in the same cycle, or this
                 // agent was riding out a charge) — the wake tick is next.
                 PendState::WaitResource => {
-                    if shared.resource_ready(p.kind) {
+                    if shared.resource_ready(p.op.kind) {
                         now + 1
                     } else {
                         u64::MAX
@@ -188,11 +479,11 @@ impl HwThread {
             };
         }
         match &self.pending {
-            Some((_, p, _, _)) => match p.state {
+            Some(p) => match p.op.state {
                 PendState::WaitResource => SkipSpec {
                     progress: Progress::Blocked,
-                    class: p.stall_class(),
-                    stall_kind: Some(p.kind),
+                    class: p.op.stall_class(),
+                    stall_kind: Some(p.op.kind),
                 },
                 // Latency burn: blocked progress, charged as busy.
                 _ => SkipSpec {
@@ -222,9 +513,9 @@ impl HwThread {
             return;
         }
         match self.pending.as_mut() {
-            Some((_, p, ticks, _)) => {
-                *ticks = ticks.wrapping_add(k as u32);
-                if let PendState::Latency(n) = &mut p.state {
+            Some(p) => {
+                p.ticks = p.ticks.wrapping_add(k as u32);
+                if let PendState::Latency(n) = &mut p.op.state {
                     debug_assert!(k < *n as u64, "skip overran op latency");
                     *n -= k as u32;
                 }
@@ -234,20 +525,8 @@ impl HwThread {
         }
     }
 
-    fn eval(&self, m: &Module, v: Value) -> i64 {
-        let fr = self.frames.last().unwrap();
-        match v {
-            Value::Inst(i) => fr.regs[i.index()],
-            Value::Arg(n) => {
-                let ty = m.func(fr.func).params[n as usize];
-                ty.mask(fr.args[n as usize])
-            }
-            Value::Imm(x, t) => t.mask(x),
-        }
-    }
-
     /// One simulated cycle.
-    pub fn tick(&mut self, m: &Module, sched: &ModuleSchedule, shared: &mut Shared) -> Progress {
+    pub fn tick(&mut self, plan: &HwPlan, shared: &mut Shared) -> Progress {
         if self.finished {
             return Progress::Finished;
         }
@@ -257,53 +536,48 @@ impl HwThread {
             return Progress::Busy;
         }
         // In-flight runtime op?
-        if let Some((dst, p, ticks, issue_off)) = self.pending.take() {
-            let p = shared.poll(p);
-            let ticks = ticks + 1;
-            match p.state {
+        if let Some(mut p) = self.pending.take() {
+            p.op = shared.poll(p.op);
+            p.ticks += 1;
+            match p.op.state {
                 PendState::Done(v) => {
                     let fr = self.frames.last_mut().unwrap();
-                    let ty = m.func(fr.func).inst(dst).ty;
-                    if ty != Ty::Void {
-                        fr.regs[dst.index()] = ty.mask(v);
-                    }
-                    fr.op_idx += 1;
-                    fr.cur_offset = issue_off + ticks;
+                    fr.retire(p.dst, p.ty, v);
+                    fr.cur_offset = p.issue_off + p.ticks;
                     self.busy_cycles += 1;
                     Progress::Busy
                 }
                 _ => {
-                    self.pending = Some((dst, p, ticks, issue_off));
+                    self.pending = Some(p);
                     self.blocked_cycles += 1;
                     Progress::Blocked
                 }
             }
         } else {
-            self.execute(m, sched, shared)
+            self.execute(plan, shared)
         }
     }
 
     /// Execute schedule entries until a cycle is consumed.
-    fn execute(&mut self, m: &Module, sched: &ModuleSchedule, shared: &mut Shared) -> Progress {
+    fn execute(&mut self, plan: &HwPlan, shared: &mut Shared) -> Progress {
         loop {
-            let (func, block, op_idx, cur_offset) = {
-                let fr = self.frames.last().unwrap();
-                (fr.func, fr.block, fr.op_idx, fr.cur_offset)
-            };
-            let bs = &sched.for_func(func).blocks[block.index()];
-            debug_assert!(op_idx < bs.ops.len(), "ran past block schedule");
-            let (iid, start) = bs.ops[op_idx];
+            let fr = self.frames.last_mut().unwrap();
+            let lf = &plan.funcs[fr.func.index()];
+            let ops = &lf.blocks[fr.block.index()];
+            debug_assert!(fr.op_idx < ops.len(), "ran past block schedule");
+            let e = &ops[fr.op_idx];
+            let site = Some((fr.func.index(), e.iid as usize));
 
             // Burn schedule gaps (less any pipelining waiver).
-            if start > cur_offset {
-                let mut gap = start - cur_offset;
+            if e.start > fr.cur_offset {
+                let mut gap = e.start - fr.cur_offset;
                 let w = gap.min(self.waive_credit);
                 self.waive_credit -= w;
                 gap -= w;
-                self.frames.last_mut().unwrap().cur_offset = start;
+                fr.cur_offset = e.start;
                 if gap > 0 {
-                    // Gap cycles are dependence latency before `iid` issues.
-                    self.attr_site = Some((func.index(), iid.index()));
+                    // Gap cycles are dependence latency before `e` issues.
+                    self.attr_site = site;
                     self.charge = gap - 1;
                     self.busy_cycles += 1;
                     return Progress::Busy;
@@ -311,254 +585,209 @@ impl HwThread {
                 continue;
             }
 
-            let f = m.func(func);
-            let inst = f.inst(iid);
-            match &inst.op {
-                Op::Phi(_) => {
-                    // Resolve the whole phi run atomically (parallel copy).
-                    let prev = self.frames.last().unwrap().prev_block.expect("phi without pred");
-                    let mut updates: Vec<(InstId, i64)> = Vec::new();
-                    let mut idx = op_idx;
-                    while idx < bs.ops.len() {
-                        let (pid, _) = bs.ops[idx];
-                        match &f.inst(pid).op {
-                            Op::Phi(incoming) => {
-                                let (_, v) = incoming
-                                    .iter()
-                                    .find(|(b, _)| *b == prev)
-                                    .unwrap_or_else(|| panic!("phi {pid} missing {prev}"));
-                                updates.push((pid, f.inst(pid).ty.mask(self.eval(m, *v))));
-                                idx += 1;
-                            }
-                            _ => break,
-                        }
+            let (dst, ty) = (e.iid, e.ty);
+            let set = |fr: &mut HwFrame, v: i64| {
+                fr.regs[dst as usize] = v;
+                fr.op_idx += 1;
+            };
+            let (kind, lat) = match &e.op {
+                LOp::Phis(edges) => {
+                    // Resolve the whole phi run atomically (parallel copy):
+                    // evaluate every source, then commit.
+                    let prev = fr.prev_block.expect("phi without pred");
+                    let &(_, lo, hi) = edges
+                        .iter()
+                        .find(|(b, _, _)| *b == prev)
+                        .unwrap_or_else(|| panic!("phi run at {} missing {prev}", e.iid));
+                    let copies = &lf.copies[lo as usize..hi as usize];
+                    self.phi_buf.clear();
+                    self.phi_buf.extend(copies.iter().map(|c| c.ty.mask(fr.eval(c.src))));
+                    for (c, &v) in copies.iter().zip(&self.phi_buf) {
+                        fr.regs[c.dst as usize] = v;
                     }
-                    let fr = self.frames.last_mut().unwrap();
-                    for (pid, v) in updates {
-                        fr.regs[pid.index()] = v;
-                    }
-                    fr.op_idx = idx;
+                    fr.op_idx += 1;
                     continue; // phis are free muxes on block entry
                 }
-                Op::Bin(b, x, y) => {
-                    let r = eval_bin(*b, inst.ty, self.eval(m, *x), self.eval(m, *y))
-                        .unwrap_or(0); // HW divider yields 0 on /0
-                    self.setreg(iid, r);
+                LOp::Bin(b, x, y) => {
+                    // The HW divider yields 0 on /0.
+                    let r = eval_bin(*b, ty, fr.eval(*x), fr.eval(*y)).unwrap_or(0);
+                    set(fr, r);
                     continue;
                 }
-                Op::Cmp(c, x, y) => {
-                    let opty = f.value_ty(*x);
-                    let r = eval_cmp(*c, opty, self.eval(m, *x), self.eval(m, *y));
-                    self.setreg(iid, r);
+                LOp::Cmp(c, opty, x, y) => {
+                    let r = eval_cmp(*c, *opty, fr.eval(*x), fr.eval(*y));
+                    set(fr, r);
                     continue;
                 }
-                Op::Select(c, a, b) => {
-                    let r = if self.eval(m, *c) & 1 != 0 {
-                        self.eval(m, *a)
-                    } else {
-                        self.eval(m, *b)
-                    };
-                    self.setreg(iid, inst.ty.mask(r));
+                LOp::Select(c, a, b) => {
+                    let r = if fr.eval(*c) & 1 != 0 { fr.eval(*a) } else { fr.eval(*b) };
+                    set(fr, ty.mask(r));
                     continue;
                 }
-                Op::Cast(c, v) => {
-                    let from = f.value_ty(*v);
-                    let r = eval_cast(*c, from, inst.ty, self.eval(m, *v));
-                    self.setreg(iid, r);
+                LOp::Cast(c, from, v) => {
+                    let r = eval_cast(*c, *from, ty, fr.eval(*v));
+                    set(fr, r);
                     continue;
                 }
-                Op::Gep(b, i, sz) => {
-                    let base = self.eval(m, *b);
-                    let idx = f.value_ty(*i).sext(self.eval(m, *i));
-                    self.setreg(iid, Ty::Ptr.mask(base.wrapping_add(idx.wrapping_mul(*sz as i64))));
+                LOp::Gep(b, i, ity, sz) => {
+                    let base = fr.eval(*b);
+                    let idx = ity.sext(fr.eval(*i));
+                    set(fr, Ty::Ptr.mask(base.wrapping_add(idx.wrapping_mul(*sz as i64))));
                     continue;
                 }
-                Op::GlobalAddr(g) => {
-                    self.setreg(iid, m.global(*g).addr as i64);
+                LOp::Const(v) => {
+                    set(fr, *v);
                     continue;
                 }
-                Op::Alloca(size) => {
+                LOp::Alloca(size) => {
                     let addr = self.sp;
                     let new_sp = (addr + ((*size + 3) & !3).max(4)).min(self.stack_limit);
-                    for b in &mut shared.mem[addr as usize..new_sp as usize] {
-                        *b = 0;
-                    }
+                    shared.mem[addr as usize..new_sp as usize].fill(0);
                     self.sp = new_sp;
-                    self.setreg(iid, addr as i64);
+                    set(fr, addr as i64);
                     continue;
                 }
-                Op::Load(a) => {
-                    let addr = self.eval(m, *a) as u32;
-                    if m.const_global_base(f, *a).is_some() {
+                LOp::Load { addr, rom } => {
+                    let addr = fr.eval(*addr) as u32;
+                    if *rom {
                         // Constant-global ROM local to this thread: no
                         // shared-bus traffic; latency is in the schedule.
-                        let v = twill_ir::interp::load_mem(&shared.mem, addr, inst.ty)
-                            .unwrap_or(0);
-                        self.setreg(iid, inst.ty.mask(v));
+                        let v = twill_ir::interp::load_mem(&shared.mem, addr, ty).unwrap_or(0);
+                        set(fr, ty.mask(v));
                         continue;
                     }
                     // Pipelined memory: one issue per bus grant; the
                     // 2-cycle result latency is already encoded in the
                     // schedule offsets of dependent operations.
-                    let p = shared.start_op(OpKind::MemLoad(addr, inst.ty), 1);
-                    return self.issue(m, iid, p, start, shared);
+                    (OpKind::MemLoad(addr, ty), 1)
                 }
-                Op::Store(v, a) => {
-                    let addr = self.eval(m, *a) as u32;
-                    let val = self.eval(m, *v);
-                    let p = shared
-                        .start_op(OpKind::MemStore(addr, inst.ty, val), cost::HW_STORE_LATENCY);
-                    return self.issue(m, iid, p, start, shared);
+                LOp::Store { val, addr } => {
+                    let addr = fr.eval(*addr) as u32;
+                    (OpKind::MemStore(addr, ty, fr.eval(*val)), cost::HW_STORE_LATENCY)
                 }
-                Op::Intrin(i, args) => {
-                    let (kind, lat) = match i {
-                        Intr::Enqueue(q) => {
-                            let qty = m.queues[q.index()].width;
-                            (
-                                OpKind::Enqueue(*q, qty.mask(self.eval(m, args[0]))),
-                                cost::HW_QUEUE_LATENCY,
-                            )
+                LOp::Intrin(i, arg) => {
+                    let arg = || fr.eval(arg.expect("intrinsic operand"));
+                    match *i {
+                        LIntr::Enqueue(q, qty) => {
+                            (OpKind::Enqueue(q, qty.mask(arg())), cost::HW_QUEUE_LATENCY)
                         }
-                        Intr::Dequeue(q) => (OpKind::Dequeue(*q), cost::HW_QUEUE_LATENCY),
-                        Intr::SemRaise(s) => (
-                            OpKind::SemRaise(*s, self.eval(m, args[0]) as u32),
-                            cost::HW_SEM_RAISE_LATENCY,
-                        ),
-                        Intr::SemLower(s) => (
-                            OpKind::SemLower(*s, self.eval(m, args[0]) as u32),
-                            cost::HW_SEM_LOWER_LATENCY,
-                        ),
-                        Intr::Out => (OpKind::Out(self.eval(m, args[0])), cost::HW_QUEUE_LATENCY),
-                        Intr::In => (OpKind::In, cost::HW_QUEUE_LATENCY),
-                    };
-                    let p = shared.start_op(kind, lat);
-                    return self.issue(m, iid, p, start, shared);
+                        LIntr::Dequeue(q) => (OpKind::Dequeue(q), cost::HW_QUEUE_LATENCY),
+                        LIntr::SemRaise(s) => {
+                            (OpKind::SemRaise(s, arg() as u32), cost::HW_SEM_RAISE_LATENCY)
+                        }
+                        LIntr::SemLower(s) => {
+                            (OpKind::SemLower(s, arg() as u32), cost::HW_SEM_LOWER_LATENCY)
+                        }
+                        LIntr::Out => (OpKind::Out(arg()), cost::HW_QUEUE_LATENCY),
+                        LIntr::In => (OpKind::In, cost::HW_QUEUE_LATENCY),
+                    }
                 }
-                Op::Call(callee, args) => {
-                    let argv: Vec<i64> = args.iter().map(|a| self.eval(m, *a)).collect();
-                    let cf = m.func(*callee);
-                    self.attr_site = Some((func.index(), iid.index()));
-                    self.frames.last_mut().unwrap().pending_call = Some(iid);
-                    self.frames.push(HwFrame {
+                LOp::Call(callee, args) => {
+                    let cf = &plan.funcs[callee.index()];
+                    let mut frame = self.spare.pop().unwrap_or_else(|| HwFrame {
                         func: *callee,
                         block: cf.entry,
                         prev_block: None,
                         op_idx: 0,
                         cur_offset: 0,
-                        regs: vec![0; cf.insts.len()],
-                        args: argv,
+                        regs: Vec::new(),
+                        args: Vec::new(),
                         pending_call: None,
-                        sp_save: self.sp,
+                        sp_save: 0,
                     });
+                    frame.args.clear();
+                    frame.args.extend(args.iter().map(|a| fr.eval(*a)));
+                    frame.regs.clear();
+                    frame.regs.resize(cf.regs, 0);
+                    frame.func = *callee;
+                    frame.block = cf.entry;
+                    frame.prev_block = None;
+                    frame.op_idx = 0;
+                    frame.cur_offset = 0;
+                    frame.pending_call = None;
+                    frame.sp_save = self.sp;
+                    fr.pending_call = Some((dst, ty));
+                    self.attr_site = site;
+                    self.frames.push(frame);
                     self.waive_credit = 0;
                     self.busy_cycles += 1;
                     return Progress::Busy; // FSM handoff: 1 cycle
                 }
-                Op::Ret(v) => {
-                    let val = v.map(|x| self.eval(m, x));
-                    self.attr_site = Some((func.index(), iid.index()));
+                LOp::Ret(v) => {
+                    let val = v.map(|x| fr.eval(x));
+                    self.attr_site = site;
                     let done = self.frames.pop().unwrap();
                     self.sp = done.sp_save;
+                    self.spare.push(done);
                     self.waive_credit = 0;
-                    match self.frames.last_mut() {
+                    return match self.frames.last_mut() {
                         None => {
                             self.finished = true;
                             self.finish_cycle = shared.cycle;
-                            return Progress::Finished;
+                            Progress::Finished
                         }
                         Some(caller) => {
-                            let call = caller.pending_call.take().expect("ret without call");
+                            let (call, cty) = caller.pending_call.take().expect("ret without call");
                             if let Some(v) = val {
-                                let ty = m.func(caller.func).inst(call).ty;
-                                caller.regs[call.index()] = ty.mask(v);
+                                caller.regs[call as usize] = cty.mask(v);
                             }
                             caller.op_idx += 1;
                             // Completing the call consumed the callee's
                             // cycles; the return handoff is 1 more.
                             self.busy_cycles += 1;
-                            return Progress::Busy;
+                            Progress::Busy
                         }
-                    }
+                    };
                 }
-                Op::Br(t) => {
-                    self.attr_site = Some((func.index(), iid.index()));
-                    return self.take_branch(m, sched, *t, block);
+                LOp::Br(edge) => {
+                    self.attr_site = site;
+                    let edge = *edge;
+                    return self.take_branch(edge);
                 }
-                Op::CondBr(c, t, e) => {
-                    let cond = self.eval(m, *c) & 1 != 0;
-                    let target = if cond { *t } else { *e };
-                    self.attr_site = Some((func.index(), iid.index()));
-                    return self.take_branch(m, sched, target, block);
+                LOp::CondBr(c, t, e) => {
+                    let edge = if fr.eval(*c) & 1 != 0 { *t } else { *e };
+                    self.attr_site = site;
+                    return self.take_branch(edge);
                 }
-                Op::Switch(..) => panic!("switch reaches HW executor"),
-                Op::FuncAddr(func) => {
-                    self.setreg(iid, twill_ir::interp::func_addr_encode(*func));
-                    continue;
-                }
-                Op::CallIndirect(..) => panic!(
-                    "indirect call reached a hardware thread: function                      pointers require the processor (thesis §7); DSWP pins                      them to the software master"
-                ),
-            }
+                LOp::Unsupported(why) => panic!("{why}"),
+            };
+            self.attr_site = site;
+            let start = e.start;
+            let p = shared.start_op(kind, lat);
+            return self.issue(dst, ty, p, start, shared);
         }
-    }
-
-    fn setreg(&mut self, iid: InstId, v: i64) {
-        let fr = self.frames.last_mut().unwrap();
-        fr.regs[iid.index()] = v;
-        fr.op_idx += 1;
     }
 
     fn issue(
         &mut self,
-        m: &Module,
-        dst: InstId,
+        dst: u32,
+        ty: Ty,
         p: Pending,
-        issue_offset: u32,
+        issue_off: u32,
         shared: &mut Shared,
     ) -> Progress {
-        self.attr_site = Some((self.frames.last().unwrap().func.index(), dst.index()));
         // The issue cycle itself polls once (grant can happen same cycle).
         let p = shared.poll(p);
         if let PendState::Done(v) = p.state {
             let fr = self.frames.last_mut().unwrap();
-            let ty = m.func(fr.func).inst(dst).ty;
-            if ty != Ty::Void {
-                fr.regs[dst.index()] = ty.mask(v);
-            }
-            fr.op_idx += 1;
-            fr.cur_offset = issue_offset + 1;
-            self.busy_cycles += 1;
-            return Progress::Busy;
+            fr.retire(dst, ty, v);
+            fr.cur_offset = issue_off + 1;
+        } else {
+            self.pending = Some(InFlight { dst, ty, op: p, ticks: 1, issue_off });
         }
-        self.pending = Some((dst, p, 1, issue_offset));
         self.busy_cycles += 1;
         Progress::Busy
     }
 
-    fn take_branch(
-        &mut self,
-        m: &Module,
-        sched: &ModuleSchedule,
-        target: BlockId,
-        from: BlockId,
-    ) -> Progress {
-        let func = self.frames.last().unwrap().func;
-        let bs = &sched.for_func(func).blocks[from.index()];
-        // Pipelined back edge: next iteration initiates after II cycles
-        // instead of the full depth — grant a gap waiver.
-        if target == from {
-            if let Some(ii) = bs.ii {
-                self.waive_credit = bs.depth.saturating_sub(ii);
-            }
-        } else {
-            self.waive_credit = 0;
+    fn take_branch(&mut self, edge: Edge) -> Progress {
+        if let Some(w) = edge.waive {
+            self.waive_credit = w;
         }
         let fr = self.frames.last_mut().unwrap();
-        fr.prev_block = Some(from);
-        fr.block = target;
+        fr.prev_block = Some(fr.block);
+        fr.block = edge.target;
         fr.op_idx = 0;
         fr.cur_offset = 0;
-        let _ = m;
         self.busy_cycles += 1;
         Progress::Busy // the branch state consumes its cycle
     }

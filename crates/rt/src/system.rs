@@ -3,12 +3,14 @@
 use crate::cpu::Cpu;
 use crate::fault::{FaultPlan, FaultRecord};
 use crate::hang::{build_hang_report, AgentSnapshot, HangReport, WaitState};
-use crate::hwthread::{HwThread, Progress, SkipSpec};
+use crate::hwthread::{HwPlan, HwThread, Progress, SkipSpec};
 use crate::shared::Shared;
 use twill_dswp::DswpResult;
 use twill_hls::schedule::{schedule_module, HlsOptions, ModuleSchedule};
 use twill_ir::{layout, Module, QueueId};
 use twill_obs::{ClassCycles, StallClass};
+
+type Profile = Option<crate::profile::SimProfile>;
 
 /// Simulation configuration.
 #[derive(Debug, Clone)]
@@ -408,7 +410,16 @@ pub fn simulate_pure_sw(
     let mut cpu = Cpu::new(0, m, &[main], &stacks);
     let mut profile = cfg.profile.then(|| crate::profile::SimProfile::new(1));
     let mut tl = TimelineState::new(cfg, &shared);
-    let halt = run_loop(m, None, &mut shared, Some(&mut cpu), &mut [], cfg, &mut profile, &mut tl);
+    let halt = run_loop(
+        m,
+        &HwPlan::default(),
+        &mut shared,
+        Some(&mut cpu),
+        &mut [],
+        cfg,
+        &mut profile,
+        &mut tl,
+    );
     let cycles = shared.cycle;
     let agent_names = vec!["cpu".to_string()];
     let timeline = tl.finish(&shared, &agent_names);
@@ -471,9 +482,10 @@ pub fn simulate_pure_hw_scheduled(
         shared.enable_recorder(cfg.trace_events);
     }
     let mut hw = vec![HwThread::new(0, m, main, stacks[0])];
+    let plan = HwPlan::new(m, sched, &[main]);
     let mut profile = cfg.profile.then(|| crate::profile::SimProfile::new(1));
     let mut tl = TimelineState::new(cfg, &shared);
-    let halt = run_loop(m, Some(sched), &mut shared, None, &mut hw, cfg, &mut profile, &mut tl);
+    let halt = run_loop(m, &plan, &mut shared, None, &mut hw, cfg, &mut profile, &mut tl);
     let cycles = shared.cycle;
     let agent_names = vec!["hw0".to_string()];
     let timeline = tl.finish(&shared, &agent_names);
@@ -553,10 +565,11 @@ pub fn simulate_hybrid_scheduled(
             h
         })
         .collect();
+    let hw_entries: Vec<twill_ir::FuncId> = hw_specs.iter().map(|t| t.entry).collect();
+    let plan = HwPlan::new(m, sched, &hw_entries);
     let mut profile = cfg.profile.then(|| crate::profile::SimProfile::new(total));
     let mut tl = TimelineState::new(cfg, &shared);
-    let halt =
-        run_loop(m, Some(sched), &mut shared, Some(&mut cpu), &mut hw, cfg, &mut profile, &mut tl);
+    let halt = run_loop(m, &plan, &mut shared, Some(&mut cpu), &mut hw, cfg, &mut profile, &mut tl);
     let cycles = shared.cycle;
     // One naming authority for simulator tracks, obs exporters, and the
     // hardware counter register map.
@@ -582,19 +595,25 @@ pub fn simulate_hybrid_scheduled(
 }
 
 /// The agent interface the run loop drives. Both agent kinds tick the same
-/// way from the loop's perspective; `sched` is ignored by the CPU and
+/// way from the loop's perspective; `plan` is ignored by the CPU and
 /// required by hardware threads.
 trait SimAgent {
     fn agent_id(&self) -> usize;
+    fn is_finished(&self) -> bool;
     fn stall_class(&self) -> StallClass;
     fn attr_site(&self) -> Option<(usize, usize)>;
-    fn tick(&mut self, m: &Module, sched: Option<&ModuleSchedule>, shared: &mut Shared)
-        -> Progress;
+    fn tick(&mut self, m: &Module, plan: &HwPlan, shared: &mut Shared) -> Progress;
+    fn next_interesting_cycle(&self, now: u64, shared: &Shared) -> u64;
+    fn skip_spec(&self) -> SkipSpec;
+    fn apply_skip(&mut self, k: u64);
 }
 
 impl SimAgent for Cpu {
     fn agent_id(&self) -> usize {
         self.agent_id
+    }
+    fn is_finished(&self) -> bool {
+        Cpu::is_finished(self)
     }
     fn stall_class(&self) -> StallClass {
         Cpu::stall_class(self)
@@ -602,13 +621,17 @@ impl SimAgent for Cpu {
     fn attr_site(&self) -> Option<(usize, usize)> {
         Cpu::attr_site(self)
     }
-    fn tick(
-        &mut self,
-        m: &Module,
-        _sched: Option<&ModuleSchedule>,
-        shared: &mut Shared,
-    ) -> Progress {
+    fn tick(&mut self, m: &Module, _plan: &HwPlan, shared: &mut Shared) -> Progress {
         Cpu::tick(self, m, shared)
+    }
+    fn next_interesting_cycle(&self, now: u64, shared: &Shared) -> u64 {
+        Cpu::next_interesting_cycle(self, now, shared)
+    }
+    fn skip_spec(&self) -> SkipSpec {
+        Cpu::skip_spec(self)
+    }
+    fn apply_skip(&mut self, k: u64) {
+        Cpu::apply_skip(self, k)
     }
 }
 
@@ -616,19 +639,26 @@ impl SimAgent for HwThread {
     fn agent_id(&self) -> usize {
         self.agent_id
     }
+    fn is_finished(&self) -> bool {
+        HwThread::is_finished(self)
+    }
     fn stall_class(&self) -> StallClass {
         HwThread::stall_class(self)
     }
     fn attr_site(&self) -> Option<(usize, usize)> {
         HwThread::attr_site(self)
     }
-    fn tick(
-        &mut self,
-        m: &Module,
-        sched: Option<&ModuleSchedule>,
-        shared: &mut Shared,
-    ) -> Progress {
-        HwThread::tick(self, m, sched.expect("HW threads need a schedule"), shared)
+    fn tick(&mut self, _m: &Module, plan: &HwPlan, shared: &mut Shared) -> Progress {
+        HwThread::tick(self, plan, shared)
+    }
+    fn next_interesting_cycle(&self, now: u64, shared: &Shared) -> u64 {
+        HwThread::next_interesting_cycle(self, now, shared)
+    }
+    fn skip_spec(&self) -> SkipSpec {
+        HwThread::skip_spec(self)
+    }
+    fn apply_skip(&mut self, k: u64) {
+        HwThread::apply_skip(self, k)
     }
 }
 
@@ -639,13 +669,13 @@ impl SimAgent for HwThread {
 fn tick_agent<A: SimAgent>(
     a: &mut A,
     m: &Module,
-    sched: Option<&ModuleSchedule>,
+    plan: &HwPlan,
     shared: &mut Shared,
-    profile: &mut Option<crate::profile::SimProfile>,
+    profile: &mut Profile,
 ) -> bool {
     let aid = a.agent_id();
     shared.set_agent(aid as u16);
-    let progress = a.tick(m, sched, shared);
+    let progress = a.tick(m, plan, shared);
     let class = match progress {
         Progress::Busy => StallClass::Busy,
         Progress::Blocked => a.stall_class(),
@@ -663,7 +693,7 @@ fn tick_agent<A: SimAgent>(
 /// spec: the fast-forward twin of the accounting in [`tick_agent`].
 fn charge_skip(
     shared: &mut Shared,
-    profile: &mut Option<crate::profile::SimProfile>,
+    profile: &mut Profile,
     aid: usize,
     spec: &SkipSpec,
     site: Option<(usize, usize)>,
@@ -679,26 +709,48 @@ fn charge_skip(
     }
 }
 
+/// Lazy idle settlement: charge each finished agent's cycles since it was
+/// last accounted to `Idle`, in stats and profile. Fast-forward stops
+/// ticking (and leaping) an agent once it has finished, so this runs
+/// wherever stats are read: at every timeline boundary and when the run
+/// ends, times out or deadlocks. On the naive loop, which ticks finished
+/// agents every cycle, it finds nothing to settle.
+fn settle_idle(shared: &mut Shared, profile: &mut Profile, cpu: Option<&Cpu>, hw: &[HwThread]) {
+    let cpu_done = cpu.filter(|c| c.is_finished()).map(|c| (c.agent_id, c.finish_cycle));
+    let hw_done = hw.iter().filter(|h| h.is_finished()).map(|h| (h.agent_id, h.finish_cycle));
+    for (aid, finished_at) in cpu_done.into_iter().chain(hw_done) {
+        let c = &mut shared.stats.agent_cycles[aid];
+        debug_assert!(c.total() >= finished_at, "agent {aid} lost cycles before it finished");
+        let lag = shared.cycle - c.total();
+        c.idle += lag;
+        if let Some(p) = profile.as_mut() {
+            p.agents[aid].record_n(None, StallClass::Idle, lag);
+        }
+    }
+}
+
 /// Try to leap the clock from `shared.cycle` to just before the earliest
 /// cycle anything observable can happen. Returns whether a leap occurred
 /// (the caller re-enters the loop top either way).
 ///
-/// The target is the minimum over every agent's `next_interesting_cycle`,
-/// capped so the leap never crosses a pinned fault's cycle, the watchdog's
-/// firing edge, or `max_cycles`. Skipped cycles are bulk-charged to each
-/// agent's current stall class at both stats and profile granularity, and
-/// the HW rotation advances as if each cycle had been ticked. When the
-/// fault plan draws randomness every cycle (memory-upset rate, HW-stall
-/// rate), the draws are replayed per skipped cycle in exact tick order —
-/// without executing any agent — so the splitmix64 stream, fault log, and
-/// trace events stay byte-identical to the naive loop.
+/// The target is the minimum over every live agent's
+/// `next_interesting_cycle`, capped so the leap never crosses a pinned
+/// fault's cycle, the watchdog's firing edge, or `max_cycles`. Skipped
+/// cycles are bulk-charged to each live agent's current stall class at
+/// both stats and profile granularity (finished agents are settled lazily,
+/// see [`settle_idle`]), and the HW rotation advances as if each cycle had
+/// been ticked. When the fault plan draws randomness every cycle
+/// (memory-upset rate, HW-stall rate), the draws are replayed per skipped
+/// cycle in exact tick order — without executing any agent — so the
+/// splitmix64 stream, fault log, and trace events stay byte-identical to
+/// the naive loop.
 #[allow(clippy::too_many_arguments)]
 fn try_fast_forward(
-    mut cpu: Option<&mut Cpu>,
+    cpu: Option<&mut Cpu>,
     hw: &mut [HwThread],
     shared: &mut Shared,
     cfg: &SimConfig,
-    profile: &mut Option<crate::profile::SimProfile>,
+    profile: &mut Profile,
     rotation: &mut usize,
     last_progress_cycle: &mut u64,
     next_sample_boundary: u64,
@@ -729,6 +781,7 @@ fn try_fast_forward(
     }
     // Every agent can now be skipped (its horizon is >= target >= now+2),
     // so the per-cycle accounting of the whole span is a constant spec.
+    let mut cpu = cpu.filter(|c| !c.is_finished());
     let cpu_spec = cpu.as_deref().map(|c| c.skip_spec());
     let progressed_const = cpu_spec.map(|s| s.progress == Progress::Busy).unwrap_or(false)
         || hw.iter().any(|h| h.skip_spec().progress == Progress::Busy);
@@ -760,7 +813,7 @@ fn try_fast_forward(
             c.apply_skip(k);
             charge_skip(shared, profile, c.agent_id, &spec, site, k);
         }
-        for h in hw.iter_mut() {
+        for h in hw.iter_mut().filter(|h| !h.is_finished()) {
             let spec = h.skip_spec();
             let site = h.attr_site();
             h.apply_skip(k);
@@ -800,11 +853,12 @@ fn try_fast_forward(
                 let idx = (*rotation + i) % n;
                 let aid = hw[idx].agent_id;
                 shared.set_agent(aid as u16);
-                if !hw[idx].is_finished() {
-                    if let Some(cycles) = shared.fault_stall(aid) {
-                        hw[idx].inject_stall(cycles);
-                        injected = true;
-                    }
+                if hw[idx].is_finished() {
+                    continue;
+                }
+                if let Some(cycles) = shared.fault_stall(aid) {
+                    hw[idx].inject_stall(cycles);
+                    injected = true;
                 }
                 // Spec after any injection: the naive tick of a freshly
                 // stalled agent burns one charge cycle as busy.
@@ -826,6 +880,60 @@ fn try_fast_forward(
         }
     }
     true
+}
+
+/// Run-ahead: run the one agent still live, every other agent finished,
+/// by itself until it finishes, times out or the watchdog fires. With no
+/// peer left to act, the agent's own horizon is the only one, so the loop
+/// leaps straight to it: no rotation, no minimum over peers, and no second
+/// leap attempt right after a leap (none could succeed). It is the
+/// fast-forward loop specialised to one agent, so it stays observably
+/// identical to ticking every cycle.
+fn run_alone<A: SimAgent>(
+    a: &mut A,
+    m: &Module,
+    plan: &HwPlan,
+    shared: &mut Shared,
+    cfg: &SimConfig,
+    last_progress_cycle: &mut u64,
+) -> Stop {
+    let aid = a.agent_id();
+    loop {
+        if a.is_finished() {
+            return Stop::Done;
+        }
+        if shared.cycle >= cfg.max_cycles {
+            return Stop::Timeout;
+        }
+        let now = shared.cycle;
+        let mut target = a.next_interesting_cycle(now, shared);
+        if target > now + 1 {
+            let spec = a.skip_spec();
+            if spec.progress != Progress::Busy {
+                target = target
+                    .min(last_progress_cycle.saturating_add(cfg.watchdog_window).saturating_add(1));
+            }
+            target = target.min(cfg.max_cycles.saturating_add(1));
+            if target > now + 1 {
+                let k = target - now - 1;
+                shared.skip_cycles(k);
+                a.apply_skip(k);
+                charge_skip(shared, &mut None, aid, &spec, None, k);
+                if spec.progress == Progress::Busy {
+                    *last_progress_cycle = shared.cycle;
+                }
+                if shared.cycle >= cfg.max_cycles {
+                    return Stop::Timeout;
+                }
+            }
+        }
+        shared.begin_cycle();
+        if tick_agent(a, m, plan, shared, &mut None) {
+            *last_progress_cycle = shared.cycle;
+        } else if shared.cycle - *last_progress_cycle > cfg.watchdog_window {
+            return Stop::Watchdog;
+        }
+    }
 }
 
 /// Interval-sampling state for the counter timeline (DESIGN.md §15).
@@ -939,27 +1047,37 @@ impl TimelineState {
     }
 }
 
+/// How the cycle loop stopped.
+enum Stop {
+    /// Every agent finished.
+    Done,
+    /// The clock reached `max_cycles`.
+    Timeout,
+    /// No agent made progress for a whole watchdog window.
+    Watchdog,
+}
+
 /// The global cycle loop: CPU ticks first (module-bus priority, §4.1),
 /// then the hardware threads in rotating order (longest-waiting fairness).
 /// With `cfg.fast_forward` the loop leaps over cycles no agent can act on
-/// (see [`try_fast_forward`]); otherwise every cycle is ticked naively.
+/// (see [`try_fast_forward`]), stops ticking finished agents, and runs the
+/// last live agent by itself (see [`run_alone`]); otherwise every agent is
+/// ticked naively on every cycle.
 #[allow(clippy::too_many_arguments)]
 fn run_loop(
     m: &Module,
-    sched: Option<&ModuleSchedule>,
+    plan: &HwPlan,
     shared: &mut Shared,
     mut cpu: Option<&mut Cpu>,
     hw: &mut [HwThread],
     cfg: &SimConfig,
-    profile: &mut Option<crate::profile::SimProfile>,
+    profile: &mut Profile,
     tl: &mut TimelineState,
 ) -> Result<(), RunHalt> {
-    let mut rotation = 0usize;
-    let mut last_progress_cycle = 0u64;
-    loop {
-        let cpu_done = cpu.as_ref().map(|c| c.is_finished()).unwrap_or(true);
-        let hw_done = hw.iter().all(|h| h.is_finished());
-        if cpu_done && hw_done {
+    let stop = drive(m, plan, shared, cpu.as_deref_mut(), hw, cfg, profile, tl);
+    settle_idle(shared, profile, cpu.as_deref(), hw);
+    match stop {
+        Stop::Done => {
             // Cycle-accounting invariant: every agent has every elapsed
             // cycle attributed to exactly one stall class.
             if cfg!(debug_assertions) {
@@ -982,13 +1100,100 @@ fn run_loop(
                     }
                 }
             }
-            return Ok(());
+            Ok(())
+        }
+        Stop::Timeout => Err(RunHalt::Timeout(cfg.max_cycles)),
+        Stop::Watchdog => {
+            Err(RunHalt::Deadlock(hang_report(m, shared.cycle, cfg, cpu.as_deref(), hw)))
+        }
+    }
+}
+
+/// The watchdog fired: snapshot every agent's blocked state and walk the
+/// wait-for graph into a structured diagnosis.
+fn hang_report(
+    m: &Module,
+    cycle: u64,
+    cfg: &SimConfig,
+    cpu: Option<&Cpu>,
+    hw: &[HwThread],
+) -> HangReport {
+    let mut snaps: Vec<AgentSnapshot> = Vec::new();
+    if let Some(c) = cpu {
+        snaps.push(AgentSnapshot {
+            name: "cpu".to_string(),
+            entries: c.entries().to_vec(),
+            state: WaitState::classify(c.pending_kind(), c.stall_class(), c.is_finished()),
+            site: c.attr_site(),
+        });
+    }
+    for h in hw {
+        snaps.push(AgentSnapshot {
+            name: format!("hw{}", h.agent_id),
+            entries: vec![h.entry()],
+            state: WaitState::classify(h.pending_kind(), h.stall_class(), h.is_finished()),
+            site: h.attr_site(),
+        });
+    }
+    build_hang_report(m, cycle, cfg.watchdog_window, &snaps)
+}
+
+/// Sample the timeline if the clock sits on a boundary, settling idle
+/// cycles first so the sample reads complete counters.
+fn sample(
+    tl: &mut TimelineState,
+    shared: &mut Shared,
+    profile: &mut Profile,
+    cpu: Option<&Cpu>,
+    hw: &[HwThread],
+) {
+    if shared.cycle >= tl.next_boundary {
+        settle_idle(shared, profile, cpu, hw);
+        tl.maybe_sample(shared);
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn drive(
+    m: &Module,
+    plan: &HwPlan,
+    shared: &mut Shared,
+    mut cpu: Option<&mut Cpu>,
+    hw: &mut [HwThread],
+    cfg: &SimConfig,
+    profile: &mut Profile,
+    tl: &mut TimelineState,
+) -> Stop {
+    let mut rotation = 0usize;
+    let mut last_progress_cycle = 0u64;
+    // Fast-forward ticks live agents only; finished ones are settled
+    // lazily (see `settle_idle`).
+    let lazy = cfg.fast_forward;
+    // Faults, profiling and timeline sampling hook every cycle of every
+    // agent, so runs with them stay on this general loop.
+    let run_ahead =
+        cfg.fast_forward && cfg.fault.is_none() && profile.is_none() && tl.rec.is_none();
+    loop {
+        let cpu_live = cpu.as_deref().is_some_and(|c| !c.is_finished());
+        let hw_live = hw.iter().filter(|h| !h.is_finished()).count();
+        if !cpu_live && hw_live == 0 {
+            return Stop::Done;
         }
         if shared.cycle >= cfg.max_cycles {
-            return Err(RunHalt::Timeout(cfg.max_cycles));
+            return Stop::Timeout;
         }
-        if cfg.fast_forward
-            && try_fast_forward(
+        if cfg.fast_forward {
+            if run_ahead && cpu_live as usize + hw_live == 1 {
+                let lp = &mut last_progress_cycle;
+                return match cpu.filter(|c| !c.is_finished()) {
+                    Some(c) => run_alone(c, m, plan, shared, cfg, lp),
+                    None => {
+                        let h = hw.iter_mut().find(|h| !h.is_finished()).unwrap();
+                        run_alone(h, m, plan, shared, cfg, lp)
+                    }
+                };
+            }
+            if try_fast_forward(
                 cpu.as_deref_mut(),
                 hw,
                 shared,
@@ -997,20 +1202,25 @@ fn run_loop(
                 &mut rotation,
                 &mut last_progress_cycle,
                 tl.next_boundary,
-            )
-        {
-            tl.maybe_sample(shared);
-            continue;
+            ) {
+                sample(tl, shared, profile, cpu.as_deref(), hw);
+                continue;
+            }
         }
         shared.begin_cycle();
         let mut progressed = false;
         if let Some(c) = cpu.as_deref_mut() {
-            progressed |= tick_agent(c, m, sched, shared, profile);
+            if !(lazy && c.is_finished()) {
+                progressed |= tick_agent(c, m, plan, shared, profile);
+            }
         }
         let n = hw.len();
         if n > 0 {
             for i in 0..n {
                 let idx = (rotation + i) % n;
+                if lazy && hw[idx].is_finished() {
+                    continue;
+                }
                 let aid = hw[idx].agent_id;
                 shared.set_agent(aid as u16);
                 // Injected transient stall: charged as busy latency so the
@@ -1020,35 +1230,20 @@ fn run_loop(
                         hw[idx].inject_stall(cycles);
                     }
                 }
-                progressed |= tick_agent(&mut hw[idx], m, sched, shared, profile);
+                progressed |= tick_agent(&mut hw[idx], m, plan, shared, profile);
+            }
+            if lazy {
+                // Leave current the event track the naive loop would: the
+                // last HW thread in this cycle's rotation.
+                shared.set_agent(hw[(rotation + n - 1) % n].agent_id as u16);
             }
             rotation = (rotation + 1) % n;
         }
-        tl.maybe_sample(shared);
+        sample(tl, shared, profile, cpu.as_deref(), hw);
         if progressed {
             last_progress_cycle = shared.cycle;
         } else if shared.cycle - last_progress_cycle > cfg.watchdog_window {
-            // The watchdog fired: snapshot every agent's blocked state and
-            // walk the wait-for graph into a structured diagnosis.
-            let mut snaps: Vec<AgentSnapshot> = Vec::new();
-            if let Some(c) = cpu.as_deref() {
-                snaps.push(AgentSnapshot {
-                    name: "cpu".to_string(),
-                    entries: c.entries().to_vec(),
-                    state: WaitState::classify(c.pending_kind(), c.stall_class(), c.is_finished()),
-                    site: c.attr_site(),
-                });
-            }
-            for h in hw.iter() {
-                snaps.push(AgentSnapshot {
-                    name: format!("hw{}", h.agent_id),
-                    entries: vec![h.entry()],
-                    state: WaitState::classify(h.pending_kind(), h.stall_class(), h.is_finished()),
-                    site: h.attr_site(),
-                });
-            }
-            let report = build_hang_report(m, shared.cycle, cfg.watchdog_window, &snaps);
-            return Err(RunHalt::Deadlock(report));
+            return Stop::Watchdog;
         }
     }
 }
