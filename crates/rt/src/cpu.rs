@@ -179,21 +179,30 @@ impl Cpu {
             return Progress::Finished;
         }
 
-        // Step the interpreter with the bus adapter.
-        let mut adapter = CpuRt { shared, pending: &mut self.pending, ready: &mut self.ready };
+        self.step(m, shared, false).expect("a bus-driven step always acts")
+    }
+
+    /// Step the active thread's interpreter once. With `plain_only`, a
+    /// runtime op is left unissued and the step reports `None`: nothing
+    /// happened.
+    fn step(&mut self, m: &Module, shared: &mut Shared, plain_only: bool) -> Option<Progress> {
+        let t = &mut self.threads[self.active];
+        let mut adapter =
+            CpuRt { shared, pending: &mut self.pending, ready: &mut self.ready, plain_only };
         let mut mem = std::mem::take(&mut adapter.shared.mem);
         let ev = t.interp.step(m, &mut mem, &mut adapter);
         // Restore memory.
         let sh = adapter.shared;
         sh.mem = mem;
 
-        match ev {
+        Some(match ev {
             Ok(StepEvent::Executed(fid, iid)) => {
                 self.attr_site = Some((fid.index(), iid.index()));
                 self.charge = self.costs[fid.index()][iid.index()] - 1;
                 self.busy_cycles += 1;
                 Progress::Busy
             }
+            Ok(StepEvent::Blocked(..)) if plain_only => return None,
             Ok(StepEvent::Blocked(fid, iid)) => {
                 // The adapter started (or is still waiting on) a runtime
                 // op; the issue cycle counts as busy.
@@ -215,7 +224,37 @@ impl Cpu {
                 Progress::Busy
             }
             Err(e) => panic!("CPU execution fault: {e}"),
+        })
+    }
+
+    /// Run-ahead fast path for a CPU running alone (DESIGN.md §12): retire
+    /// plain instructions back to back, charging each one's cycles in bulk,
+    /// until the next instruction is a runtime op, the CPU finishes, or the
+    /// clock reaches `limit`. Every cycle it advances is busy; returns how
+    /// many. Only legal with no peer that could act in the meantime.
+    pub(crate) fn run_plain(&mut self, m: &Module, shared: &mut Shared, limit: u64) -> u64 {
+        let start = shared.cycle;
+        while self.charge == 0
+            && self.pending.is_none()
+            && self.ready.is_none()
+            && !self.threads[self.active].finished
+            && shared.cycle < limit
+        {
+            // Open the cycle the instruction issues in. A runtime op needs
+            // the bus, so it is handed back unissued for a real tick and
+            // the cycle is closed again: nothing was observed in it.
+            shared.cycle += 1;
+            if self.step(m, shared, true).is_none() {
+                shared.cycle -= 1;
+                break;
+            }
+            let k = (self.charge as u64).min(limit - shared.cycle);
+            self.charge -= k as u32;
+            self.busy_cycles += k;
+            shared.cycle += k;
         }
+        shared.stats.cycles = shared.cycle;
+        shared.cycle - start
     }
 
     /// Earliest cycle (> `now`, the cycle just ticked) at which this
@@ -354,10 +393,15 @@ struct CpuRt<'s, 'c> {
     shared: &'s mut Shared,
     pending: &'c mut Option<Pending>,
     ready: &'c mut Option<i64>,
+    /// Leave runtime ops unissued (see [`Cpu::run_plain`]).
+    plain_only: bool,
 }
 
 impl CpuRt<'_, '_> {
     fn run(&mut self, kind: OpKind) -> RtPoll {
+        if self.plain_only {
+            return RtPoll::WouldBlock;
+        }
         if let Some(v) = self.ready.take() {
             return RtPoll::Done(v);
         }

@@ -606,6 +606,12 @@ trait SimAgent {
     fn next_interesting_cycle(&self, now: u64, shared: &Shared) -> u64;
     fn skip_spec(&self) -> SkipSpec;
     fn apply_skip(&mut self, k: u64);
+    /// Run-ahead fast path for an agent running alone: advance the clock
+    /// through busy cycles up to `limit` without per-cycle loop work and
+    /// return how many passed (0 = nothing to run ahead).
+    fn run_plain(&mut self, _m: &Module, _shared: &mut Shared, _limit: u64) -> u64 {
+        0
+    }
 }
 
 impl SimAgent for Cpu {
@@ -632,6 +638,9 @@ impl SimAgent for Cpu {
     }
     fn apply_skip(&mut self, k: u64) {
         Cpu::apply_skip(self, k)
+    }
+    fn run_plain(&mut self, m: &Module, shared: &mut Shared, limit: u64) -> u64 {
+        Cpu::run_plain(self, m, shared, limit)
     }
 }
 
@@ -898,12 +907,24 @@ fn run_alone<A: SimAgent>(
     last_progress_cycle: &mut u64,
 ) -> Stop {
     let aid = a.agent_id();
+    shared.set_agent(aid as u16);
     loop {
         if a.is_finished() {
             return Stop::Done;
         }
         if shared.cycle >= cfg.max_cycles {
             return Stop::Timeout;
+        }
+        let ran = a.run_plain(m, shared, cfg.max_cycles);
+        if ran > 0 {
+            shared.stats.agent_cycles[aid].busy += ran;
+            *last_progress_cycle = shared.cycle;
+            if a.is_finished() {
+                return Stop::Done;
+            }
+            if shared.cycle >= cfg.max_cycles {
+                return Stop::Timeout;
+            }
         }
         let now = shared.cycle;
         let mut target = a.next_interesting_cycle(now, shared);
