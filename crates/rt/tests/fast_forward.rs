@@ -7,7 +7,9 @@
 //! A proptest drives both loops over random configurations, fault plans,
 //! and watchdog windows and compares entire `SimReport`s; unit tests pin
 //! the sharp edges (a pinned fault inside a skipped span, determinism of
-//! the fast path itself).
+//! the fast path itself), and every CHStone program is compared in all
+//! three modes — many HW threads finishing at different times, constant-ROM
+//! loads, calls, and CPU and HW threads live at once.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -110,25 +112,42 @@ fn assert_outcomes_equal(
     }
 }
 
-fn run_both(cfg: &SimConfig, ctx: &str) {
-    let (m, d) = testbed();
+/// Simulate `m` (pure SW and pure HW) and `d` (hybrid) under both loops.
+fn run_both(m: &twill_ir::Module, d: &DswpResult, input: &[i32], cfg: &SimConfig, ctx: &str) {
     let ff = SimConfig { fast_forward: true, ..cfg.clone() };
     let naive = SimConfig { fast_forward: false, ..cfg.clone() };
     assert_outcomes_equal(
-        simulate_hybrid(d, vec![], &ff),
-        simulate_hybrid(d, vec![], &naive),
+        simulate_hybrid(d, input.to_vec(), &ff),
+        simulate_hybrid(d, input.to_vec(), &naive),
         &format!("{ctx} [hybrid]"),
     );
     assert_outcomes_equal(
-        simulate_pure_hw(m, vec![], &ff),
-        simulate_pure_hw(m, vec![], &naive),
+        simulate_pure_hw(m, input.to_vec(), &ff),
+        simulate_pure_hw(m, input.to_vec(), &naive),
         &format!("{ctx} [pure-hw]"),
     );
     assert_outcomes_equal(
-        simulate_pure_sw(m, vec![], &ff),
-        simulate_pure_sw(m, vec![], &naive),
+        simulate_pure_sw(m, input.to_vec(), &ff),
+        simulate_pure_sw(m, input.to_vec(), &naive),
         &format!("{ctx} [pure-sw]"),
     );
+}
+
+/// [`run_both`] on the toy pipeline.
+fn run_testbed(cfg: &SimConfig, ctx: &str) {
+    let (m, d) = testbed();
+    run_both(m, d, &[], cfg, ctx);
+}
+
+/// Deep-queue/skewed-rate stalls with profiling and tracing on.
+fn stall_heavy() -> SimConfig {
+    SimConfig {
+        queue_latency: 128,
+        queue_depth: Some(2),
+        profile: true,
+        trace_events: 1024,
+        ..Default::default()
+    }
 }
 
 fn site_strategy() -> impl Strategy<Value = FaultSite> {
@@ -212,7 +231,7 @@ proptest! {
     /// deadlock/timeout diagnoses) in all three simulation modes.
     #[test]
     fn fast_forward_is_equivalent_to_naive(cfg in config_strategy()) {
-        run_both(&cfg, &format!("random config {cfg:?}"));
+        run_testbed(&cfg, &format!("random config {cfg:?}"));
     }
 }
 
@@ -273,12 +292,18 @@ fn fast_forward_is_deterministic() {
 /// on the producer, queue-empty on the consumer) dominate.
 #[test]
 fn stall_heavy_config_is_equivalent() {
-    let cfg = SimConfig {
-        queue_latency: 128,
-        queue_depth: Some(2),
-        profile: true,
-        trace_events: 1024,
-        ..Default::default()
-    };
-    run_both(&cfg, "stall-heavy");
+    run_testbed(&stall_heavy(), "stall-heavy");
+}
+
+/// Every CHStone program at scale 1, in all three modes, under the default
+/// and the stall-heavy configuration.
+#[test]
+fn chstone_programs_are_equivalent() {
+    for b in chstone::all() {
+        let m = chstone::compile_and_prepare(&b);
+        let d = run_dswp(&m, &DswpOptions { num_partitions: b.partitions, ..Default::default() });
+        let input = chstone::input_for(b.name, 1);
+        run_both(&m, &d, &input, &SimConfig::default(), &format!("{} default", b.name));
+        run_both(&m, &d, &input, &stall_heavy(), &format!("{} stall-heavy", b.name));
+    }
 }
