@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use twill_dswp::{run_dswp, DswpOptions, DswpResult};
+use twill_dswp::{run_dswp, DswpOptions, DswpResult, ThreadSpec};
 use twill_obs::ToJson;
 use twill_rt::{
     simulate_hybrid, simulate_pure_hw, simulate_pure_sw, FaultPlan, FaultSite, FaultSpec,
@@ -305,5 +305,67 @@ fn chstone_programs_are_equivalent() {
         let input = chstone::input_for(b.name, 1);
         run_both(&m, &d, &input, &SimConfig::default(), &format!("{} default", b.name));
         run_both(&m, &d, &input, &stall_heavy(), &format!("{} stall-heavy", b.name));
+    }
+}
+
+/// A hand-built hybrid: `@master` on the CPU, `@worker` as a hardware
+/// thread. One side sends a single message and exits while the other
+/// waits for two, so the waiting agent runs on alone until the watchdog.
+fn lost_message(cpu_waits: bool) -> DswpResult {
+    let (sender, receiver) = if cpu_waits { ("worker", "master") } else { ("master", "worker") };
+    let ir = format!(
+        r#"
+module "lost"
+queue q0 i32 x 4
+
+func @{sender}() {{
+bb0:
+  enqueue q0, 7:i32
+  ret
+}}
+
+func @{receiver}() {{
+bb0:
+  %0 = dequeue i32 q0
+  %1 = dequeue i32 q0
+  ret
+}}
+"#
+    );
+    let module = twill_ir::parser::parse_module(&ir).expect("test IR parses");
+    let master = module.find_func("master").expect("@master");
+    let worker = module.find_func("worker").expect("@worker");
+    DswpResult {
+        module,
+        threads: vec![
+            ThreadSpec { entry: master, partition: 0, is_hw: false },
+            ThreadSpec { entry: worker, partition: 1, is_hw: true },
+        ],
+        stats: Default::default(),
+    }
+}
+
+/// Run-ahead (the last live agent running by itself) must stop exactly
+/// where the naive loop does: timeouts at cycles all over the run, inside
+/// bulk-charged instructions and leaps alike, and the watchdog firing on a
+/// lone agent blocked forever, CPU or hardware thread.
+#[test]
+fn run_ahead_stops_where_the_naive_loop_does() {
+    let (m, d) = testbed();
+    for max_cycles in (1..300).step_by(7).chain([1_000, 3_000, 10_000, 30_000]) {
+        let cfg = SimConfig { max_cycles, trace_events: 256, ..Default::default() };
+        run_both(m, d, &[], &cfg, &format!("max_cycles {max_cycles}"));
+    }
+    for cpu_waits in [false, true] {
+        let lost = lost_message(cpu_waits);
+        for watchdog_window in [1, 2, 3, 17, 500] {
+            let cfg = SimConfig { watchdog_window, trace_events: 64, ..Default::default() };
+            let ctx = format!("lost message, cpu waits: {cpu_waits}, window {watchdog_window}");
+            let ff =
+                simulate_hybrid(&lost, vec![], &SimConfig { fast_forward: true, ..cfg.clone() });
+            assert!(matches!(ff, Err(SimError::Deadlock { .. })), "{ctx}: expected a deadlock");
+            let naive = simulate_hybrid(&lost, vec![], &SimConfig { fast_forward: false, ..cfg });
+            assert_outcomes_equal(ff, naive, &ctx);
+        }
     }
 }
