@@ -139,7 +139,7 @@ struct LFunc {
 /// The hardware threads' code for one simulation: every function reachable
 /// from a hardware entry, lowered against its schedule.
 #[derive(Debug, Clone, Default)]
-pub struct HwPlan {
+pub(crate) struct HwPlan {
     /// Indexed by function; functions no hardware thread reaches stay empty.
     funcs: Vec<LFunc>,
 }
@@ -147,7 +147,7 @@ pub struct HwPlan {
 impl HwPlan {
     /// Lower every function reachable from `entries` (`sched` must have
     /// been produced from `m`).
-    pub fn new(m: &Module, sched: &ModuleSchedule, entries: &[FuncId]) -> HwPlan {
+    pub(crate) fn new(m: &Module, sched: &ModuleSchedule, entries: &[FuncId]) -> HwPlan {
         let unreached =
             LFunc { entry: BlockId::new(0), regs: 0, blocks: Vec::new(), copies: Vec::new() };
         let mut funcs = vec![unreached; m.funcs.len()];
@@ -335,8 +335,6 @@ pub struct HwThread {
     /// The partition entry function (wait-for-graph analysis).
     entry: FuncId,
     frames: Vec<HwFrame>,
-    /// Returned frames kept for reuse, so calls do not allocate.
-    spare: Vec<HwFrame>,
     /// Phi parallel-copy staging, reused across block entries.
     phi_buf: Vec<i64>,
     /// Idle cycles left to burn (schedule gaps).
@@ -373,7 +371,6 @@ impl HwThread {
                 pending_call: None,
                 sp_save: stack.0,
             }],
-            spare: Vec::new(),
             phi_buf: Vec::new(),
             charge: 0,
             pending: None,
@@ -526,7 +523,7 @@ impl HwThread {
     }
 
     /// One simulated cycle.
-    pub fn tick(&mut self, plan: &HwPlan, shared: &mut Shared) -> Progress {
+    pub(crate) fn tick(&mut self, plan: &HwPlan, shared: &mut Shared) -> Progress {
         if self.finished {
             return Progress::Finished;
         }
@@ -684,28 +681,17 @@ impl HwThread {
                 }
                 LOp::Call(callee, args) => {
                     let cf = &plan.funcs[callee.index()];
-                    let mut frame = self.spare.pop().unwrap_or_else(|| HwFrame {
+                    let frame = HwFrame {
                         func: *callee,
                         block: cf.entry,
                         prev_block: None,
                         op_idx: 0,
                         cur_offset: 0,
-                        regs: Vec::new(),
-                        args: Vec::new(),
+                        regs: vec![0; cf.regs],
+                        args: args.iter().map(|a| fr.eval(*a)).collect(),
                         pending_call: None,
-                        sp_save: 0,
-                    });
-                    frame.args.clear();
-                    frame.args.extend(args.iter().map(|a| fr.eval(*a)));
-                    frame.regs.clear();
-                    frame.regs.resize(cf.regs, 0);
-                    frame.func = *callee;
-                    frame.block = cf.entry;
-                    frame.prev_block = None;
-                    frame.op_idx = 0;
-                    frame.cur_offset = 0;
-                    frame.pending_call = None;
-                    frame.sp_save = self.sp;
+                        sp_save: self.sp,
+                    };
                     fr.pending_call = Some((dst, ty));
                     self.attr_site = site;
                     self.frames.push(frame);
@@ -718,7 +704,6 @@ impl HwThread {
                     self.attr_site = site;
                     let done = self.frames.pop().unwrap();
                     self.sp = done.sp_save;
-                    self.spare.push(done);
                     self.waive_credit = 0;
                     return match self.frames.last_mut() {
                         None => {
