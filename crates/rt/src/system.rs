@@ -410,16 +410,9 @@ pub fn simulate_pure_sw(
     let mut cpu = Cpu::new(0, m, &[main], &stacks);
     let mut profile = cfg.profile.then(|| crate::profile::SimProfile::new(1));
     let mut tl = TimelineState::new(cfg, &shared);
-    let halt = run_loop(
-        m,
-        &HwPlan::default(),
-        &mut shared,
-        Some(&mut cpu),
-        &mut [],
-        cfg,
-        &mut profile,
-        &mut tl,
-    );
+    let no_hw = HwPlan::default();
+    let halt =
+        run_loop(m, &no_hw, &mut shared, Some(&mut cpu), &mut [], cfg, &mut profile, &mut tl);
     let cycles = shared.cycle;
     let agent_names = vec!["cpu".to_string()];
     let timeline = tl.finish(&shared, &agent_names);
