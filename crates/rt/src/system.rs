@@ -41,7 +41,8 @@ pub struct SimConfig {
     /// system hung and renders a [`HangReport`].
     pub watchdog_window: u64,
     /// Event-driven fast-forward: leap the clock over spans where every
-    /// agent is provably burning charge or re-polling a blocked op
+    /// agent is provably burning charge or re-polling a blocked op, stop
+    /// ticking finished agents, and run the last live agent by itself
     /// (observably identical to ticking each cycle; see DESIGN.md §12).
     /// `false` forces the naive tick-every-cycle loop — the bisection
     /// escape hatch. Defaults to on unless the `TWILL_NO_FAST_FORWARD`
