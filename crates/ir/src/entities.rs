@@ -10,6 +10,9 @@ use std::fmt;
 
 macro_rules! entity {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
+        entity!($(#[$doc])* $name, |f, i| write!(f, concat!($prefix, "{}"), i));
+    };
+    ($(#[$doc:meta])* $name:ident, |$f:ident, $i:ident| $show:expr) => {
         $(#[$doc])*
         #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
         pub struct $name(pub u32);
@@ -28,13 +31,14 @@ macro_rules! entity {
 
         impl fmt::Debug for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, concat!($prefix, "{}"), self.0)
+                fmt::Display::fmt(self, f)
             }
         }
 
         impl fmt::Display for $name {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, concat!($prefix, "{}"), self.0)
+            fn fmt(&self, $f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let $i = self.0;
+                $show
             }
         }
     };
@@ -61,9 +65,10 @@ entity!(
     "g"
 );
 entity!(
-    /// Reference to a runtime FIFO queue declared by the DSWP pass.
+    /// Reference to a runtime FIFO queue declared by the DSWP pass. Named
+    /// by the observability layer's one queue-name formatter.
     QueueId,
-    "q"
+    |f, i| fmt::Display::fmt(&twill_obs::QueueName(i as usize), f)
 );
 entity!(
     /// Reference to a runtime counting semaphore declared by the DSWP pass.

@@ -7,6 +7,20 @@
 //! dependency-free; `twill-rt` converts its `QueueId`/`SemId` newtypes at
 //! the recording site.
 
+use std::fmt;
+
+/// The one spelling of a queue's name, `q{i}`: `QueueId`'s `Display`, the
+/// Perfetto track names, the counter register names and the tuner's
+/// `--queue-depths` list all format through it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueueName(pub usize);
+
+impl fmt::Display for QueueName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "q{}", self.0)
+    }
+}
+
 /// Classification of a runtime operation (what a slice on a thread track
 /// represents).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -41,7 +41,7 @@ pub mod tune;
 
 pub use baseline::{Baseline, BaselineEntry, StageTimings};
 pub use diff::{diff, phase_attribution, render_phase_attribution, MetricsDiff, PhaseDelta};
-pub use event::{Event, EventKind, FaultClass, OpClass};
+pub use event::{Event, EventKind, FaultClass, OpClass, QueueName};
 pub use fmt::{profile_report, timeline_table, StageSection};
 pub use json::{FromJson, Json, ToJson};
 pub use metrics::{FaultMetrics, MetricsSummary, QueueMetrics, SimMetrics, ThreadMetrics};

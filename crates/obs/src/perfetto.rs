@@ -15,7 +15,7 @@
 //! and cycles share an axis. Dropped-event counts and caller metadata go
 //! in `otherData`.
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, QueueName};
 use crate::json;
 use crate::span::Span;
 use crate::timeseries::Timeline;
@@ -90,7 +90,10 @@ impl TraceBuilder {
     }
 
     fn queue_name(&self, queue: u16) -> String {
-        self.queue_names.get(queue as usize).cloned().unwrap_or_else(|| format!("q{queue}"))
+        self.queue_names
+            .get(queue as usize)
+            .cloned()
+            .unwrap_or_else(|| QueueName(queue as usize).to_string())
     }
 
     /// Render the trace as a JSON document.

@@ -27,6 +27,7 @@
 //!                  high-water word and the declared-depth word
 //! ```
 
+use crate::event::QueueName;
 use crate::json::{FromJson, Json, Schema, Tag, ToJson};
 use crate::metrics::{QueueMetrics, SimMetrics, ThreadMetrics};
 use crate::stall::{ClassCycles, StallClass};
@@ -173,17 +174,18 @@ impl RegMap {
             push(format!("t{t}_state"), RegKind::ThreadState { thread: t });
         }
         for q in 0..self.queues.len() {
+            let name = QueueName(q);
             for (c, counter) in QUEUE_COUNTERS.iter().enumerate() {
                 for hi in [false, true] {
                     let half = if hi { "hi" } else { "lo" };
                     push(
-                        format!("q{q}_{counter}_{half}"),
+                        format!("{name}_{counter}_{half}"),
                         RegKind::QueueCounter { queue: q, counter: c, hi },
                     );
                 }
             }
-            push(format!("q{q}_high_water"), RegKind::QueueHighWater { queue: q });
-            push(format!("q{q}_depth"), RegKind::QueueDepth { queue: q });
+            push(format!("{name}_high_water"), RegKind::QueueHighWater { queue: q });
+            push(format!("{name}_depth"), RegKind::QueueDepth { queue: q });
         }
         debug_assert_eq!(regs.len() as u32, self.words());
         regs

@@ -17,6 +17,7 @@
 //! (DESIGN.md §13).
 
 use crate::diff::MetricsDiff;
+use crate::event::QueueName;
 use crate::json::{self, Json, ToJson};
 use crate::stall::ClassCycles;
 use std::fmt::Write as _;
@@ -140,7 +141,7 @@ impl TunedConfig {
         }
         if !self.queue_depths.is_empty() {
             let list: Vec<String> =
-                self.queue_depths.iter().map(|(q, d)| format!("q{q}={d}")).collect();
+                self.queue_depths.iter().map(|(q, d)| format!("{}={d}", QueueName(*q))).collect();
             parts.push(format!("--queue-depths {}", list.join(",")));
         }
         if parts.is_empty() {

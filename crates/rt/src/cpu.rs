@@ -9,7 +9,7 @@ use crate::hwthread::{Progress, SkipSpec};
 use crate::shared::{op_class, OpKind, PendState, Pending, Shared};
 use twill_ir::cost;
 use twill_ir::interp::{Interp, RtPoll, Runtime, StepEvent};
-use twill_ir::{FuncId, Intr, Module, Op};
+use twill_ir::{FuncId, InstId, Intr, Module, Op};
 use twill_obs::{EventKind, StallClass};
 
 /// Cycles charged when the HW scheduler switches the active SW thread
@@ -179,80 +179,90 @@ impl Cpu {
             return Progress::Finished;
         }
 
-        self.step(m, shared, false).expect("a bus-driven step always acts")
+        self.step(m, shared)
     }
 
-    /// Step the active thread's interpreter once. With `plain_only`, a
-    /// runtime op is left unissued and the step reports `None`: nothing
-    /// happened.
-    fn step(&mut self, m: &Module, shared: &mut Shared, plain_only: bool) -> Option<Progress> {
+    /// Step the active thread's interpreter once, issuing a runtime op on
+    /// the bus if it reaches one.
+    fn step(&mut self, m: &Module, shared: &mut Shared) -> Progress {
         let t = &mut self.threads[self.active];
-        let mut adapter =
-            CpuRt { shared, pending: &mut self.pending, ready: &mut self.ready, plain_only };
-        let mut mem = std::mem::take(&mut adapter.shared.mem);
-        let ev = t.interp.step(m, &mut mem, &mut adapter);
-        // Restore memory.
-        let sh = adapter.shared;
-        sh.mem = mem;
-
-        Some(match ev {
-            Ok(StepEvent::Executed(fid, iid)) => {
-                self.attr_site = Some((fid.index(), iid.index()));
-                self.charge = self.costs[fid.index()][iid.index()] - 1;
-                self.busy_cycles += 1;
-                Progress::Busy
-            }
-            Ok(StepEvent::Blocked(..)) if plain_only => return None,
+        let mut mem = std::mem::take(&mut shared.mem);
+        let mut rt = CpuRt { shared, bus: Some((&mut self.pending, &mut self.ready)) };
+        let ev = t.interp.step(m, &mut mem, &mut rt);
+        shared.mem = mem;
+        match ev {
+            Ok(StepEvent::Executed(fid, iid)) => self.executed(fid, iid),
             Ok(StepEvent::Blocked(fid, iid)) => {
                 // The adapter started (or is still waiting on) a runtime
                 // op; the issue cycle counts as busy.
                 self.attr_site = Some((fid.index(), iid.index()));
                 self.busy_cycles += 1;
-                Progress::Busy
             }
-            Ok(StepEvent::Finished(_)) => {
-                self.threads[self.active].finished = true;
-                self.live -= 1;
-                self.finish_cycle = sh.cycle;
-                self.attr_site = None;
-                if let Some(next) = self.next_runnable() {
-                    sh.record(EventKind::ContextSwitch { to: next as u16 });
-                    self.active = next;
-                    self.charge = CONTEXT_SWITCH_CYCLES.saturating_sub(1);
-                }
-                self.busy_cycles += 1;
-                Progress::Busy
-            }
+            Ok(StepEvent::Finished(_)) => self.finish_thread(shared),
             Err(e) => panic!("CPU execution fault: {e}"),
-        })
+        }
+        Progress::Busy
+    }
+
+    /// Account a retired plain instruction: its issue cycle now, the rest
+    /// of its cost as charge.
+    fn executed(&mut self, fid: FuncId, iid: InstId) {
+        self.attr_site = Some((fid.index(), iid.index()));
+        self.charge = self.costs[fid.index()][iid.index()] - 1;
+        self.busy_cycles += 1;
+    }
+
+    /// The active thread's outermost function returned this (busy) cycle:
+    /// retire the thread and switch to the next runnable one, if any.
+    fn finish_thread(&mut self, shared: &mut Shared) {
+        self.threads[self.active].finished = true;
+        self.live -= 1;
+        self.finish_cycle = shared.cycle;
+        self.attr_site = None;
+        if let Some(next) = self.next_runnable() {
+            shared.record(EventKind::ContextSwitch { to: next as u16 });
+            self.active = next;
+            self.charge = CONTEXT_SWITCH_CYCLES.saturating_sub(1);
+        }
+        self.busy_cycles += 1;
     }
 
     /// Run-ahead fast path for a CPU running alone (DESIGN.md §12): retire
     /// plain instructions back to back, charging each one's cycles in bulk,
     /// until the next instruction is a runtime op, the CPU finishes, or the
-    /// clock reaches `limit`. Every cycle it advances is busy; returns how
-    /// many. Only legal with no peer that could act in the meantime.
+    /// clock reaches `limit`. The memory is taken and the runtime adapter
+    /// built once for the whole run. Every cycle it advances is busy;
+    /// returns how many. Only legal with no peer that could act in the
+    /// meantime.
     pub(crate) fn run_plain(&mut self, m: &Module, shared: &mut Shared, limit: u64) -> u64 {
         let start = shared.cycle;
-        while self.charge == 0
-            && self.pending.is_none()
-            && self.ready.is_none()
-            && !self.threads[self.active].finished
-            && shared.cycle < limit
-        {
+        if self.pending.is_some() || self.ready.is_some() {
+            return 0;
+        }
+        let mut mem = std::mem::take(&mut shared.mem);
+        // No op slot: a runtime op is handed back unissued.
+        let mut rt = CpuRt { shared, bus: None };
+        while self.charge == 0 && !self.threads[self.active].finished && rt.shared.cycle < limit {
             // Open the cycle the instruction issues in. A runtime op needs
-            // the bus, so it is handed back unissued for a real tick and
-            // the cycle is closed again: nothing was observed in it.
-            shared.cycle += 1;
-            if self.step(m, shared, true).is_none() {
-                shared.cycle -= 1;
-                break;
+            // the bus, so it is left for a real tick and the cycle is
+            // closed again: nothing was observed in it.
+            rt.shared.cycle += 1;
+            match self.threads[self.active].interp.step(m, &mut mem, &mut rt) {
+                Ok(StepEvent::Executed(fid, iid)) => self.executed(fid, iid),
+                Ok(StepEvent::Blocked(..)) => {
+                    rt.shared.cycle -= 1;
+                    break;
+                }
+                Ok(StepEvent::Finished(_)) => self.finish_thread(rt.shared),
+                Err(e) => panic!("CPU execution fault: {e}"),
             }
-            let k = (self.charge as u64).min(limit - shared.cycle);
+            let k = (self.charge as u64).min(limit - rt.shared.cycle);
             self.charge -= k as u32;
             self.busy_cycles += k;
-            shared.cycle += k;
+            rt.shared.cycle += k;
         }
+        let shared = rt.shared;
+        shared.mem = mem;
         shared.stats.cycles = shared.cycle;
         shared.cycle - start
     }
@@ -391,21 +401,20 @@ fn inst_cycles(op: &Op) -> u32 {
 /// instruction each cycle until the op completes.
 struct CpuRt<'s, 'c> {
     shared: &'s mut Shared,
-    pending: &'c mut Option<Pending>,
-    ready: &'c mut Option<i64>,
-    /// Leave runtime ops unissued (see [`Cpu::run_plain`]).
-    plain_only: bool,
+    /// The in-flight op slot and the result awaiting delivery; `None`
+    /// leaves runtime ops unissued (see [`Cpu::run_plain`]).
+    bus: Option<(&'c mut Option<Pending>, &'c mut Option<i64>)>,
 }
 
 impl CpuRt<'_, '_> {
     fn run(&mut self, kind: OpKind) -> RtPoll {
-        if self.plain_only {
+        let Some((pending, ready)) = self.bus.as_mut() else {
             return RtPoll::WouldBlock;
-        }
-        if let Some(v) = self.ready.take() {
+        };
+        if let Some(v) = ready.take() {
             return RtPoll::Done(v);
         }
-        if self.pending.is_none() {
+        if pending.is_none() {
             // Thesis §4.5: five cycles for any CPU runtime operation.
             let p = self.shared.start_op(kind, cost::SW_RUNTIME_OP as u32);
             // The start cycle polls once (stream put).
@@ -413,7 +422,7 @@ impl CpuRt<'_, '_> {
             if let PendState::Done(v) = p.state {
                 return RtPoll::Done(v);
             }
-            *self.pending = Some(p);
+            **pending = Some(p);
         }
         RtPoll::WouldBlock
     }

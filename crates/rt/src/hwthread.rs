@@ -2,18 +2,38 @@
 //! schedules against the simulated buses.
 //!
 //! Each simulation lowers the functions its hardware threads can reach
-//! against their schedules once ([`HwPlan`]): operands become register
-//! slots or pre-masked constants, constant-ROM loads are flagged, each phi
-//! run becomes one parallel-copy list per predecessor, and every entry
-//! carries its schedule offset inline. The executor then steps the lowered
-//! form without consulting the `Module` or the `ModuleSchedule`.
+//! against their schedules once ([`HwPlan`]): constant-ROM loads are
+//! flagged, each phi run becomes one parallel-copy list per predecessor,
+//! and every entry carries its schedule offset inline. The executor then
+//! steps the lowered form without consulting the `Module` or the
+//! `ModuleSchedule`. Lowering also rejects what no hardware thread can
+//! execute (`switch`, indirect calls, a phi missing an input for a
+//! reachable predecessor) as a [`ConfigError`] before the run starts.
+//!
+//! Every operand is an index into its frame's register file, laid out per
+//! function as
+//!
+//! ```text
+//! [0, insts)                       instruction results (zero at start)
+//! [insts, insts + params)          arguments, masked to their parameter
+//!                                  types when the frame starts
+//! [insts + params, ..)             the function's constants, each masked
+//!                                  to its type, one register per value
+//! ```
+//!
+//! Each lowered function keeps its initial register file (results and
+//! arguments zero, constants in place); a new frame starts as a copy of it
+//! with the caller's arguments written in, so reading an operand is one
+//! indexed load whatever kind of value it names.
 
 use crate::shared::{OpKind, PendState, Pending, Shared};
+use crate::system::ConfigError;
+use std::collections::HashMap;
 use twill_hls::schedule::ModuleSchedule;
 use twill_ir::cost;
 use twill_ir::interp::{eval_bin, eval_cast, eval_cmp};
 use twill_ir::{
-    BinOp, BlockId, CastOp, CmpOp, FuncId, Intr, Module, Op, QueueId, SemId, Ty, Value,
+    BinOp, BlockId, CastOp, CmpOp, FuncId, InstId, Intr, Module, Op, QueueId, SemId, Ty, Value,
 };
 use twill_obs::StallClass;
 
@@ -40,16 +60,8 @@ pub(crate) struct SkipSpec {
     pub stall_kind: Option<OpKind>,
 }
 
-/// A lowered operand.
-#[derive(Debug, Clone, Copy)]
-enum Opnd {
-    /// The frame register of an instruction result.
-    Reg(u32),
-    /// A function argument, masked to its parameter type on read.
-    Arg(u16, Ty),
-    /// A constant, already masked to its type.
-    Imm(i64),
-}
+/// A lowered operand: the index of a frame register (see the module doc).
+type Opnd = u32;
 
 /// A runtime intrinsic with its queue width resolved.
 #[derive(Debug, Clone, Copy)]
@@ -101,10 +113,9 @@ enum LOp {
     Br(Edge),
     CondBr(Opnd, Edge, Edge),
     /// A run of consecutive phis, resolved atomically on block entry: per
-    /// predecessor, the range of its parallel copies in [`LFunc::copies`].
+    /// reachable predecessor, the range of its parallel copies in
+    /// [`LFunc::copies`].
     Phis(Box<[(BlockId, u32, u32)]>),
-    /// An op hardware cannot execute; panics if reached.
-    Unsupported(&'static str),
 }
 
 /// One lowered schedule entry.
@@ -131,9 +142,36 @@ struct PhiCopy {
 #[derive(Debug, Clone)]
 struct LFunc {
     entry: BlockId,
-    regs: usize,
+    /// The register file a new frame starts from (see the module doc).
+    init: Vec<i64>,
+    /// The first argument register.
+    args: u32,
+    /// Parameter types, one per argument register.
+    params: Box<[Ty]>,
+    /// Indexed by block; blocks unreachable from the entry stay empty.
     blocks: Vec<Vec<LEntry>>,
     copies: Vec<PhiCopy>,
+}
+
+impl LFunc {
+    /// A fresh frame of this function with its arguments in place.
+    fn frame(&self, func: FuncId, args: impl Iterator<Item = i64>, sp_save: u32) -> HwFrame {
+        let mut regs = self.init.clone();
+        let arg_regs = &mut regs[self.args as usize..][..self.params.len()];
+        for ((r, ty), v) in arg_regs.iter_mut().zip(self.params.iter()).zip(args) {
+            *r = ty.mask(v);
+        }
+        HwFrame {
+            func,
+            block: self.entry,
+            prev_block: None,
+            op_idx: 0,
+            cur_offset: 0,
+            regs,
+            pending_call: None,
+            sp_save,
+        }
+    }
 }
 
 /// The hardware threads' code for one simulation: every function reachable
@@ -146,10 +184,21 @@ pub(crate) struct HwPlan {
 
 impl HwPlan {
     /// Lower every function reachable from `entries` (`sched` must have
-    /// been produced from `m`).
-    pub(crate) fn new(m: &Module, sched: &ModuleSchedule, entries: &[FuncId]) -> HwPlan {
-        let unreached =
-            LFunc { entry: BlockId::new(0), regs: 0, blocks: Vec::new(), copies: Vec::new() };
+    /// been produced from `m`), or name the first operation in them a
+    /// hardware thread cannot execute.
+    pub(crate) fn new(
+        m: &Module,
+        sched: &ModuleSchedule,
+        entries: &[FuncId],
+    ) -> Result<HwPlan, ConfigError> {
+        let unreached = LFunc {
+            entry: BlockId::new(0),
+            init: Vec::new(),
+            args: 0,
+            params: Box::new([]),
+            blocks: Vec::new(),
+            copies: Vec::new(),
+        };
         let mut funcs = vec![unreached; m.funcs.len()];
         let mut lowered = vec![false; m.funcs.len()];
         let mut work: Vec<FuncId> = entries.to_vec();
@@ -157,7 +206,7 @@ impl HwPlan {
             if std::mem::replace(&mut lowered[fid.index()], true) {
                 continue;
             }
-            let lf = lower_func(m, sched, fid);
+            let lf = lower_func(m, sched, fid)?;
             for block in &lf.blocks {
                 for e in block {
                     if let LOp::Call(callee, _) = e.op {
@@ -167,26 +216,83 @@ impl HwPlan {
             }
             funcs[fid.index()] = lf;
         }
-        HwPlan { funcs }
+        Ok(HwPlan { funcs })
     }
 }
 
-fn lower_opnd(m: &Module, fid: FuncId, v: Value) -> Opnd {
-    match v {
-        Value::Inst(i) => Opnd::Reg(i.0),
-        Value::Arg(n) => Opnd::Arg(n, m.func(fid).params[n as usize]),
-        Value::Imm(x, t) => Opnd::Imm(t.mask(x)),
+/// The register file of a function being lowered.
+struct RegFile {
+    init: Vec<i64>,
+    args: u32,
+    /// Constant value → its register.
+    consts: HashMap<i64, u32>,
+}
+
+impl RegFile {
+    fn opnd(&mut self, v: Value) -> Opnd {
+        match v {
+            Value::Inst(i) => i.0,
+            Value::Arg(n) => self.args + n as u32,
+            Value::Imm(x, t) => {
+                let x = t.mask(x);
+                let init = &mut self.init;
+                *self.consts.entry(x).or_insert_with(|| {
+                    init.push(x);
+                    init.len() as u32 - 1
+                })
+            }
+        }
     }
 }
 
-fn lower_func(m: &Module, sched: &ModuleSchedule, fid: FuncId) -> LFunc {
+/// Blocks reachable from the entry, indexed by block.
+fn reachable_blocks(f: &twill_ir::Function) -> Vec<bool> {
+    let mut seen = vec![false; f.blocks.len()];
+    let mut work = vec![f.entry];
+    seen[f.entry.index()] = true;
+    while let Some(b) = work.pop() {
+        for s in f.successors(b) {
+            if !std::mem::replace(&mut seen[s.index()], true) {
+                work.push(s);
+            }
+        }
+    }
+    seen
+}
+
+fn lower_func(m: &Module, sched: &ModuleSchedule, fid: FuncId) -> Result<LFunc, ConfigError> {
     let f = m.func(fid);
     let fs = sched.for_func(fid);
-    let opnd = |v: Value| lower_opnd(m, fid, v);
+    let unsupported = |iid: InstId, what: &'static str| ConfigError::HwUnsupported {
+        func: f.name.clone(),
+        line: f.loc(iid).line,
+        what,
+    };
+    let reachable = reachable_blocks(f);
+    // Reachable predecessors per block, one entry per distinct block.
+    let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); f.blocks.len()];
+    for b in f.block_ids().filter(|b| reachable[b.index()]) {
+        for s in f.successors(b) {
+            if !preds[s.index()].contains(&b) {
+                preds[s.index()].push(b);
+            }
+        }
+    }
+    let n_args = f.params.len() as u32;
+    let mut rf = RegFile {
+        init: vec![0; f.insts.len() + n_args as usize],
+        args: f.insts.len() as u32,
+        consts: HashMap::new(),
+    };
     let mut copies = Vec::new();
     let mut blocks = Vec::with_capacity(fs.blocks.len());
     for (bi, bs) in fs.blocks.iter().enumerate() {
         let from = BlockId::new(bi);
+        let mut ops: Vec<LEntry> = Vec::new();
+        if !reachable[bi] {
+            blocks.push(ops);
+            continue;
+        }
         // Pipelined back edge: the next iteration initiates after II cycles
         // instead of the full depth, so the edge grants a gap waiver; a
         // plain self-loop keeps the current one, any other edge clears it.
@@ -198,7 +304,7 @@ fn lower_func(m: &Module, sched: &ModuleSchedule, fid: FuncId) -> LFunc {
                 Some(0)
             },
         };
-        let mut ops: Vec<LEntry> = Vec::with_capacity(bs.ops.len());
+        ops.reserve(bs.ops.len());
         let mut i = 0;
         while i < bs.ops.len() {
             let (iid, start) = bs.ops[i];
@@ -212,51 +318,38 @@ fn lower_func(m: &Module, sched: &ModuleSchedule, fid: FuncId) -> LFunc {
                         run.push(bs.ops[i].0);
                         i += 1;
                     }
-                    let incoming = |pid: twill_ir::InstId| match &f.inst(pid).op {
-                        Op::Phi(inc) => inc,
-                        _ => unreachable!(),
-                    };
-                    let mut preds: Vec<BlockId> = Vec::new();
-                    for &pid in &run {
-                        for (b, _) in incoming(pid) {
-                            if !preds.contains(b) {
-                                preds.push(*b);
-                            }
-                        }
-                    }
-                    let mut edges = Vec::with_capacity(preds.len());
-                    for pred in preds {
+                    let mut edges = Vec::with_capacity(preds[bi].len());
+                    for &pred in &preds[bi] {
                         let lo = copies.len() as u32;
-                        // Duplicate predecessors (condbr with equal
-                        // targets) carry equal values; take the first.
-                        let srcs: Option<Vec<PhiCopy>> = run
-                            .iter()
-                            .map(|&pid| {
-                                let (_, v) = incoming(pid).iter().find(|(b, _)| *b == pred)?;
-                                Some(PhiCopy { dst: pid.0, ty: f.inst(pid).ty, src: opnd(*v) })
-                            })
-                            .collect();
-                        // A predecessor some phi lacks stays unlisted and
-                        // panics if that edge is ever taken.
-                        if let Some(srcs) = srcs {
-                            copies.extend(srcs);
-                            edges.push((pred, lo, copies.len() as u32));
+                        for &pid in &run {
+                            let Op::Phi(incoming) = &f.inst(pid).op else { unreachable!() };
+                            // Duplicate predecessors (condbr with equal
+                            // targets) carry equal values; take the first.
+                            let Some(&(_, v)) = incoming.iter().find(|(b, _)| *b == pred) else {
+                                return Err(unsupported(
+                                    pid,
+                                    "a phi missing a predecessor's input",
+                                ));
+                            };
+                            let src = rf.opnd(v);
+                            copies.push(PhiCopy { dst: pid.0, ty: f.inst(pid).ty, src });
                         }
+                        edges.push((pred, lo, copies.len() as u32));
                     }
                     LOp::Phis(edges.into())
                 }
-                Op::Bin(b, x, y) => LOp::Bin(*b, opnd(*x), opnd(*y)),
-                Op::Cmp(c, x, y) => LOp::Cmp(*c, f.value_ty(*x), opnd(*x), opnd(*y)),
-                Op::Select(c, a, b) => LOp::Select(opnd(*c), opnd(*a), opnd(*b)),
-                Op::Cast(c, v) => LOp::Cast(*c, f.value_ty(*v), opnd(*v)),
-                Op::Gep(b, idx, sz) => LOp::Gep(opnd(*b), opnd(*idx), f.value_ty(*idx), *sz),
+                Op::Bin(b, x, y) => LOp::Bin(*b, rf.opnd(*x), rf.opnd(*y)),
+                Op::Cmp(c, x, y) => LOp::Cmp(*c, f.value_ty(*x), rf.opnd(*x), rf.opnd(*y)),
+                Op::Select(c, a, b) => LOp::Select(rf.opnd(*c), rf.opnd(*a), rf.opnd(*b)),
+                Op::Cast(c, v) => LOp::Cast(*c, f.value_ty(*v), rf.opnd(*v)),
+                Op::Gep(b, idx, sz) => LOp::Gep(rf.opnd(*b), rf.opnd(*idx), f.value_ty(*idx), *sz),
                 Op::GlobalAddr(g) => LOp::Const(m.global(*g).addr as i64),
                 Op::FuncAddr(func) => LOp::Const(twill_ir::interp::func_addr_encode(*func)),
                 Op::Alloca(size) => LOp::Alloca(*size),
                 Op::Load(a) => {
-                    LOp::Load { addr: opnd(*a), rom: m.const_global_base(f, *a).is_some() }
+                    LOp::Load { addr: rf.opnd(*a), rom: m.const_global_base(f, *a).is_some() }
                 }
-                Op::Store(v, a) => LOp::Store { val: opnd(*v), addr: opnd(*a) },
+                Op::Store(v, a) => LOp::Store { val: rf.opnd(*v), addr: rf.opnd(*a) },
                 Op::Intrin(intr, args) => {
                     let i = match intr {
                         Intr::Enqueue(q) => LIntr::Enqueue(*q, m.queues[q.index()].width),
@@ -266,25 +359,33 @@ fn lower_func(m: &Module, sched: &ModuleSchedule, fid: FuncId) -> LFunc {
                         Intr::Out => LIntr::Out,
                         Intr::In => LIntr::In,
                     };
-                    LOp::Intrin(i, args.first().map(|a| opnd(*a)))
+                    LOp::Intrin(i, args.first().map(|a| rf.opnd(*a)))
                 }
                 Op::Call(callee, args) => {
-                    LOp::Call(*callee, args.iter().map(|a| opnd(*a)).collect())
+                    LOp::Call(*callee, args.iter().map(|a| rf.opnd(*a)).collect())
                 }
-                Op::Ret(v) => LOp::Ret(v.map(opnd)),
+                Op::Ret(v) => LOp::Ret(v.map(|v| rf.opnd(v))),
                 Op::Br(t) => LOp::Br(edge(*t)),
-                Op::CondBr(c, t, e) => LOp::CondBr(opnd(*c), edge(*t), edge(*e)),
-                Op::Switch(..) => LOp::Unsupported("switch reaches HW executor"),
-                Op::CallIndirect(..) => LOp::Unsupported(
-                    "indirect call reached a hardware thread: function pointers require \
-                     the processor (thesis §7); DSWP pins them to the software master",
-                ),
+                Op::CondBr(c, t, e) => LOp::CondBr(rf.opnd(*c), edge(*t), edge(*e)),
+                Op::Switch(..) => return Err(unsupported(iid, "a switch")),
+                Op::CallIndirect(..) => {
+                    // Function pointers require the processor (thesis §7);
+                    // DSWP pins indirect calls to the software master.
+                    return Err(unsupported(iid, "an indirect call"));
+                }
             };
             ops.push(LEntry { start, iid: iid.0, ty: inst.ty, op });
         }
         blocks.push(ops);
     }
-    LFunc { entry: f.entry, regs: f.insts.len(), blocks, copies }
+    Ok(LFunc {
+        entry: f.entry,
+        init: rf.init,
+        args: rf.args,
+        params: f.params.clone().into(),
+        blocks,
+        copies,
+    })
 }
 
 struct HwFrame {
@@ -293,20 +394,17 @@ struct HwFrame {
     prev_block: Option<BlockId>,
     op_idx: usize,
     cur_offset: u32,
+    /// The register file (layout in the module doc).
     regs: Vec<i64>,
-    args: Vec<i64>,
     /// The call awaiting its callee: result register and type.
     pending_call: Option<(u32, Ty)>,
     sp_save: u32,
 }
 
 impl HwFrame {
+    #[inline]
     fn eval(&self, o: Opnd) -> i64 {
-        match o {
-            Opnd::Reg(r) => self.regs[r as usize],
-            Opnd::Arg(n, ty) => ty.mask(self.args[n as usize]),
-            Opnd::Imm(x) => x,
-        }
+        self.regs[o as usize]
     }
 
     /// Land a completed result and move to the next entry.
@@ -355,22 +453,16 @@ pub struct HwThread {
 }
 
 impl HwThread {
-    pub fn new(agent_id: usize, m: &Module, entry: FuncId, stack: (u32, u32)) -> HwThread {
-        let f = m.func(entry);
+    pub(crate) fn new(
+        agent_id: usize,
+        plan: &HwPlan,
+        entry: FuncId,
+        stack: (u32, u32),
+    ) -> HwThread {
         HwThread {
             agent_id,
             entry,
-            frames: vec![HwFrame {
-                func: entry,
-                block: f.entry,
-                prev_block: None,
-                op_idx: 0,
-                cur_offset: 0,
-                regs: vec![0; f.insts.len()],
-                args: vec![],
-                pending_call: None,
-                sp_save: stack.0,
-            }],
+            frames: vec![plan.funcs[entry.index()].frame(entry, std::iter::empty(), stack.0)],
             phi_buf: Vec::new(),
             charge: 0,
             pending: None,
@@ -555,12 +647,39 @@ impl HwThread {
         }
     }
 
+    /// Run-ahead fast path for a hardware thread running alone (DESIGN.md
+    /// §12): execute FSM states back to back, each in its own cycle opened
+    /// with `begin_cycle`, burning schedule gaps in bulk, until an op stays
+    /// in flight past its issue cycle, the thread finishes, or the clock
+    /// reaches `limit`. Memory and runtime ops issue through the normal bus
+    /// path; with no live peer nothing can contest the bus. Returns how many
+    /// of the cycles it advanced were busy; the one other cycle it can
+    /// advance is the finishing one, which `tick_agent` charges `Idle`.
+    /// Only legal with no peer that could act in the meantime.
+    pub(crate) fn run_plain(&mut self, plan: &HwPlan, shared: &mut Shared, limit: u64) -> u64 {
+        let mut busy = 0;
+        while self.charge == 0 && self.pending.is_none() && !self.finished && shared.cycle < limit {
+            shared.begin_cycle();
+            if self.execute(plan, shared) == Progress::Busy {
+                busy += 1;
+            }
+            let k = (self.charge as u64).min(limit - shared.cycle);
+            self.charge -= k as u32;
+            self.busy_cycles += k;
+            shared.skip_cycles(k);
+            busy += k;
+        }
+        busy
+    }
+
     /// Execute schedule entries until a cycle is consumed.
     fn execute(&mut self, plan: &HwPlan, shared: &mut Shared) -> Progress {
+        // Only calls, returns and branches change the frame or the block,
+        // and each of them ends the cycle.
+        let fr = self.frames.last_mut().unwrap();
+        let lf = &plan.funcs[fr.func.index()];
+        let ops = &lf.blocks[fr.block.index()];
         loop {
-            let fr = self.frames.last_mut().unwrap();
-            let lf = &plan.funcs[fr.func.index()];
-            let ops = &lf.blocks[fr.block.index()];
             debug_assert!(fr.op_idx < ops.len(), "ran past block schedule");
             let e = &ops[fr.op_idx];
             let site = Some((fr.func.index(), e.iid as usize));
@@ -595,7 +714,7 @@ impl HwThread {
                     let &(_, lo, hi) = edges
                         .iter()
                         .find(|(b, _, _)| *b == prev)
-                        .unwrap_or_else(|| panic!("phi run at {} missing {prev}", e.iid));
+                        .expect("the plan lists every reachable predecessor");
                     let copies = &lf.copies[lo as usize..hi as usize];
                     self.phi_buf.clear();
                     self.phi_buf.extend(copies.iter().map(|c| c.ty.mask(fr.eval(c.src))));
@@ -680,18 +799,8 @@ impl HwThread {
                     }
                 }
                 LOp::Call(callee, args) => {
-                    let cf = &plan.funcs[callee.index()];
-                    let frame = HwFrame {
-                        func: *callee,
-                        block: cf.entry,
-                        prev_block: None,
-                        op_idx: 0,
-                        cur_offset: 0,
-                        regs: vec![0; cf.regs],
-                        args: args.iter().map(|a| fr.eval(*a)).collect(),
-                        pending_call: None,
-                        sp_save: self.sp,
-                    };
+                    let args = args.iter().map(|&a| fr.eval(a));
+                    let frame = plan.funcs[callee.index()].frame(*callee, args, self.sp);
                     fr.pending_call = Some((dst, ty));
                     self.attr_site = site;
                     self.frames.push(frame);
@@ -734,7 +843,6 @@ impl HwThread {
                     self.attr_site = site;
                     return self.take_branch(edge);
                 }
-                LOp::Unsupported(why) => panic!("{why}"),
             };
             self.attr_site = site;
             let start = e.start;

@@ -215,6 +215,10 @@ pub enum ConfigError {
     UnknownQueue { queue: usize, declared: usize },
     /// `sample_interval: Some(0)` — a zero-cycle window samples nothing.
     ZeroSampleInterval,
+    /// A function a hardware thread reaches holds an operation hardware
+    /// cannot execute: a `switch`, an indirect call, or a phi without an
+    /// input for one of its block's reachable predecessors.
+    HwUnsupported { func: String, line: u32, what: &'static str },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -248,6 +252,9 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroSampleInterval => {
                 write!(f, "sample_interval of 0: timeline windows need at least one cycle")
+            }
+            ConfigError::HwUnsupported { func, line, what } => {
+                write!(f, "@{func}, line {line}: {what} cannot run on a hardware thread")
             }
         }
     }
@@ -459,6 +466,7 @@ pub fn simulate_pure_hw_scheduled(
 ) -> Result<SimReport, SimError> {
     validate_config(m, cfg, 1)?;
     let main = m.find_func("main").ok_or(ConfigError::NoMain)?;
+    let plan = HwPlan::new(m, sched, &[main])?;
     let stacks = stack_regions(m, cfg.mem_size, 1);
     let mut shared = Shared::new(
         m,
@@ -475,8 +483,7 @@ pub fn simulate_pure_hw_scheduled(
     if cfg.trace_events > 0 {
         shared.enable_recorder(cfg.trace_events);
     }
-    let mut hw = vec![HwThread::new(0, m, main, stacks[0])];
-    let plan = HwPlan::new(m, sched, &[main]);
+    let mut hw = vec![HwThread::new(0, &plan, main, stacks[0])];
     let mut profile = cfg.profile.then(|| crate::profile::SimProfile::new(1));
     let mut tl = TimelineState::new(cfg, &shared);
     let halt = run_loop(m, &plan, &mut shared, None, &mut hw, cfg, &mut profile, &mut tl);
@@ -529,6 +536,8 @@ pub fn simulate_hybrid_scheduled(
     let hw_specs: Vec<&twill_dswp::ThreadSpec> = dswp.threads.iter().filter(|t| t.is_hw).collect();
     let total = sw_entries.len() + hw_specs.len();
     validate_config(m, cfg, total)?;
+    let hw_entries: Vec<twill_ir::FuncId> = hw_specs.iter().map(|t| t.entry).collect();
+    let plan = HwPlan::new(m, sched, &hw_entries)?;
     let stacks = stack_regions(m, cfg.mem_size, total);
     let mut shared = Shared::new(
         m,
@@ -554,13 +563,11 @@ pub fn simulate_hybrid_scheduled(
         .iter()
         .enumerate()
         .map(|(i, t)| {
-            let mut h = HwThread::new(1 + i, m, t.entry, stacks[sw_entries.len() + i]);
+            let mut h = HwThread::new(1 + i, &plan, t.entry, stacks[sw_entries.len() + i]);
             h.set_start_delay((i as u32 + 1) * twill_ir::cost::SW_RUNTIME_OP as u32);
             h
         })
         .collect();
-    let hw_entries: Vec<twill_ir::FuncId> = hw_specs.iter().map(|t| t.entry).collect();
-    let plan = HwPlan::new(m, sched, &hw_entries);
     let mut profile = cfg.profile.then(|| crate::profile::SimProfile::new(total));
     let mut tl = TimelineState::new(cfg, &shared);
     let halt = run_loop(m, &plan, &mut shared, Some(&mut cpu), &mut hw, cfg, &mut profile, &mut tl);
@@ -601,11 +608,11 @@ trait SimAgent {
     fn skip_spec(&self) -> SkipSpec;
     fn apply_skip(&mut self, k: u64);
     /// Run-ahead fast path for an agent running alone: advance the clock
-    /// through busy cycles up to `limit` without per-cycle loop work and
-    /// return how many passed (0 = nothing to run ahead).
-    fn run_plain(&mut self, _m: &Module, _shared: &mut Shared, _limit: u64) -> u64 {
-        0
-    }
+    /// up to `limit` in one tight loop, without per-cycle loop work, and
+    /// return how many of the cycles it advanced were busy. Any other
+    /// cycle it advanced is a hardware thread's finishing cycle, charged
+    /// `Idle` as [`tick_agent`] would.
+    fn run_plain(&mut self, m: &Module, plan: &HwPlan, shared: &mut Shared, limit: u64) -> u64;
 }
 
 impl SimAgent for Cpu {
@@ -633,7 +640,7 @@ impl SimAgent for Cpu {
     fn apply_skip(&mut self, k: u64) {
         Cpu::apply_skip(self, k)
     }
-    fn run_plain(&mut self, m: &Module, shared: &mut Shared, limit: u64) -> u64 {
+    fn run_plain(&mut self, m: &Module, _plan: &HwPlan, shared: &mut Shared, limit: u64) -> u64 {
         Cpu::run_plain(self, m, shared, limit)
     }
 }
@@ -662,6 +669,9 @@ impl SimAgent for HwThread {
     }
     fn apply_skip(&mut self, k: u64) {
         HwThread::apply_skip(self, k)
+    }
+    fn run_plain(&mut self, _m: &Module, plan: &HwPlan, shared: &mut Shared, limit: u64) -> u64 {
+        HwThread::run_plain(self, plan, shared, limit)
     }
 }
 
@@ -909,13 +919,18 @@ fn run_alone<A: SimAgent>(
         if shared.cycle >= cfg.max_cycles {
             return Stop::Timeout;
         }
-        let ran = a.run_plain(m, shared, cfg.max_cycles);
-        if ran > 0 {
-            shared.stats.agent_cycles[aid].busy += ran;
-            *last_progress_cycle = shared.cycle;
+        let start = shared.cycle;
+        let busy = a.run_plain(m, plan, shared, cfg.max_cycles);
+        if shared.cycle > start {
+            let c = &mut shared.stats.agent_cycles[aid];
+            c.busy += busy;
+            c.idle += shared.cycle - start - busy;
+            // A thread can finish on the first state it runs, with no busy
+            // cycle to show for it.
             if a.is_finished() {
                 return Stop::Done;
             }
+            *last_progress_cycle = shared.cycle;
             if shared.cycle >= cfg.max_cycles {
                 return Stop::Timeout;
             }

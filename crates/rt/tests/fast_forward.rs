@@ -369,3 +369,119 @@ fn run_ahead_stops_where_the_naive_loop_does() {
         }
     }
 }
+
+/// Narrow parameters and results across calls that stay calls:
+/// `char`/`short`/`unsigned` parameters, results narrowed on return, and
+/// `out()` inside the loop (a runtime op, so each lone agent's plain run
+/// ends there and resumes after it).
+const NARROW_CALLS: &str = r#"
+char mix(char c, short s, unsigned u) {
+  return c * 7 + (s >> 3) + (u % 1000);
+}
+short fold(short a, unsigned char b, char flag) {
+  if (flag) return a * 3 - b;
+  return a ^ 0x5a5a;
+}
+int main() {
+  int acc = 0x12345678;
+  for (int i = 0; i < 24; i++) {
+    char c = mix(i * 37 + 200, i * 4099 - 30000, acc);
+    short s = fold(acc ^ 0x7fff, c + 0x80, i & 1);
+    acc = acc * 31 + c + s + ((i & 2) ? 0xff : -129) + 0x10000;
+    out(c);
+    out(s);
+  }
+  out(acc);
+  return 0;
+}
+"#;
+
+/// The frontend narrows every argument before a call, so only IR can pass
+/// a wide value to a narrow parameter; the callee then sees it masked to
+/// the parameter's type (its `out`s show the masked bits). Immediates of
+/// every width, some wider than their type, ride along.
+const NARROW_IR: &str = r#"
+module "narrow_ir"
+
+func @narrow(i8, i16, i1) -> i16 {
+bb0:
+  out %a0
+  out %a1
+  %0 = zext %a2 to i16
+  %1 = add i16 %a1, %0
+  %2 = xor i16 %1, 40000:i16
+  ret %2
+}
+
+func @main() -> i32 {
+bb0:
+  br bb1
+bb1:
+  %0 = phi i32 [bb0: 0:i32], [bb2: %7]
+  %1 = phi i32 [bb0: 123456789:i32], [bb2: %6]
+  %2 = cmp slt %0, 16:i32
+  condbr %2, bb2, bb3
+bb2:
+  %3 = mul i32 %1, 40503:i32
+  %4 = call i16 @narrow(%3, %3, %3)
+  %5 = call i16 @narrow(300:i8, 70000:i16, 3:i1)
+  %8 = sext %4 to i32
+  %9 = zext %5 to i32
+  %10 = add i32 %8, %9
+  out %10
+  %6 = add i32 %3, %10
+  %7 = add i32 %0, 1:i32
+  br bb1
+bb3:
+  out %1
+  ret 0:i32
+}
+"#;
+
+/// Pure HW and pure SW of `m` under both loops, traced, with `max_cycles`
+/// swept across the whole run; every finished run's output must equal
+/// the interpreter's.
+fn sweep_lone_agent(m: &twill_ir::Module, name: &str) {
+    let (expect, _, _) = twill_ir::interp::run_main(m, vec![], 1_000_000_000).unwrap();
+    let full = SimConfig { fast_forward: true, ..Default::default() };
+    let hw_cycles = simulate_pure_hw(m, vec![], &full).unwrap().cycles;
+    let sw_cycles = simulate_pure_sw(m, vec![], &full).unwrap().cycles;
+    let longest = hw_cycles.max(sw_cycles);
+    let sweep = (1..64).chain((64..longest + 64).step_by(longest as usize / 97 + 1));
+    for max_cycles in sweep.chain([hw_cycles - 1, hw_cycles, sw_cycles - 1, sw_cycles]) {
+        let cfg = SimConfig { max_cycles, trace_events: 4096, ..Default::default() };
+        let ff = SimConfig { fast_forward: true, ..cfg.clone() };
+        let naive = SimConfig { fast_forward: false, ..cfg };
+        type Sim = fn(&twill_ir::Module, Vec<i32>, &SimConfig) -> Result<SimReport, SimError>;
+        for (mode, sim) in [("pure-hw", simulate_pure_hw as Sim), ("pure-sw", simulate_pure_sw)] {
+            let ctx = format!("{name}, max_cycles {max_cycles} [{mode}]");
+            let fast = sim(m, vec![], &ff);
+            if let Ok(r) = &fast {
+                assert_eq!(r.output, expect, "{ctx}: output differs from the interpreter");
+            }
+            assert_outcomes_equal(fast, sim(m, vec![], &naive), &ctx);
+        }
+    }
+}
+
+/// The fast paths a lone agent takes — a hardware thread stepping FSM
+/// states back to back on one register file per frame, a CPU batching
+/// plain instructions — must stop and report exactly where the naive loop
+/// does, on calls with narrow arguments and results.
+#[test]
+fn lone_agent_fast_paths_match_the_naive_loop() {
+    let mut m = twill_frontend::compile("narrow", NARROW_CALLS).unwrap();
+    let no_inline = twill_passes::PipelineOptions {
+        inline: twill_passes::inline::InlineOptions {
+            small_threshold: 0,
+            single_site_threshold: 0,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    twill_passes::run_standard_pipeline(&mut m, &no_inline);
+    assert!(m.find_func("mix").is_some() && m.find_func("fold").is_some(), "calls must survive");
+    sweep_lone_agent(&m, "mini-C");
+    let ir = twill_ir::parser::parse_module(NARROW_IR).expect("test IR parses");
+    sweep_lone_agent(&ir, "IR");
+}

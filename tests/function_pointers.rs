@@ -2,7 +2,7 @@
 //! first-class, indirect calls execute on the software master, and the
 //! rest of the program still reaches hardware.
 
-use twill::Compiler;
+use twill::{Compiler, ConfigError, SimError};
 
 const DISPATCH_SRC: &str = r#"
 int op_add(int a, int b) { return a + b; }
@@ -51,6 +51,25 @@ fn dispatch_table_all_configs() {
     assert_eq!(b.simulate_pure_sw(input()).unwrap().output, golden);
     let tw = b.simulate_hybrid(input()).expect("hybrid");
     assert_eq!(tw.output, golden);
+}
+
+/// Pure HW runs the whole program as one hardware thread, and hardware
+/// cannot call through a pointer: the run is refused before it starts,
+/// naming the function and the C line of the indirect call.
+#[test]
+fn pure_hw_rejects_the_indirect_call_before_the_run() {
+    let b = Compiler::new().partitions(3).compile("fp", DISPATCH_SRC).unwrap();
+    let err = b.simulate_pure_hw(input()).expect_err("pure HW cannot call through a pointer");
+    match &err {
+        SimError::Config(ConfigError::HwUnsupported { func, line, what }) => {
+            assert_eq!(func, "main");
+            assert_eq!(*line, 16, "the line of `acc = table[i & 3](acc, v)`");
+            assert!(what.contains("indirect call"), "{what}");
+        }
+        other => panic!("expected HwUnsupported, got {other:?}"),
+    }
+    let msg = err.to_string();
+    assert!(msg.contains("@main, line 16") && msg.contains("hardware thread"), "{msg}");
 }
 
 #[test]
