@@ -341,6 +341,9 @@ pub struct Interp {
     pub steps: u64,
     /// Phi parallel-copy staging, reused across branches.
     phi_buf: Vec<(InstId, i64)>,
+    /// Register and argument vectors of returned frames, reused by the
+    /// next calls so a call allocates nothing past the deepest nesting.
+    frame_pool: Vec<(Vec<i64>, Vec<i64>)>,
 }
 
 impl Interp {
@@ -364,6 +367,7 @@ impl Interp {
             finished: None,
             steps: 0,
             phi_buf: Vec::new(),
+            frame_pool: Vec::new(),
         }
     }
 
@@ -398,6 +402,25 @@ impl Interp {
             }
             Value::Imm(x, t) => t.mask(x),
         }
+    }
+
+    /// Enter `callee` with `args` evaluated in the current frame.
+    fn push_frame(&mut self, m: &Module, callee: FuncId, args: &[Value]) {
+        let (mut regs, mut argv) = self.frame_pool.pop().unwrap_or_default();
+        argv.clear();
+        argv.extend(args.iter().map(|a| self.eval(m, *a)));
+        let cf = m.func(callee);
+        regs.clear();
+        regs.resize(cf.insts.len(), 0);
+        self.frames.push(Frame {
+            func: callee,
+            block: cf.entry,
+            pc: 0,
+            regs,
+            args: argv,
+            sp_save: self.sp,
+            pending_call: None,
+        });
     }
 
     /// Transfer control to `target`, resolving its PHIs in parallel.
@@ -549,17 +572,8 @@ impl Interp {
                 if self.frames.len() >= 512 {
                     return Err(ExecError::Recursion(cf.name.clone()));
                 }
-                let argv: Vec<i64> = args.iter().map(|a| self.eval(m, *a)).collect();
                 self.frames.last_mut().unwrap().pending_call = Some(iid);
-                self.frames.push(Frame {
-                    func: callee,
-                    block: cf.entry,
-                    pc: 0,
-                    regs: vec![0; cf.insts.len()],
-                    args: argv,
-                    sp_save: self.sp,
-                    pending_call: None,
-                });
+                self.push_frame(m, callee, args);
                 self.steps += 1;
                 Ok(StepEvent::Executed(fid, iid))
             }
@@ -570,18 +584,8 @@ impl Interp {
                 if self.frames.len() >= 512 {
                     return Err(ExecError::Recursion(m.func(*callee).name.clone()));
                 }
-                let argv: Vec<i64> = args.iter().map(|a| self.eval(m, *a)).collect();
                 self.frames.last_mut().unwrap().pending_call = Some(iid);
-                let cf = m.func(*callee);
-                self.frames.push(Frame {
-                    func: *callee,
-                    block: cf.entry,
-                    pc: 0,
-                    regs: vec![0; cf.insts.len()],
-                    args: argv,
-                    sp_save: self.sp,
-                    pending_call: None,
-                });
+                self.push_frame(m, *callee, args);
                 self.steps += 1;
                 Ok(StepEvent::Executed(fid, iid))
             }
@@ -641,6 +645,7 @@ impl Interp {
                 let val = v.map(|x| self.eval(m, x));
                 let done = self.frames.pop().unwrap();
                 self.sp = done.sp_save;
+                self.frame_pool.push((done.regs, done.args));
                 self.steps += 1;
                 match self.frames.last_mut() {
                     None => {

@@ -227,13 +227,14 @@ impl Cpu {
         self.busy_cycles += 1;
     }
 
-    /// Run-ahead fast path for a CPU running alone (DESIGN.md §12): retire
-    /// plain instructions back to back, charging each one's cycles in bulk,
-    /// until the next instruction is a runtime op, the CPU finishes, or the
-    /// clock reaches `limit`. The memory is taken and the runtime adapter
-    /// built once for the whole run. Every cycle it advances is busy;
-    /// returns how many. Only legal with no peer that could act in the
-    /// meantime.
+    /// Run-ahead fast path (DESIGN.md §12): retire plain instructions back
+    /// to back, charging each one's cycles in bulk, until the next
+    /// instruction is a runtime op, the CPU finishes, or the clock reaches
+    /// `limit`. The memory is taken and the runtime adapter built once for
+    /// the whole run. A runtime op needs the bus, so it is handed back
+    /// unissued; plain instructions touch no bus, so the run is legal when
+    /// every peer is finished or asleep through `limit`. Every cycle it
+    /// advances is busy; returns how many.
     pub(crate) fn run_plain(&mut self, m: &Module, shared: &mut Shared, limit: u64) -> u64 {
         let start = shared.cycle;
         if self.pending.is_some() || self.ready.is_some() {

@@ -24,7 +24,9 @@
 //! Each lowered function keeps its initial register file (results and
 //! arguments zero, constants in place); a new frame starts as a copy of it
 //! with the caller's arguments written in, so reading an operand is one
-//! indexed load whatever kind of value it names.
+//! indexed load whatever kind of value it names. The copy lands in a
+//! register vector the thread recycles from returned frames, so a call
+//! allocates nothing once the thread has reached its deepest nesting.
 
 use crate::shared::{OpKind, PendState, Pending, Shared};
 use crate::system::ConfigError;
@@ -154,9 +156,17 @@ struct LFunc {
 }
 
 impl LFunc {
-    /// A fresh frame of this function with its arguments in place.
-    fn frame(&self, func: FuncId, args: impl Iterator<Item = i64>, sp_save: u32) -> HwFrame {
-        let mut regs = self.init.clone();
+    /// A fresh frame of this function with its arguments in place, its
+    /// register file refilled into `regs` (a recycled vector).
+    fn frame(
+        &self,
+        func: FuncId,
+        args: impl Iterator<Item = i64>,
+        sp_save: u32,
+        mut regs: Vec<i64>,
+    ) -> HwFrame {
+        regs.clear();
+        regs.extend_from_slice(&self.init);
         let arg_regs = &mut regs[self.args as usize..][..self.params.len()];
         for ((r, ty), v) in arg_regs.iter_mut().zip(self.params.iter()).zip(args) {
             *r = ty.mask(v);
@@ -433,6 +443,8 @@ pub struct HwThread {
     /// The partition entry function (wait-for-graph analysis).
     entry: FuncId,
     frames: Vec<HwFrame>,
+    /// Register files of returned frames, refilled by the next calls.
+    reg_pool: Vec<Vec<i64>>,
     /// Phi parallel-copy staging, reused across block entries.
     phi_buf: Vec<i64>,
     /// Idle cycles left to burn (schedule gaps).
@@ -462,7 +474,13 @@ impl HwThread {
         HwThread {
             agent_id,
             entry,
-            frames: vec![plan.funcs[entry.index()].frame(entry, std::iter::empty(), stack.0)],
+            frames: vec![plan.funcs[entry.index()].frame(
+                entry,
+                std::iter::empty(),
+                stack.0,
+                Vec::new(),
+            )],
+            reg_pool: Vec::new(),
             phi_buf: Vec::new(),
             charge: 0,
             pending: None,
@@ -643,25 +661,43 @@ impl HwThread {
                 }
             }
         } else {
-            self.execute(plan, shared)
+            self.execute(plan, shared, false)
         }
     }
 
-    /// Run-ahead fast path for a hardware thread running alone (DESIGN.md
-    /// §12): execute FSM states back to back, each in its own cycle opened
-    /// with `begin_cycle`, burning schedule gaps in bulk, until an op stays
-    /// in flight past its issue cycle, the thread finishes, or the clock
-    /// reaches `limit`. Memory and runtime ops issue through the normal bus
-    /// path; with no live peer nothing can contest the bus. Returns how many
-    /// of the cycles it advanced were busy; the one other cycle it can
-    /// advance is the finishing one, which `tick_agent` charges `Idle`.
-    /// Only legal with no peer that could act in the meantime.
-    pub(crate) fn run_plain(&mut self, plan: &HwPlan, shared: &mut Shared, limit: u64) -> u64 {
+    /// Run-ahead fast path (DESIGN.md §12): execute FSM states back to
+    /// back, each in its own cycle opened with `begin_cycle`, burning
+    /// schedule gaps in bulk, until an op stays in flight past its issue
+    /// cycle, the thread finishes, or the clock reaches `limit`. Memory ops
+    /// issue through the normal bus path: no sleeping peer polls a bus.
+    /// Legal when every peer is finished or asleep through `limit`. With
+    /// `peers` set the run stops before a module-bus op (queue, semaphore,
+    /// stream I/O), which a sleeper later in the rotation could be served
+    /// by in the same cycle, and closes that cycle again unobserved; the
+    /// op issues on a real tick. Returns how many of the cycles it advanced
+    /// were busy; the one other cycle it can advance is the finishing one,
+    /// which `tick_agent` charges `Idle`.
+    pub(crate) fn run_plain(
+        &mut self,
+        plan: &HwPlan,
+        shared: &mut Shared,
+        limit: u64,
+        peers: bool,
+    ) -> u64 {
         let mut busy = 0;
         while self.charge == 0 && self.pending.is_none() && !self.finished && shared.cycle < limit {
             shared.begin_cycle();
-            if self.execute(plan, shared) == Progress::Busy {
-                busy += 1;
+            match self.execute(plan, shared, peers) {
+                Progress::Busy => busy += 1,
+                Progress::Blocked => {
+                    // Held before a module-bus op. The entries executed in
+                    // this cycle touched only the thread's own registers
+                    // and stack, so the real tick carries on from the op.
+                    shared.cycle -= 1;
+                    shared.stats.cycles = shared.cycle;
+                    break;
+                }
+                Progress::Finished => {}
             }
             let k = (self.charge as u64).min(limit - shared.cycle);
             self.charge -= k as u32;
@@ -672,8 +708,11 @@ impl HwThread {
         busy
     }
 
-    /// Execute schedule entries until a cycle is consumed.
-    fn execute(&mut self, plan: &HwPlan, shared: &mut Shared) -> Progress {
+    /// Execute schedule entries until a cycle is consumed. With `hold_bus`
+    /// it returns `Blocked`, having issued nothing, on reaching a module-bus
+    /// op (see [`HwThread::run_plain`]); it never returns `Blocked`
+    /// otherwise.
+    fn execute(&mut self, plan: &HwPlan, shared: &mut Shared, hold_bus: bool) -> Progress {
         // Only calls, returns and branches change the frame or the block,
         // and each of them ends the cycle.
         let fr = self.frames.last_mut().unwrap();
@@ -782,6 +821,9 @@ impl HwThread {
                     (OpKind::MemStore(addr, ty, fr.eval(*val)), cost::HW_STORE_LATENCY)
                 }
                 LOp::Intrin(i, arg) => {
+                    if hold_bus {
+                        return Progress::Blocked;
+                    }
                     let arg = || fr.eval(arg.expect("intrinsic operand"));
                     match *i {
                         LIntr::Enqueue(q, qty) => {
@@ -800,7 +842,8 @@ impl HwThread {
                 }
                 LOp::Call(callee, args) => {
                     let args = args.iter().map(|&a| fr.eval(a));
-                    let frame = plan.funcs[callee.index()].frame(*callee, args, self.sp);
+                    let regs = self.reg_pool.pop().unwrap_or_default();
+                    let frame = plan.funcs[callee.index()].frame(*callee, args, self.sp, regs);
                     fr.pending_call = Some((dst, ty));
                     self.attr_site = site;
                     self.frames.push(frame);
@@ -813,6 +856,7 @@ impl HwThread {
                     self.attr_site = site;
                     let done = self.frames.pop().unwrap();
                     self.sp = done.sp_save;
+                    self.reg_pool.push(done.regs);
                     self.waive_credit = 0;
                     return match self.frames.last_mut() {
                         None => {

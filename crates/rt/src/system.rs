@@ -42,8 +42,9 @@ pub struct SimConfig {
     pub watchdog_window: u64,
     /// Event-driven fast-forward: leap the clock over spans where every
     /// agent is provably burning charge or re-polling a blocked op, stop
-    /// ticking finished agents, and run the last live agent by itself
-    /// (observably identical to ticking each cycle; see DESIGN.md §12).
+    /// ticking finished agents, run the last live agent by itself, and run
+    /// the one awake agent ahead of sleeping peers (observably identical to
+    /// ticking each cycle; see DESIGN.md §12).
     /// `false` forces the naive tick-every-cycle loop — the bisection
     /// escape hatch. Defaults to on unless the `TWILL_NO_FAST_FORWARD`
     /// environment variable is set, which is how every tool selects it.
@@ -539,6 +540,9 @@ pub fn simulate_hybrid_scheduled(
     let hw_entries: Vec<twill_ir::FuncId> = hw_specs.iter().map(|t| t.entry).collect();
     let plan = HwPlan::new(m, sched, &hw_entries)?;
     let stacks = stack_regions(m, cfg.mem_size, total);
+    // Every software thread runs on the one CPU agent: agents are the CPU
+    // and the hardware threads, whatever the thread count.
+    let agents = 1 + hw_specs.len();
     let mut shared = Shared::new(
         m,
         cfg.mem_size,
@@ -546,7 +550,7 @@ pub fn simulate_hybrid_scheduled(
         cfg.queue_extra(),
         cfg.queue_depth,
         &cfg.queue_depths,
-        total,
+        agents,
     );
     if let Some(plan) = &cfg.fault {
         shared.install_faults(plan);
@@ -568,7 +572,7 @@ pub fn simulate_hybrid_scheduled(
             h
         })
         .collect();
-    let mut profile = cfg.profile.then(|| crate::profile::SimProfile::new(total));
+    let mut profile = cfg.profile.then(|| crate::profile::SimProfile::new(agents));
     let mut tl = TimelineState::new(cfg, &shared);
     let halt = run_loop(m, &plan, &mut shared, Some(&mut cpu), &mut hw, cfg, &mut profile, &mut tl);
     let cycles = shared.cycle;
@@ -607,12 +611,21 @@ trait SimAgent {
     fn next_interesting_cycle(&self, now: u64, shared: &Shared) -> u64;
     fn skip_spec(&self) -> SkipSpec;
     fn apply_skip(&mut self, k: u64);
-    /// Run-ahead fast path for an agent running alone: advance the clock
-    /// up to `limit` in one tight loop, without per-cycle loop work, and
-    /// return how many of the cycles it advanced were busy. Any other
-    /// cycle it advanced is a hardware thread's finishing cycle, charged
-    /// `Idle` as [`tick_agent`] would.
-    fn run_plain(&mut self, m: &Module, plan: &HwPlan, shared: &mut Shared, limit: u64) -> u64;
+    /// Run-ahead fast path: advance the clock up to `limit` in one tight
+    /// loop, without per-cycle loop work, and return how many of the cycles
+    /// it advanced were busy. Any other cycle it advanced is a hardware
+    /// thread's finishing cycle, charged `Idle` as [`tick_agent`] would.
+    /// Legal when every peer is finished or asleep through `limit`; with
+    /// sleeping `peers` it also stops before any op that could serve one of
+    /// them (see [`awake_run`]).
+    fn run_plain(
+        &mut self,
+        m: &Module,
+        plan: &HwPlan,
+        shared: &mut Shared,
+        limit: u64,
+        peers: bool,
+    ) -> u64;
 }
 
 impl SimAgent for Cpu {
@@ -640,7 +653,15 @@ impl SimAgent for Cpu {
     fn apply_skip(&mut self, k: u64) {
         Cpu::apply_skip(self, k)
     }
-    fn run_plain(&mut self, m: &Module, _plan: &HwPlan, shared: &mut Shared, limit: u64) -> u64 {
+    fn run_plain(
+        &mut self,
+        m: &Module,
+        _plan: &HwPlan,
+        shared: &mut Shared,
+        limit: u64,
+        _peers: bool,
+    ) -> u64 {
+        // Runtime ops are handed back whether or not peers are live.
         Cpu::run_plain(self, m, shared, limit)
     }
 }
@@ -670,8 +691,15 @@ impl SimAgent for HwThread {
     fn apply_skip(&mut self, k: u64) {
         HwThread::apply_skip(self, k)
     }
-    fn run_plain(&mut self, _m: &Module, plan: &HwPlan, shared: &mut Shared, limit: u64) -> u64 {
-        HwThread::run_plain(self, plan, shared, limit)
+    fn run_plain(
+        &mut self,
+        _m: &Module,
+        plan: &HwPlan,
+        shared: &mut Shared,
+        limit: u64,
+        peers: bool,
+    ) -> u64 {
+        HwThread::run_plain(self, plan, shared, limit, peers)
     }
 }
 
@@ -746,9 +774,10 @@ fn settle_idle(shared: &mut Shared, profile: &mut Profile, cpu: Option<&Cpu>, hw
 /// cycle anything observable can happen. Returns whether a leap occurred
 /// (the caller re-enters the loop top either way).
 ///
-/// The target is the minimum over every live agent's
-/// `next_interesting_cycle`, capped so the leap never crosses a pinned
-/// fault's cycle, the watchdog's firing edge, or `max_cycles`. Skipped
+/// The target is `horizon`, the minimum over every live agent's
+/// `next_interesting_cycle` (see [`scan`]), capped so the leap never
+/// crosses a pinned fault's cycle, the watchdog's firing edge, or
+/// `max_cycles`. Skipped
 /// cycles are bulk-charged to each live agent's current stall class at
 /// both stats and profile granularity (finished agents are settled lazily,
 /// see [`settle_idle`]), and the HW rotation advances as if each cycle had
@@ -766,6 +795,7 @@ fn try_fast_forward(
     profile: &mut Profile,
     rotation: &mut usize,
     last_progress_cycle: &mut u64,
+    horizon: u64,
     next_sample_boundary: u64,
 ) -> bool {
     let now = shared.cycle;
@@ -774,13 +804,7 @@ fn try_fast_forward(
         // that tick must actually happen.
         return false;
     }
-    let mut target = u64::MAX;
-    if let Some(c) = cpu.as_deref() {
-        target = target.min(c.next_interesting_cycle(now, shared));
-    }
-    for h in hw.iter() {
-        target = target.min(h.next_interesting_cycle(now, shared));
-    }
+    let mut target = horizon;
     if let Some(p) = shared.next_pinned_fault_cycle() {
         target = target.min(p.max(now + 1));
     }
@@ -920,7 +944,7 @@ fn run_alone<A: SimAgent>(
             return Stop::Timeout;
         }
         let start = shared.cycle;
-        let busy = a.run_plain(m, plan, shared, cfg.max_cycles);
+        let busy = a.run_plain(m, plan, shared, cfg.max_cycles, false);
         if shared.cycle > start {
             let c = &mut shared.stats.agent_cycles[aid];
             c.busy += busy;
@@ -964,6 +988,120 @@ fn run_alone<A: SimAgent>(
             return Stop::Watchdog;
         }
     }
+}
+
+/// A live agent, as the loop-top [`scan`] names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Who {
+    Cpu,
+    Hw(usize),
+}
+
+/// The live agents that can act on the next cycle (are awake).
+enum Awake {
+    None,
+    One(Who),
+    Many,
+}
+
+/// What the loop-top scan of the live agents' horizons found.
+struct Scan {
+    awake: Awake,
+    /// The earliest horizon among the live agents that sleep through the
+    /// next cycle (`u64::MAX` when none does or all wait on peers).
+    sleepers: u64,
+}
+
+/// Ask every live agent for its `next_interesting_cycle` once. No agent
+/// awake: the loop leaps to `sleepers`. Exactly one awake: it may run
+/// ahead of the sleepers ([`awake_run`]). Otherwise the loop ticks.
+fn scan(cpu: Option<&Cpu>, hw: &[HwThread], shared: &Shared) -> Scan {
+    let now = shared.cycle;
+    let mut s = Scan { awake: Awake::None, sleepers: u64::MAX };
+    let mut see = |horizon: u64, who: Who| {
+        if horizon > now + 1 {
+            s.sleepers = s.sleepers.min(horizon);
+        } else if let Awake::None = s.awake {
+            s.awake = Awake::One(who);
+        } else {
+            s.awake = Awake::Many;
+        }
+    };
+    if let Some(c) = cpu.filter(|c| !c.is_finished()) {
+        see(c.next_interesting_cycle(now, shared), Who::Cpu);
+    }
+    for (i, h) in hw.iter().enumerate().filter(|(_, h)| !h.is_finished()) {
+        see(h.next_interesting_cycle(now, shared), Who::Hw(i));
+    }
+    s
+}
+
+/// Awake run: run the one awake agent `who` ahead of its sleeping peers,
+/// by its `run_plain`, up to `limit` (at most the cycle before the
+/// earliest sleeper horizon). Every other live agent sleeps through the
+/// span: it burns a charge, counts down a latency, or waits on a resource
+/// that is not ready. Its naive ticks would only re-poll, and the awake
+/// agent cannot wake it, since a CPU hands back every runtime op and a
+/// hardware thread stops before every module-bus op; memory traffic
+/// serves no waiter. So each sleeper is bulk-charged for the span under
+/// its skip spec, as a leap charges it, and the HW rotation advances as
+/// if each cycle had been ticked. Returns whether the clock moved.
+#[allow(clippy::too_many_arguments)]
+fn awake_run(
+    who: Who,
+    m: &Module,
+    plan: &HwPlan,
+    shared: &mut Shared,
+    cpu: Option<&mut Cpu>,
+    hw: &mut [HwThread],
+    limit: u64,
+    rotation: &mut usize,
+    last_progress_cycle: &mut u64,
+) -> bool {
+    let start = shared.cycle;
+    let mut cpu = cpu.filter(|c| !c.is_finished());
+    let (aid, busy) = {
+        let a: &mut dyn SimAgent = match who {
+            Who::Cpu => cpu.take().expect("the awake CPU is live"),
+            Who::Hw(i) => &mut hw[i],
+        };
+        shared.set_agent(a.agent_id() as u16);
+        (a.agent_id(), a.run_plain(m, plan, shared, limit, true))
+    };
+    let k = shared.cycle - start;
+    if k == 0 {
+        return false;
+    }
+    let c = &mut shared.stats.agent_cycles[aid];
+    c.busy += busy;
+    c.idle += k - busy;
+    let mut sleeper_busy = false;
+    let mut sleep = |shared: &mut Shared, a: &mut dyn SimAgent| {
+        let spec = a.skip_spec();
+        a.apply_skip(k);
+        charge_skip(shared, &mut None, a.agent_id(), &spec, None, k);
+        sleeper_busy |= spec.progress == Progress::Busy;
+    };
+    if let Some(c) = cpu {
+        sleep(shared, c);
+    }
+    for (i, h) in hw.iter_mut().enumerate() {
+        if who != Who::Hw(i) && !h.is_finished() {
+            sleep(shared, h);
+        }
+    }
+    let n = hw.len();
+    if n > 0 {
+        *rotation = (*rotation + (k % n as u64) as usize) % n;
+    }
+    // The awake agent is busy on every cycle it advanced but a hardware
+    // thread's finishing one, which is its last.
+    if sleeper_busy || busy == k {
+        *last_progress_cycle = shared.cycle;
+    } else if busy > 0 {
+        *last_progress_cycle = shared.cycle - 1;
+    }
+    true
 }
 
 /// Interval-sampling state for the counter timeline (DESIGN.md §15).
@@ -1090,8 +1228,9 @@ enum Stop {
 /// The global cycle loop: CPU ticks first (module-bus priority, §4.1),
 /// then the hardware threads in rotating order (longest-waiting fairness).
 /// With `cfg.fast_forward` the loop leaps over cycles no agent can act on
-/// (see [`try_fast_forward`]), stops ticking finished agents, and runs the
-/// last live agent by itself (see [`run_alone`]); otherwise every agent is
+/// (see [`try_fast_forward`]), stops ticking finished agents, runs the
+/// last live agent by itself (see [`run_alone`]) and the one awake agent
+/// ahead of sleeping peers (see [`awake_run`]); otherwise every agent is
 /// ticked naively on every cycle.
 #[allow(clippy::too_many_arguments)]
 fn run_loop(
@@ -1223,18 +1362,37 @@ fn drive(
                     }
                 };
             }
-            if try_fast_forward(
-                cpu.as_deref_mut(),
-                hw,
-                shared,
-                cfg,
-                profile,
-                &mut rotation,
-                &mut last_progress_cycle,
-                tl.next_boundary,
-            ) {
-                sample(tl, shared, profile, cpu.as_deref(), hw);
-                continue;
+            let s = scan(cpu.as_deref(), hw, shared);
+            match s.awake {
+                Awake::None
+                    if try_fast_forward(
+                        cpu.as_deref_mut(),
+                        hw,
+                        shared,
+                        cfg,
+                        profile,
+                        &mut rotation,
+                        &mut last_progress_cycle,
+                        s.sleepers,
+                        tl.next_boundary,
+                    ) =>
+                {
+                    sample(tl, shared, profile, cpu.as_deref(), hw);
+                    continue;
+                }
+                Awake::One(who) if run_ahead => {
+                    // Sleeper horizons lie past the next cycle, so the
+                    // limit lets the awake agent run at least one.
+                    let limit = (s.sleepers - 1).min(cfg.max_cycles);
+                    let (rot, lp) = (&mut rotation, &mut last_progress_cycle);
+                    if awake_run(who, m, plan, shared, cpu.as_deref_mut(), hw, limit, rot, lp) {
+                        if shared.cycle - last_progress_cycle > cfg.watchdog_window {
+                            return Stop::Watchdog;
+                        }
+                        continue;
+                    }
+                }
+                _ => {}
             }
         }
         shared.begin_cycle();

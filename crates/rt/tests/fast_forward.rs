@@ -7,9 +7,10 @@
 //! A proptest drives both loops over random configurations, fault plans,
 //! and watchdog windows and compares entire `SimReport`s; unit tests pin
 //! the sharp edges (a pinned fault inside a skipped span, determinism of
-//! the fast path itself), and every CHStone program is compared in all
-//! three modes — many HW threads finishing at different times, constant-ROM
-//! loads, calls, and CPU and HW threads live at once.
+//! the fast path itself, an agent running ahead of sleeping peers), and
+//! every CHStone program is compared in all three modes — many HW threads
+//! finishing at different times, constant-ROM loads, calls, and CPU and HW
+//! threads live at once.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -332,17 +333,7 @@ bb0:
 }}
 "#
     );
-    let module = twill_ir::parser::parse_module(&ir).expect("test IR parses");
-    let master = module.find_func("master").expect("@master");
-    let worker = module.find_func("worker").expect("@worker");
-    DswpResult {
-        module,
-        threads: vec![
-            ThreadSpec { entry: master, partition: 0, is_hw: false },
-            ThreadSpec { entry: worker, partition: 1, is_hw: true },
-        ],
-        stats: Default::default(),
-    }
+    hand_built(&ir, &[("master", false), ("worker", true)])
 }
 
 /// Run-ahead (the last live agent running by itself) must stop exactly
@@ -484,4 +475,233 @@ fn lone_agent_fast_paths_match_the_naive_loop() {
     sweep_lone_agent(&m, "mini-C");
     let ir = twill_ir::parser::parse_module(NARROW_IR).expect("test IR parses");
     sweep_lone_agent(&ir, "IR");
+}
+
+/// Queue ops 64× the thesis latency on two-slot queues, traced, with
+/// profiling off: the stall-heavy shape without the profile, which keeps
+/// a run on the general loop and so away from run-ahead.
+fn slow_queues() -> SimConfig {
+    SimConfig { queue_latency: 128, queue_depth: Some(2), trace_events: 1024, ..Default::default() }
+}
+
+/// The CHStone programs at scale 1 at the kinds of design point a sweep
+/// visits: the default partitioning and two partitions with the software
+/// stage at about 20%, 50% and 80% of the work, each under the default
+/// queues and under [`slow_queues`]. Run-ahead with one awake agent among
+/// sleepers takes most of these runs' cycles. Motion is left out, as
+/// perfbench's `explore` leaves it out: its runs would take most of the
+/// test's time.
+#[test]
+fn chstone_run_ahead_points_are_equivalent() {
+    let traced = SimConfig { trace_events: 1024, ..Default::default() };
+    for b in chstone::all().into_iter().filter(|b| b.name != "motion") {
+        let m = chstone::compile_and_prepare(&b);
+        let input = chstone::input_for(b.name, 1);
+        let d = run_dswp(&m, &DswpOptions { num_partitions: b.partitions, ..Default::default() });
+        run_both(&m, &d, &input, &slow_queues(), &format!("{} slow queues", b.name));
+        for sw in [0.2, 0.5, 0.8] {
+            let split = Some(vec![sw, 1.0 - sw]);
+            let d = run_dswp(
+                &m,
+                &DswpOptions { num_partitions: 2, split_points: split, ..Default::default() },
+            );
+            for (cfg, name) in [(&traced, "default queues"), (&slow_queues(), "slow queues")] {
+                let ctx = format!("{} split {sw}, {name} [hybrid]", b.name);
+                let ff = SimConfig { fast_forward: true, ..cfg.clone() };
+                let naive = SimConfig { fast_forward: false, ..cfg.clone() };
+                assert_outcomes_equal(
+                    simulate_hybrid(&d, input.clone(), &ff),
+                    simulate_hybrid(&d, input.clone(), &naive),
+                    &ctx,
+                );
+            }
+        }
+    }
+}
+
+/// A hybrid of hand-written threads: `specs` lists each entry function
+/// by name with whether it is a hardware thread, one partition each, in
+/// agent order.
+fn hand_built(ir: &str, specs: &[(&str, bool)]) -> DswpResult {
+    let module = twill_ir::parser::parse_module(ir).expect("test IR parses");
+    let threads = specs
+        .iter()
+        .enumerate()
+        .map(|(partition, &(name, is_hw))| ThreadSpec {
+            entry: module.find_func(name).expect("entry function"),
+            partition,
+            is_hw,
+        })
+        .collect();
+    DswpResult { module, threads, stats: Default::default() }
+}
+
+/// Hybrid runs of `d` under both loops, traced, with `max_cycles` swept
+/// across the whole run, through the sleepers' spans; a finished run's
+/// output must equal `expect`.
+fn sweep_hybrid(d: &DswpResult, expect: &[i32], cfg: &SimConfig, name: &str) {
+    let full = simulate_hybrid(d, vec![], &SimConfig { fast_forward: true, ..cfg.clone() })
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(full.output, expect, "{name}: wrong output");
+    let sweep = (1..64).chain((64..full.cycles + 64).step_by(full.cycles as usize / 150 + 1));
+    for max_cycles in sweep.chain([full.cycles - 1, full.cycles]) {
+        let cfg = SimConfig { max_cycles, trace_events: 4096, ..cfg.clone() };
+        let ctx = format!("{name}, max_cycles {max_cycles}");
+        let ff = simulate_hybrid(d, vec![], &SimConfig { fast_forward: true, ..cfg.clone() });
+        let naive = simulate_hybrid(d, vec![], &SimConfig { fast_forward: false, ..cfg });
+        assert_outcomes_equal(ff, naive, &ctx);
+    }
+}
+
+/// Two hardware threads: `@producer` computes between pushes (a varying
+/// number of plain FSM states, so its pushes fall on both rotation
+/// orders) while `@consumer` sleeps on the empty `q0`, and the CPU sleeps
+/// on `q1` until the consumer reports. The producer runs ahead of both
+/// sleepers; its push must wait for a real tick, since a consumer later
+/// in that cycle's rotation is served in the same cycle.
+const ROTATION_IR: &str = r#"
+module "rotation"
+queue q0 i32 x 2
+queue q1 i32 x 1
+
+func @master() {
+bb0:
+  %0 = dequeue i32 q1
+  out %0
+  ret
+}
+
+func @producer() {
+bb0:
+  br bb1
+bb1:
+  %0 = phi i32 [bb0: 0:i32], [bb3: %9]
+  %1 = phi i32 [bb0: 7:i32], [bb3: %5]
+  %2 = cmp slt %0, 24:i32
+  condbr %2, bb2, bb4
+bb2:
+  %3 = phi i32 [bb1: 0:i32], [bb2: %6]
+  %4 = phi i32 [bb1: %1], [bb2: %5]
+  %5 = mul i32 %4, 5:i32
+  %6 = add i32 %3, 1:i32
+  %7 = srem i32 %0, 4:i32
+  %8 = cmp sle %6, %7
+  condbr %8, bb2, bb3
+bb3:
+  enqueue q0, %5
+  %9 = add i32 %0, 1:i32
+  br bb1
+bb4:
+  enqueue q0, -1:i32
+  ret
+}
+
+func @consumer() {
+bb0:
+  br bb1
+bb1:
+  %0 = phi i32 [bb0: 0:i32], [bb2: %4]
+  %1 = dequeue i32 q0
+  %2 = cmp eq %1, -1:i32
+  condbr %2, bb3, bb2
+bb2:
+  %3 = mul i32 %0, 31:i32
+  %4 = add i32 %3, %1
+  br bb1
+bb3:
+  enqueue q1, %0
+  ret
+}
+"#;
+
+/// A hardware thread running ahead of a sleeper later in the rotation
+/// that waits on the queue it pushes, in both rotation orders, under the
+/// default and slow queues.
+#[test]
+fn awake_run_leaves_pushes_to_sleepers_for_a_real_tick() {
+    let (mut y, mut acc) = (7i32, 0i32);
+    for i in 0..24 {
+        for _ in 0..=i % 4 {
+            y = y.wrapping_mul(5);
+        }
+        acc = acc.wrapping_mul(31).wrapping_add(y);
+    }
+    for order in [["producer", "consumer"], ["consumer", "producer"]] {
+        let d = hand_built(ROTATION_IR, &[("master", false), (order[0], true), (order[1], true)]);
+        for (cfg, name) in [(SimConfig::default(), "default"), (slow_queues(), "slow queues")] {
+            sweep_hybrid(&d, &[acc], &cfg, &format!("rotation {order:?}, {name}"));
+        }
+    }
+}
+
+/// Two software threads and a hardware thread. `@waiter`, active first,
+/// blocks on `q0` until `@worker` has run a long plain loop, while
+/// `@busy` is runnable: the CPU sleeps only until its 4-cycle blocked
+/// streak switches threads, which bounds how far the awake hardware
+/// thread may run ahead.
+const TWO_SW_IR: &str = r#"
+module "two_sw"
+queue q0 i32 x 2
+
+func @waiter() {
+bb0:
+  %0 = dequeue i32 q0
+  out %0
+  ret
+}
+
+func @busy() {
+bb0:
+  br bb1
+bb1:
+  %0 = phi i32 [bb0: 0:i32], [bb1: %2]
+  %1 = phi i32 [bb0: 3:i32], [bb1: %4]
+  %2 = add i32 %0, 1:i32
+  %3 = mul i32 %1, 7:i32
+  %4 = xor i32 %3, %0
+  %5 = cmp slt %2, 40:i32
+  condbr %5, bb1, bb2
+bb2:
+  out %4
+  ret
+}
+
+func @worker() {
+bb0:
+  br bb1
+bb1:
+  %0 = phi i32 [bb0: 0:i32], [bb1: %2]
+  %1 = phi i32 [bb0: 1:i32], [bb1: %4]
+  %2 = add i32 %0, 1:i32
+  %3 = mul i32 %1, 3:i32
+  %4 = add i32 %3, %0
+  %5 = cmp slt %2, 200:i32
+  condbr %5, bb1, bb2
+bb2:
+  enqueue q0, %4
+  ret
+}
+"#;
+
+/// A CPU sleeper whose horizon is its blocked streak, not a peer: the
+/// awake hardware thread must stop where the naive loop switches threads.
+#[test]
+fn awake_run_stops_at_a_blocked_cpu_thread_switch() {
+    let d = hand_built(TWO_SW_IR, &[("waiter", false), ("busy", false), ("worker", true)]);
+    let (mut x, mut w) = (3i32, 1i32);
+    for i in 0..40 {
+        x = x.wrapping_mul(7) ^ i;
+    }
+    for i in 0..200 {
+        w = w.wrapping_mul(3).wrapping_add(i);
+    }
+    let full = simulate_hybrid(&d, vec![], &SimConfig::default()).unwrap();
+    let mut got = full.output.clone();
+    got.sort_unstable();
+    let mut expect = vec![x, w];
+    expect.sort_unstable();
+    assert_eq!(got, expect, "both software threads report");
+    for (cfg, name) in [(SimConfig::default(), "default"), (slow_queues(), "slow queues")] {
+        sweep_hybrid(&d, &full.output, &cfg, &format!("two software threads, {name}"));
+    }
 }
