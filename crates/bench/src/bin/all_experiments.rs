@@ -1,4 +1,5 @@
-//! Runs every experiment in sequence (the data source for EXPERIMENTS.md).
+//! Runs every experiment in sequence, then the AES design-choice ablations
+//! (the data source for EXPERIMENTS.md).
 //!
 //! ```console
 //! all_experiments
@@ -31,4 +32,14 @@ fn main() {
         "default: {} cycles / {} queues; tuned: {} cycles / {} queues ({:.2}x vs pure HW)",
         t.default_cycles, t.default_queues, t.tuned_cycles, t.tuned_queues, t.tuned_vs_hw
     );
+    println!("\n=== ablations (AES) ===\n");
+    let a = twill::experiments::ablations();
+    println!("HLS chaining / loop pipelining (pure-HW cycles):");
+    for (name, cycles) in &a.hls {
+        println!("  {name:24} {cycles} cycles");
+    }
+    println!("DSWP options (hybrid cycles, queues):");
+    for (name, cycles, queues) in &a.dswp {
+        println!("  {name:24} {cycles} cycles, {queues} queues");
+    }
 }

@@ -14,6 +14,7 @@
 //! | Fig 6.5 (queue-latency sweep)               | [`fig_6_5`] |
 //! | Fig 6.6 (queue-size sweep)                  | [`fig_6_6`] |
 //! | §6.4 Blowfish tuned heuristic               | [`blowfish_tuned`] |
+//! | Design-choice ablations on AES              | [`ablations`] |
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -22,6 +23,8 @@ use crate::artifacts::BuildGraph;
 use crate::report::{power_breakdown, PowerBreakdown};
 use crate::{Compiler, TwillBuild};
 use chstone::Benchmark;
+use twill_dswp::DswpOptions;
+use twill_hls::schedule::HlsOptions;
 
 /// Process-wide artifact graph per benchmark: every table/figure in one
 /// `twill-bench` run (and every sweep point within a figure) shares the
@@ -457,6 +460,59 @@ pub fn blowfish_tuned(scale: Option<u32>) -> BlowfishTuned {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Design-choice ablations (AES)
+// ---------------------------------------------------------------------------
+
+/// Simulated AES cycles with one design choice switched off at a time.
+/// Each list opens with its baseline.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Ablations {
+    /// HLS chaining / loop pipelining: pure-HW cycles.
+    pub hls: Vec<(&'static str, u64)>,
+    /// DSWP control pruning, PHI-constant pairs, frequency-weighted
+    /// placement: hybrid cycles and queue count.
+    pub dswp: Vec<(&'static str, u64, usize)>,
+}
+
+/// The ablations of the design choices DESIGN.md calls out, on AES at its
+/// default scale.
+pub fn ablations() -> Ablations {
+    let b = chstone::AES;
+    let graph = benchmark_graph(&b);
+    let inp = input(&b, None);
+    let hls = [
+        ("baseline", true, true),
+        ("no-chaining", false, true),
+        ("no-loop-pipelining", true, false),
+        ("neither", false, false),
+    ]
+    .map(|(name, chaining, loop_pipelining)| {
+        let hls = HlsOptions { chaining, loop_pipelining, ..Default::default() };
+        let cfg = twill_rt::SimConfig { hls, ..Default::default() };
+        let sched = graph.pure_schedule(&cfg.hls);
+        let rep = twill_rt::simulate_pure_hw_scheduled(graph.prepared(), &sched, inp.clone(), &cfg)
+            .expect("pure HW sim");
+        (name, rep.cycles)
+    });
+    let base = DswpOptions { num_partitions: b.partitions, ..Default::default() };
+    let dswp = [
+        ("baseline", base.clone()),
+        ("no-pruning", DswpOptions { prune: false, ..base.clone() }),
+        ("no-phi-const-pairs", DswpOptions { phi_const_pairs: false, ..base.clone() }),
+        ("flat-placement-weights", DswpOptions { freq_weights: false, ..base }),
+    ]
+    .map(|(name, opts)| {
+        let d = graph.dswp(&opts);
+        let cfg = twill_rt::SimConfig::default();
+        let sched = graph.schedule_for(&d.result.module, d.module_hash, &cfg.hls);
+        let rep = twill_rt::simulate_hybrid_scheduled(&d.result, &sched, inp.clone(), &cfg)
+            .expect("hybrid sim");
+        (name, rep.cycles, d.result.stats.queues)
+    });
+    Ablations { hls: hls.to_vec(), dswp: dswp.to_vec() }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,6 +573,31 @@ mod tests {
         let serial = fig_6_6_with_threads(Some(1), 1);
         let parallel = fig_6_6_with_threads(Some(1), 3);
         assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
+    }
+
+    #[test]
+    fn ablations_are_pinned() {
+        // Simulated cycles are deterministic, so the EXPERIMENTS.md
+        // ablation table is pinned exactly.
+        let a = ablations();
+        assert_eq!(
+            a.hls,
+            [
+                ("baseline", 10_553),
+                ("no-chaining", 73_894),
+                ("no-loop-pipelining", 10_553),
+                ("neither", 73_894),
+            ]
+        );
+        assert_eq!(
+            a.dswp,
+            [
+                ("baseline", 4_298, 61),
+                ("no-pruning", 4_595, 64),
+                ("no-phi-const-pairs", 4_298, 61),
+                ("flat-placement-weights", 4_243, 59),
+            ]
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::hwthread::{HwPlan, HwThread, Progress, SkipSpec};
 use crate::shared::Shared;
 use twill_dswp::DswpResult;
 use twill_hls::schedule::{schedule_module, HlsOptions, ModuleSchedule};
-use twill_ir::{layout, Module, QueueId};
+use twill_ir::{layout, FuncId, Module, QueueId};
 use twill_obs::{ClassCycles, StallClass};
 
 type Profile = Option<crate::profile::SimProfile>;
@@ -42,9 +42,9 @@ pub struct SimConfig {
     pub watchdog_window: u64,
     /// Event-driven fast-forward: leap the clock over spans where every
     /// agent is provably burning charge or re-polling a blocked op, stop
-    /// ticking finished agents, run the last live agent by itself, and run
-    /// the one awake agent ahead of sleeping peers (observably identical to
-    /// ticking each cycle; see DESIGN.md §12).
+    /// ticking finished agents, and run the one awake agent ahead of
+    /// sleeping peers, or by itself when it is the only live agent
+    /// (observably identical to ticking each cycle; see DESIGN.md §12).
     /// `false` forces the naive tick-every-cycle loop — the bisection
     /// escape hatch. Defaults to on unless the `TWILL_NO_FAST_FORWARD`
     /// environment variable is set, which is how every tool selects it.
@@ -319,6 +319,14 @@ impl From<ConfigError> for SimError {
     }
 }
 
+/// Where the per-agent stacks start: the end of the globals, rounded up
+/// to 64 bytes.
+fn stack_base(m: &Module) -> u32 {
+    let globals_end =
+        m.globals.iter().map(|g| g.addr + g.size).max().unwrap_or(layout::GLOBAL_BASE);
+    (globals_end + 63) & !63
+}
+
 /// Reject configurations the simulator would otherwise panic on.
 fn validate_config(m: &Module, cfg: &SimConfig, n_agents: usize) -> Result<(), ConfigError> {
     if cfg.queue_depth == Some(0) {
@@ -348,10 +356,7 @@ fn validate_config(m: &Module, cfg: &SimConfig, n_agents: usize) -> Result<(), C
     }
     // Each agent needs a usable stack region above the globals (the 128
     // floor keeps `stack_regions` arithmetic in range).
-    let globals_end =
-        m.globals.iter().map(|g| g.addr + g.size).max().unwrap_or(layout::GLOBAL_BASE);
-    let base = (globals_end + 63) & !63;
-    let required = base.saturating_add(128 * n_agents.max(1) as u32);
+    let required = stack_base(m).saturating_add(128 * n_agents.max(1) as u32);
     if cfg.mem_size < required {
         return Err(ConfigError::MemTooSmall { required, got: cfg.mem_size });
     }
@@ -360,9 +365,7 @@ fn validate_config(m: &Module, cfg: &SimConfig, n_agents: usize) -> Result<(), C
 
 /// Carve per-thread stack regions out of the memory above the globals.
 fn stack_regions(m: &Module, mem_size: u32, n: usize) -> Vec<(u32, u32)> {
-    let globals_end =
-        m.globals.iter().map(|g| g.addr + g.size).max().unwrap_or(layout::GLOBAL_BASE);
-    let base = (globals_end + 63) & !63;
+    let base = stack_base(m);
     let region = ((mem_size - base) / (n as u32).max(1)) & !63;
     (0..n)
         .map(|i| {
@@ -373,7 +376,7 @@ fn stack_regions(m: &Module, mem_size: u32, n: usize) -> Vec<(u32, u32)> {
 }
 
 /// How a run halted internally; the public [`SimError`] attaches the
-/// partial report to these in the simulate wrappers.
+/// partial report to these in [`simulate`].
 enum RunHalt {
     Timeout(u64),
     Deadlock(HangReport),
@@ -398,49 +401,8 @@ pub fn simulate_pure_sw(
     input: Vec<i32>,
     cfg: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    validate_config(m, cfg, 1)?;
-    let main = m.find_func("main").ok_or(ConfigError::NoMain)?;
-    let stacks = stack_regions(m, cfg.mem_size, 1);
-    let mut shared = Shared::new(
-        m,
-        cfg.mem_size,
-        input,
-        cfg.queue_extra(),
-        cfg.queue_depth,
-        &cfg.queue_depths,
-        1,
-    );
-    if let Some(plan) = &cfg.fault {
-        shared.install_faults(plan);
-    }
-    if cfg.trace_events > 0 {
-        shared.enable_recorder(cfg.trace_events);
-    }
-    let mut cpu = Cpu::new(0, m, &[main], &stacks);
-    let mut profile = cfg.profile.then(|| crate::profile::SimProfile::new(1));
-    let mut tl = TimelineState::new(cfg, &shared);
-    let no_hw = HwPlan::default();
-    let halt =
-        run_loop(m, &no_hw, &mut shared, Some(&mut cpu), &mut [], cfg, &mut profile, &mut tl);
-    let cycles = shared.cycle;
-    let agent_names = vec!["cpu".to_string()];
-    let timeline = tl.finish(&shared, &agent_names);
-    let (events, dropped_events) = shared.take_recorder();
-    let (fault_log, _) = shared.take_fault_log();
-    let report = SimReport {
-        cycles,
-        output: shared.output.clone(),
-        cpu_busy_fraction: cpu.busy_cycles as f64 / cycles.max(1) as f64,
-        stats: shared.stats,
-        hw_threads: 0,
-        agent_names,
-        dropped_events,
-        profile,
-        fault_log,
-        events,
-        timeline,
-    };
-    wrap(halt, report)
+    let main = m.find_func("main");
+    simulate(m, None, main.as_slice(), &[], vec!["cpu".to_string()], input, cfg)
 }
 
 /// Pure-hardware configuration: the LegUp translation of the whole program
@@ -465,48 +427,8 @@ pub fn simulate_pure_hw_scheduled(
     input: Vec<i32>,
     cfg: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    validate_config(m, cfg, 1)?;
-    let main = m.find_func("main").ok_or(ConfigError::NoMain)?;
-    let plan = HwPlan::new(m, sched, &[main])?;
-    let stacks = stack_regions(m, cfg.mem_size, 1);
-    let mut shared = Shared::new(
-        m,
-        cfg.mem_size,
-        input,
-        cfg.queue_extra(),
-        cfg.queue_depth,
-        &cfg.queue_depths,
-        1,
-    );
-    if let Some(plan) = &cfg.fault {
-        shared.install_faults(plan);
-    }
-    if cfg.trace_events > 0 {
-        shared.enable_recorder(cfg.trace_events);
-    }
-    let mut hw = vec![HwThread::new(0, &plan, main, stacks[0])];
-    let mut profile = cfg.profile.then(|| crate::profile::SimProfile::new(1));
-    let mut tl = TimelineState::new(cfg, &shared);
-    let halt = run_loop(m, &plan, &mut shared, None, &mut hw, cfg, &mut profile, &mut tl);
-    let cycles = shared.cycle;
-    let agent_names = vec!["hw0".to_string()];
-    let timeline = tl.finish(&shared, &agent_names);
-    let (events, dropped_events) = shared.take_recorder();
-    let (fault_log, _) = shared.take_fault_log();
-    let report = SimReport {
-        cycles,
-        output: shared.output.clone(),
-        cpu_busy_fraction: 0.0,
-        stats: shared.stats,
-        hw_threads: 1,
-        agent_names,
-        dropped_events,
-        profile,
-        fault_log,
-        events,
-        timeline,
-    };
-    wrap(halt, report)
+    let main = m.find_func("main");
+    simulate(m, Some(sched), &[], main.as_slice(), vec!["hw0".to_string()], input, cfg)
 }
 
 /// The Twill hybrid: partition 0 on the CPU, the rest as HW threads.
@@ -531,18 +453,66 @@ pub fn simulate_hybrid_scheduled(
     input: Vec<i32>,
     cfg: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    let m = &dswp.module;
-    let sw_entries: Vec<twill_ir::FuncId> =
-        dswp.threads.iter().filter(|t| !t.is_hw).map(|t| t.entry).collect();
-    let hw_specs: Vec<&twill_dswp::ThreadSpec> = dswp.threads.iter().filter(|t| t.is_hw).collect();
-    let total = sw_entries.len() + hw_specs.len();
-    validate_config(m, cfg, total)?;
-    let hw_entries: Vec<twill_ir::FuncId> = hw_specs.iter().map(|t| t.entry).collect();
-    let plan = HwPlan::new(m, sched, &hw_entries)?;
-    let stacks = stack_regions(m, cfg.mem_size, total);
-    // Every software thread runs on the one CPU agent: agents are the CPU
-    // and the hardware threads, whatever the thread count.
-    let agents = 1 + hw_specs.len();
+    let entries = |hw: bool| -> Vec<FuncId> {
+        dswp.threads.iter().filter(|t| t.is_hw == hw).map(|t| t.entry).collect()
+    };
+    // One naming authority for simulator tracks, obs exporters, and the
+    // hardware counter register map.
+    let names = dswp.agent_names();
+    simulate(&dswp.module, Some(sched), &entries(false), &entries(true), names, input, cfg)
+}
+
+/// The one simulation driver behind the `simulate_*` entry points. Every
+/// software thread in `sw` runs on the one CPU agent (there is none when
+/// `sw` is empty), and each entry of `hw` is a hardware thread executing
+/// `sched`; `agent_names` names the agents in order, the CPU first.
+/// Validates the configuration, builds the system, runs it and assembles
+/// the (possibly partial) report.
+fn simulate(
+    m: &Module,
+    sched: Option<&ModuleSchedule>,
+    sw: &[FuncId],
+    hw: &[FuncId],
+    agent_names: Vec<String>,
+    input: Vec<i32>,
+    cfg: &SimConfig,
+) -> Result<SimReport, SimError> {
+    let threads = sw.len() + hw.len();
+    validate_config(m, cfg, threads)?;
+    if threads == 0 {
+        // Only a pure run of a module without `@main` has no thread.
+        return Err(ConfigError::NoMain.into());
+    }
+    let plan = match sched {
+        Some(sched) => HwPlan::new(m, sched, hw)?,
+        None => HwPlan::default(),
+    };
+    let stacks = stack_regions(m, cfg.mem_size, threads);
+    let (sw_stacks, hw_stacks) = stacks.split_at(sw.len());
+    // Startup protocol (§4.4/§4.5): the software master StartThread()s each
+    // hardware thread through the stream interface (5 cycles apiece); a
+    // hardware thread begins executing once its start message arrives.
+    let start_op = twill_ir::cost::SW_RUNTIME_OP as u32;
+    let mut cpu = (!sw.is_empty()).then(|| {
+        let mut c = Cpu::new(0, m, sw, sw_stacks);
+        c.add_startup_charge(hw.len() as u32 * start_op);
+        c
+    });
+    let first_hw = cpu.is_some() as usize;
+    let mut hw: Vec<HwThread> = hw
+        .iter()
+        .zip(hw_stacks)
+        .enumerate()
+        .map(|(i, (&entry, &stack))| {
+            let mut h = HwThread::new(first_hw + i, &plan, entry, stack);
+            if cpu.is_some() {
+                h.set_start_delay((i as u32 + 1) * start_op);
+            }
+            h
+        })
+        .collect();
+    let agents = first_hw + hw.len();
+    debug_assert_eq!(agent_names.len(), agents);
     let mut shared = Shared::new(
         m,
         cfg.mem_size,
@@ -558,35 +528,27 @@ pub fn simulate_hybrid_scheduled(
     if cfg.trace_events > 0 {
         shared.enable_recorder(cfg.trace_events);
     }
-    let mut cpu = Cpu::new(0, m, &sw_entries, &stacks[..sw_entries.len()]);
-    // Startup protocol (§4.4/§4.5): the software master StartThread()s each
-    // hardware thread through the stream interface (5 cycles apiece); a
-    // hardware thread begins executing once its start message arrives.
-    cpu.add_startup_charge(hw_specs.len() as u32 * twill_ir::cost::SW_RUNTIME_OP as u32);
-    let mut hw: Vec<HwThread> = hw_specs
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let mut h = HwThread::new(1 + i, &plan, t.entry, stacks[sw_entries.len() + i]);
-            h.set_start_delay((i as u32 + 1) * twill_ir::cost::SW_RUNTIME_OP as u32);
-            h
-        })
-        .collect();
     let mut profile = cfg.profile.then(|| crate::profile::SimProfile::new(agents));
     let mut tl = TimelineState::new(cfg, &shared);
-    let halt = run_loop(m, &plan, &mut shared, Some(&mut cpu), &mut hw, cfg, &mut profile, &mut tl);
+    let halt = run_loop(
+        m,
+        &plan,
+        &mut shared,
+        cpu.as_mut(),
+        &mut hw,
+        cfg,
+        &mut profile,
+        &mut tl,
+        &agent_names,
+    );
     let cycles = shared.cycle;
-    // One naming authority for simulator tracks, obs exporters, and the
-    // hardware counter register map.
-    let agent_names = dswp.agent_names();
-    debug_assert_eq!(agent_names.len(), 1 + hw.len());
     let timeline = tl.finish(&shared, &agent_names);
     let (events, dropped_events) = shared.take_recorder();
     let (fault_log, _) = shared.take_fault_log();
     let report = SimReport {
         cycles,
         output: shared.output.clone(),
-        cpu_busy_fraction: cpu.busy_cycles as f64 / cycles.max(1) as f64,
+        cpu_busy_fraction: cpu.map_or(0.0, |c| c.busy_cycles as f64 / cycles.max(1) as f64),
         stats: shared.stats,
         hw_threads: hw.len(),
         agent_names,
@@ -604,11 +566,9 @@ pub fn simulate_hybrid_scheduled(
 /// required by hardware threads.
 trait SimAgent {
     fn agent_id(&self) -> usize;
-    fn is_finished(&self) -> bool;
     fn stall_class(&self) -> StallClass;
     fn attr_site(&self) -> Option<(usize, usize)>;
     fn tick(&mut self, m: &Module, plan: &HwPlan, shared: &mut Shared) -> Progress;
-    fn next_interesting_cycle(&self, now: u64, shared: &Shared) -> u64;
     fn skip_spec(&self) -> SkipSpec;
     fn apply_skip(&mut self, k: u64);
     /// Run-ahead fast path: advance the clock up to `limit` in one tight
@@ -632,9 +592,6 @@ impl SimAgent for Cpu {
     fn agent_id(&self) -> usize {
         self.agent_id
     }
-    fn is_finished(&self) -> bool {
-        Cpu::is_finished(self)
-    }
     fn stall_class(&self) -> StallClass {
         Cpu::stall_class(self)
     }
@@ -643,9 +600,6 @@ impl SimAgent for Cpu {
     }
     fn tick(&mut self, m: &Module, _plan: &HwPlan, shared: &mut Shared) -> Progress {
         Cpu::tick(self, m, shared)
-    }
-    fn next_interesting_cycle(&self, now: u64, shared: &Shared) -> u64 {
-        Cpu::next_interesting_cycle(self, now, shared)
     }
     fn skip_spec(&self) -> SkipSpec {
         Cpu::skip_spec(self)
@@ -670,9 +624,6 @@ impl SimAgent for HwThread {
     fn agent_id(&self) -> usize {
         self.agent_id
     }
-    fn is_finished(&self) -> bool {
-        HwThread::is_finished(self)
-    }
     fn stall_class(&self) -> StallClass {
         HwThread::stall_class(self)
     }
@@ -681,9 +632,6 @@ impl SimAgent for HwThread {
     }
     fn tick(&mut self, _m: &Module, plan: &HwPlan, shared: &mut Shared) -> Progress {
         HwThread::tick(self, plan, shared)
-    }
-    fn next_interesting_cycle(&self, now: u64, shared: &Shared) -> u64 {
-        HwThread::next_interesting_cycle(self, now, shared)
     }
     fn skip_spec(&self) -> SkipSpec {
         HwThread::skip_spec(self)
@@ -748,6 +696,43 @@ fn charge_skip(
         let site = if spec.class == StallClass::Idle { None } else { site };
         p.agents[aid].record_n(site, spec.class, k);
     }
+}
+
+/// Bulk-charge `k` cycles to every live agent but `awake`, each under its
+/// skip spec, and advance the HW rotation as if each cycle had been
+/// ticked: how a leap (no agent awake) and an awake run account for the
+/// agents that sleep through their span. Returns whether any charged agent
+/// was busy (burning a charge).
+fn charge_sleepers(
+    shared: &mut Shared,
+    profile: &mut Profile,
+    cpu: Option<&mut Cpu>,
+    hw: &mut [HwThread],
+    awake: Option<Who>,
+    rotation: &mut usize,
+    k: u64,
+) -> bool {
+    let mut busy = false;
+    let mut sleep = |a: &mut dyn SimAgent| {
+        let spec = a.skip_spec();
+        let site = a.attr_site();
+        a.apply_skip(k);
+        charge_skip(shared, profile, a.agent_id(), &spec, site, k);
+        busy |= spec.progress == Progress::Busy;
+    };
+    if let Some(c) = cpu.filter(|c| !c.is_finished() && awake != Some(Who::Cpu)) {
+        sleep(c);
+    }
+    for (i, h) in hw.iter_mut().enumerate() {
+        if !h.is_finished() && awake != Some(Who::Hw(i)) {
+            sleep(h);
+        }
+    }
+    let n = hw.len();
+    if n > 0 {
+        *rotation = (*rotation + (k % n as u64) as usize) % n;
+    }
+    busy
 }
 
 /// Lazy idle settlement: charge each finished agent's cycles since it was
@@ -845,19 +830,8 @@ fn try_fast_forward(
         // real tick is unobservable; bus budgets reset unused each naive
         // span cycle and are reset again at the next `begin_cycle`.
         shared.skip_cycles(k);
-        if let (Some(c), Some(spec)) = (cpu.as_deref_mut(), cpu_spec) {
-            let site = c.attr_site();
-            c.apply_skip(k);
-            charge_skip(shared, profile, c.agent_id, &spec, site, k);
-        }
-        for h in hw.iter_mut().filter(|h| !h.is_finished()) {
-            let spec = h.skip_spec();
-            let site = h.attr_site();
-            h.apply_skip(k);
-            charge_skip(shared, profile, h.agent_id, &spec, site, k);
-        }
+        charge_sleepers(shared, profile, cpu, hw, None, rotation, k);
         if n > 0 {
-            *rotation = (*rotation + (k % n as u64) as usize) % n;
             // Restore the event track the naive loop would have left
             // current: the last HW thread ticked in the final skipped
             // cycle's rotation (a pinned fault firing at `begin_cycle` of
@@ -919,77 +893,6 @@ fn try_fast_forward(
     true
 }
 
-/// Run-ahead: run the one agent still live, every other agent finished,
-/// by itself until it finishes, times out or the watchdog fires. With no
-/// peer left to act, the agent's own horizon is the only one, so the loop
-/// leaps straight to it: no rotation, no minimum over peers, and no second
-/// leap attempt right after a leap (none could succeed). It is the
-/// fast-forward loop specialised to one agent, so it stays observably
-/// identical to ticking every cycle.
-fn run_alone<A: SimAgent>(
-    a: &mut A,
-    m: &Module,
-    plan: &HwPlan,
-    shared: &mut Shared,
-    cfg: &SimConfig,
-    last_progress_cycle: &mut u64,
-) -> Stop {
-    let aid = a.agent_id();
-    shared.set_agent(aid as u16);
-    loop {
-        if a.is_finished() {
-            return Stop::Done;
-        }
-        if shared.cycle >= cfg.max_cycles {
-            return Stop::Timeout;
-        }
-        let start = shared.cycle;
-        let busy = a.run_plain(m, plan, shared, cfg.max_cycles, false);
-        if shared.cycle > start {
-            let c = &mut shared.stats.agent_cycles[aid];
-            c.busy += busy;
-            c.idle += shared.cycle - start - busy;
-            // A thread can finish on the first state it runs, with no busy
-            // cycle to show for it.
-            if a.is_finished() {
-                return Stop::Done;
-            }
-            *last_progress_cycle = shared.cycle;
-            if shared.cycle >= cfg.max_cycles {
-                return Stop::Timeout;
-            }
-        }
-        let now = shared.cycle;
-        let mut target = a.next_interesting_cycle(now, shared);
-        if target > now + 1 {
-            let spec = a.skip_spec();
-            if spec.progress != Progress::Busy {
-                target = target
-                    .min(last_progress_cycle.saturating_add(cfg.watchdog_window).saturating_add(1));
-            }
-            target = target.min(cfg.max_cycles.saturating_add(1));
-            if target > now + 1 {
-                let k = target - now - 1;
-                shared.skip_cycles(k);
-                a.apply_skip(k);
-                charge_skip(shared, &mut None, aid, &spec, None, k);
-                if spec.progress == Progress::Busy {
-                    *last_progress_cycle = shared.cycle;
-                }
-                if shared.cycle >= cfg.max_cycles {
-                    return Stop::Timeout;
-                }
-            }
-        }
-        shared.begin_cycle();
-        if tick_agent(a, m, plan, shared, &mut None) {
-            *last_progress_cycle = shared.cycle;
-        } else if shared.cycle - *last_progress_cycle > cfg.watchdog_window {
-            return Stop::Watchdog;
-        }
-    }
-}
-
 /// A live agent, as the loop-top [`scan`] names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Who {
@@ -1042,31 +945,33 @@ fn scan(cpu: Option<&Cpu>, hw: &[HwThread], shared: &Shared) -> Scan {
 /// span: it burns a charge, counts down a latency, or waits on a resource
 /// that is not ready. Its naive ticks would only re-poll, and the awake
 /// agent cannot wake it, since a CPU hands back every runtime op and a
-/// hardware thread stops before every module-bus op; memory traffic
-/// serves no waiter. So each sleeper is bulk-charged for the span under
-/// its skip spec, as a leap charges it, and the HW rotation advances as
-/// if each cycle had been ticked. Returns whether the clock moved.
+/// hardware thread with `peers` stops before every module-bus op; memory
+/// traffic serves no waiter. So each sleeper is bulk-charged for the span
+/// under its skip spec, as a leap charges it ([`charge_sleepers`]). With
+/// no live peer (`peers` unset) this is the lone agent's run: there are no
+/// sleepers, and a hardware thread issues its module-bus ops itself.
+/// Returns whether the clock moved.
 #[allow(clippy::too_many_arguments)]
 fn awake_run(
     who: Who,
     m: &Module,
     plan: &HwPlan,
     shared: &mut Shared,
-    cpu: Option<&mut Cpu>,
+    mut cpu: Option<&mut Cpu>,
     hw: &mut [HwThread],
     limit: u64,
+    peers: bool,
     rotation: &mut usize,
     last_progress_cycle: &mut u64,
 ) -> bool {
     let start = shared.cycle;
-    let mut cpu = cpu.filter(|c| !c.is_finished());
     let (aid, busy) = {
         let a: &mut dyn SimAgent = match who {
-            Who::Cpu => cpu.take().expect("the awake CPU is live"),
+            Who::Cpu => cpu.as_deref_mut().expect("the awake CPU is live"),
             Who::Hw(i) => &mut hw[i],
         };
         shared.set_agent(a.agent_id() as u16);
-        (a.agent_id(), a.run_plain(m, plan, shared, limit, true))
+        (a.agent_id(), a.run_plain(m, plan, shared, limit, peers))
     };
     let k = shared.cycle - start;
     if k == 0 {
@@ -1075,25 +980,7 @@ fn awake_run(
     let c = &mut shared.stats.agent_cycles[aid];
     c.busy += busy;
     c.idle += k - busy;
-    let mut sleeper_busy = false;
-    let mut sleep = |shared: &mut Shared, a: &mut dyn SimAgent| {
-        let spec = a.skip_spec();
-        a.apply_skip(k);
-        charge_skip(shared, &mut None, a.agent_id(), &spec, None, k);
-        sleeper_busy |= spec.progress == Progress::Busy;
-    };
-    if let Some(c) = cpu {
-        sleep(shared, c);
-    }
-    for (i, h) in hw.iter_mut().enumerate() {
-        if who != Who::Hw(i) && !h.is_finished() {
-            sleep(shared, h);
-        }
-    }
-    let n = hw.len();
-    if n > 0 {
-        *rotation = (*rotation + (k % n as u64) as usize) % n;
-    }
+    let sleeper_busy = charge_sleepers(shared, &mut None, cpu, hw, Some(who), rotation, k);
     // The awake agent is busy on every cycle it advanced but a hardware
     // thread's finishing one, which is its last.
     if sleeper_busy || busy == k {
@@ -1225,13 +1112,9 @@ enum Stop {
     Watchdog,
 }
 
-/// The global cycle loop: CPU ticks first (module-bus priority, §4.1),
-/// then the hardware threads in rotating order (longest-waiting fairness).
-/// With `cfg.fast_forward` the loop leaps over cycles no agent can act on
-/// (see [`try_fast_forward`]), stops ticking finished agents, runs the
-/// last live agent by itself (see [`run_alone`]) and the one awake agent
-/// ahead of sleeping peers (see [`awake_run`]); otherwise every agent is
-/// ticked naively on every cycle.
+/// Run the system to its end ([`drive`]), settle the finished agents' idle
+/// cycles and diagnose a hang; `agent_names` names the agents in the hang
+/// report.
 #[allow(clippy::too_many_arguments)]
 fn run_loop(
     m: &Module,
@@ -1242,6 +1125,7 @@ fn run_loop(
     cfg: &SimConfig,
     profile: &mut Profile,
     tl: &mut TimelineState,
+    agent_names: &[String],
 ) -> Result<(), RunHalt> {
     let stop = drive(m, plan, shared, cpu.as_deref_mut(), hw, cfg, profile, tl);
     settle_idle(shared, profile, cpu.as_deref(), hw);
@@ -1273,38 +1157,28 @@ fn run_loop(
         }
         Stop::Timeout => Err(RunHalt::Timeout(cfg.max_cycles)),
         Stop::Watchdog => {
-            Err(RunHalt::Deadlock(hang_report(m, shared.cycle, cfg, cpu.as_deref(), hw)))
+            let snaps = snapshots(cpu.as_deref(), hw, agent_names);
+            Err(RunHalt::Deadlock(build_hang_report(m, shared.cycle, cfg.watchdog_window, &snaps)))
         }
     }
 }
 
-/// The watchdog fired: snapshot every agent's blocked state and walk the
-/// wait-for graph into a structured diagnosis.
-fn hang_report(
-    m: &Module,
-    cycle: u64,
-    cfg: &SimConfig,
-    cpu: Option<&Cpu>,
-    hw: &[HwThread],
-) -> HangReport {
-    let mut snaps: Vec<AgentSnapshot> = Vec::new();
-    if let Some(c) = cpu {
-        snaps.push(AgentSnapshot {
-            name: "cpu".to_string(),
-            entries: c.entries().to_vec(),
-            state: WaitState::classify(c.pending_kind(), c.stall_class(), c.is_finished()),
-            site: c.attr_site(),
-        });
-    }
-    for h in hw {
-        snaps.push(AgentSnapshot {
-            name: format!("hw{}", h.agent_id),
-            entries: vec![h.entry()],
-            state: WaitState::classify(h.pending_kind(), h.stall_class(), h.is_finished()),
-            site: h.attr_site(),
-        });
-    }
-    build_hang_report(m, cycle, cfg.watchdog_window, &snaps)
+/// The watchdog fired: snapshot every agent's blocked state for the
+/// wait-for diagnosis, named as the run names its agents.
+fn snapshots(cpu: Option<&Cpu>, hw: &[HwThread], agent_names: &[String]) -> Vec<AgentSnapshot> {
+    let cpu = cpu.map(|c| AgentSnapshot {
+        name: agent_names[c.agent_id].clone(),
+        entries: c.entries().to_vec(),
+        state: WaitState::classify(c.pending_kind(), c.stall_class(), c.is_finished()),
+        site: c.attr_site(),
+    });
+    let hw = hw.iter().map(|h| AgentSnapshot {
+        name: agent_names[h.agent_id].clone(),
+        entries: vec![h.entry()],
+        state: WaitState::classify(h.pending_kind(), h.stall_class(), h.is_finished()),
+        site: h.attr_site(),
+    });
+    cpu.into_iter().chain(hw).collect()
 }
 
 /// Sample the timeline if the clock sits on a boundary, settling idle
@@ -1322,6 +1196,14 @@ fn sample(
     }
 }
 
+/// The global cycle loop: CPU ticks first (module-bus priority, §4.1),
+/// then the hardware threads in rotating order (longest-waiting fairness).
+/// With `cfg.fast_forward` it stops ticking finished agents and, each
+/// iteration, scans the live agents' horizons once: no agent awake → leap
+/// over the cycles none can act on ([`try_fast_forward`]); exactly one
+/// awake → run it ahead of its sleeping peers, or by itself when it is the
+/// only live agent ([`awake_run`]); otherwise tick. Without it every agent
+/// is ticked naively on every cycle.
 #[allow(clippy::too_many_arguments)]
 fn drive(
     m: &Module,
@@ -1339,29 +1221,19 @@ fn drive(
     // lazily (see `settle_idle`).
     let lazy = cfg.fast_forward;
     // Faults, profiling and timeline sampling hook every cycle of every
-    // agent, so runs with them stay on this general loop.
+    // agent, so runs with them take no awake run, only leaps and ticks.
     let run_ahead =
         cfg.fast_forward && cfg.fault.is_none() && profile.is_none() && tl.rec.is_none();
     loop {
         let cpu_live = cpu.as_deref().is_some_and(|c| !c.is_finished());
-        let hw_live = hw.iter().filter(|h| !h.is_finished()).count();
-        if !cpu_live && hw_live == 0 {
+        let live = cpu_live as usize + hw.iter().filter(|h| !h.is_finished()).count();
+        if live == 0 {
             return Stop::Done;
         }
         if shared.cycle >= cfg.max_cycles {
             return Stop::Timeout;
         }
         if cfg.fast_forward {
-            if run_ahead && cpu_live as usize + hw_live == 1 {
-                let lp = &mut last_progress_cycle;
-                return match cpu.filter(|c| !c.is_finished()) {
-                    Some(c) => run_alone(c, m, plan, shared, cfg, lp),
-                    None => {
-                        let h = hw.iter_mut().find(|h| !h.is_finished()).unwrap();
-                        run_alone(h, m, plan, shared, cfg, lp)
-                    }
-                };
-            }
             let s = scan(cpu.as_deref(), hw, shared);
             match s.awake {
                 Awake::None
@@ -1382,10 +1254,14 @@ fn drive(
                 }
                 Awake::One(who) if run_ahead => {
                     // Sleeper horizons lie past the next cycle, so the
-                    // limit lets the awake agent run at least one.
+                    // limit lets the awake agent run at least one. Peers
+                    // are the live agents, not the sleepers: one waiting
+                    // on the awake agent has no horizon of its own.
                     let limit = (s.sleepers - 1).min(cfg.max_cycles);
+                    let peers = live > 1;
                     let (rot, lp) = (&mut rotation, &mut last_progress_cycle);
-                    if awake_run(who, m, plan, shared, cpu.as_deref_mut(), hw, limit, rot, lp) {
+                    let cpu = cpu.as_deref_mut();
+                    if awake_run(who, m, plan, shared, cpu, hw, limit, peers, rot, lp) {
                         if shared.cycle - last_progress_cycle > cfg.watchdog_window {
                             return Stop::Watchdog;
                         }
