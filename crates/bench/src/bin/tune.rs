@@ -117,12 +117,8 @@ fn main() -> ExitCode {
             trace_events: args.ring.trace_events(false),
             ..build.sim_config()
         };
-        let topts = TuneOptions {
-            seed: args.seed,
-            max_rounds: args.rounds,
-            bench: b.name.to_string(),
-            ..Default::default()
-        };
+        let topts =
+            TuneOptions { seed: args.seed, max_rounds: args.rounds, bench: b.name.to_string() };
         let outcome = match twill::tune(&build, &input, &cfg, &topts) {
             Ok(o) => o,
             Err(e) => {

@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use twill_dswp::{run_dswp, DswpOptions, DswpResult};
 use twill_frontend::CError;
-use twill_hls::schedule::{schedule_module_threads, HlsOptions, ModuleSchedule};
+use twill_hls::schedule::{schedule_module, HlsOptions, ModuleSchedule};
 use twill_ir::Module;
 use twill_obs::{Span, ToJson};
 
@@ -180,16 +180,14 @@ enum GraphInput {
 /// One program's staged, memoized compilation artifacts. Create with
 /// [`BuildGraph::from_source`] or [`BuildGraph::from_prepared`], wrap in an
 /// [`Arc`], and fork per-configuration [`crate::TwillBuild`]s off it with
-/// [`crate::Compiler::build_on`]. All stage accessors take `&self`; the
-/// graph is `Sync`, so sweep points may also demand stages from worker
-/// threads — each stage still runs exactly once.
+/// [`crate::Compiler::build_on`]. Every stage runs on the thread that
+/// demands it, one function after another. All stage accessors take
+/// `&self` and the graph is `Sync`, so sweep points simulating on worker
+/// threads may share it; each stage still runs exactly once.
 pub struct BuildGraph {
     name: String,
     input: GraphInput,
     pipeline: twill_passes::PipelineOptions,
-    /// Fan-out width for the parallel per-function stages (passes, HLS).
-    /// Any width produces byte-identical artifacts; see `twill_passes::par`.
-    threads: usize,
     frontend: OnceLock<Result<Module, CError>>,
     prepared: OnceLock<Module>,
     prepared_hash: OnceLock<u64>,
@@ -233,7 +231,6 @@ impl BuildGraph {
             name: name.to_string(),
             input,
             pipeline,
-            threads: twill_passes::par::default_threads(),
             frontend: OnceLock::new(),
             prepared: OnceLock::new(),
             prepared_hash: OnceLock::new(),
@@ -251,14 +248,6 @@ impl BuildGraph {
         let (value, span) = Span::record(stage, f);
         self.spans.lock().unwrap().push(span);
         value
-    }
-
-    /// Override the per-function fan-out width (before sharing the graph).
-    /// `1` is the reference serial pipeline; the determinism tests compare
-    /// widths against it.
-    pub fn threads(mut self, n: usize) -> BuildGraph {
-        self.threads = n.max(1);
-        self
     }
 
     pub fn name(&self) -> &str {
@@ -324,7 +313,7 @@ impl BuildGraph {
                 .clone();
             self.counters.passes.fetch_add(1, Ordering::Relaxed);
             self.timed("passes", || {
-                twill_passes::run_standard_pipeline_threads(&mut m, &self.pipeline, self.threads);
+                twill_passes::run_standard_pipeline(&mut m, &self.pipeline);
             });
             m
         })
@@ -374,8 +363,7 @@ impl BuildGraph {
             return hit.clone();
         }
         self.counters.hls.fetch_add(1, Ordering::Relaxed);
-        let sched =
-            Arc::new(self.timed("hls", || schedule_module_threads(module, hls, self.threads)));
+        let sched = Arc::new(self.timed("hls", || schedule_module(module, hls)));
         cache.insert(key, sched.clone());
         sched
     }

@@ -297,7 +297,6 @@ fn main() -> ExitCode {
             seed: args.tune_seed,
             max_rounds: args.tune_rounds,
             bench: name.clone(),
-            ..Default::default()
         };
         let outcome = match twill::tune(&build, &args.input, &tune_cfg, &topts) {
             Ok(o) => o,

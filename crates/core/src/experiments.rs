@@ -49,13 +49,14 @@ fn input(b: &Benchmark, scale: Option<u32>) -> Vec<i32> {
 }
 
 /// Fan-out width for the Fig 6.3–6.6 sweeps: each sweep point's hybrid
-/// simulation runs on its own thread. Points share the memoized build
-/// artifacts read-only (`&DswpResult` / `&ModuleSchedule`) and each writes
-/// only its own row slot, so any width produces rows byte-identical to the
-/// serial loop (see `twill_passes::par`; pinned by
+/// simulation runs on its own thread, while every build is compiled on
+/// the calling thread first. Points share the memoized build artifacts
+/// read-only (`&DswpResult` / `&ModuleSchedule`) and each writes only its
+/// own row slot, so any width produces rows byte-identical to the serial
+/// loop (see `crate::par`; pinned by
 /// `sweep_rows_identical_serial_vs_parallel`).
 fn sweep_threads() -> usize {
-    twill_passes::par::default_threads()
+    crate::par::default_threads()
 }
 
 // ---------------------------------------------------------------------------
@@ -286,7 +287,7 @@ pub fn fig_6_3_4_with_threads(
             (pct, build)
         })
         .collect();
-    twill_passes::par::par_map(&points, threads, |_, (pct, build)| {
+    crate::par::par_map(&points, threads, |_, (pct, build)| {
         let rep = build.simulate_hybrid(inp.clone()).expect("hybrid sim");
         SplitSweepRow {
             sw_target_percent: *pct,
@@ -329,7 +330,7 @@ pub fn fig_6_5_with_threads(scale: Option<u32>, threads: usize) -> Vec<LatencySw
             // Warm the DSWP artifact and schedule cache serially; the
             // latency points then only simulate.
             build.hybrid_schedule();
-            let runs = twill_passes::par::par_map(&LATENCY_POINTS, threads, |_, &lat| {
+            let runs = crate::par::par_map(&LATENCY_POINTS, threads, |_, &lat| {
                 let cfg = twill_rt::SimConfig { queue_latency: lat, ..build.sim_config() };
                 let rep = build.simulate_hybrid_with(inp.clone(), &cfg).expect("sim");
                 (rep.cycles, rep.metrics().summary())
@@ -379,7 +380,7 @@ pub fn fig_6_6_with_threads(scale: Option<u32>, threads: usize) -> Vec<SizeSweep
             build.hybrid_schedule();
             let hw_threads = build.dswp().threads.iter().filter(|t| t.is_hw).count() as u32;
             let hw_area = build.area().twill_hw_threads;
-            let runs = twill_passes::par::par_map(&SIZE_POINTS, threads, |_, &depth| {
+            let runs = crate::par::par_map(&SIZE_POINTS, threads, |_, &depth| {
                 let cfg = twill_rt::SimConfig { queue_depth: Some(depth), ..build.sim_config() };
                 let rep = build.simulate_hybrid_with(inp.clone(), &cfg).expect("sim");
                 // Area with this queue depth.

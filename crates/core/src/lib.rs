@@ -44,6 +44,7 @@
 pub mod artifacts;
 pub mod cli;
 pub mod experiments;
+mod par;
 pub mod report;
 pub mod tune;
 

@@ -53,8 +53,6 @@ pub struct TuneOptions {
     /// Maximum propose→evaluate rounds; the search also stops at the
     /// first round where no trial beats the incumbent.
     pub max_rounds: usize,
-    /// Worker threads for evaluating a round's trials in parallel.
-    pub threads: usize,
     /// Benchmark name for the report; source lines are attributed to
     /// `<bench>.c`.
     pub bench: String,
@@ -62,12 +60,7 @@ pub struct TuneOptions {
 
 impl Default for TuneOptions {
     fn default() -> Self {
-        TuneOptions {
-            seed: 0,
-            max_rounds: 4,
-            threads: twill_passes::par::default_threads(),
-            bench: "program".into(),
-        }
+        TuneOptions { seed: 0, max_rounds: 4, bench: "program".into() }
     }
 }
 
@@ -185,7 +178,7 @@ pub fn tune(
         rounds = round;
 
         let cur: &TwillBuild = tuned_build.as_ref().unwrap_or(build);
-        let results = twill_passes::par::par_map(&cands, opts.threads, |_, cand| {
+        let results = crate::par::par_map(&cands, crate::par::default_threads(), |_, cand| {
             evaluate(build, cur, cur_p, input, &trial_cfg, cand)
         });
 
@@ -676,7 +669,7 @@ int main() {
 "#;
 
     fn opts(seed: u64) -> TuneOptions {
-        TuneOptions { seed, max_rounds: 3, threads: 2, bench: "demo".into() }
+        TuneOptions { seed, max_rounds: 3, bench: "demo".into() }
     }
 
     #[test]

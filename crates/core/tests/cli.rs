@@ -86,6 +86,17 @@ fn bad_source_fails_with_diagnostic() {
 }
 
 #[test]
+fn program_without_main_exits_1_with_a_diagnostic() {
+    let p = write_temp("nomain.c", "int helper(int x) { return x + 1; }\n");
+    for flag in ["--stats", "--run"] {
+        let out = twillc().arg(&p).arg(flag).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "twillc {flag}: {stderr}");
+        assert!(stderr.contains("nomain.c:1:1: error: program has no 'main'"), "{stderr}");
+    }
+}
+
+#[test]
 fn missing_file_fails_cleanly() {
     let out = twillc().arg("/nonexistent/nope.c").output().unwrap();
     assert!(!out.status.success());

@@ -109,6 +109,15 @@ fn lower_program(name: &str, prog: &Program) -> Result<Module, CError> {
             return cerr(f.line, 0, format!("duplicate function '{}'", f.name));
         }
     }
+    // Every partition's thread table is rooted at `main`, and the DSWP
+    // extractor and all three simulators start it with no arguments.
+    match prog.funcs.iter().find(|f| f.name == "main") {
+        None => return cerr(1, 1, "program has no 'main' function"),
+        Some(f) if !f.params.is_empty() => {
+            return cerr(f.line, 0, "'main' must take no parameters")
+        }
+        Some(_) => {}
+    }
 
     // Lower bodies.
     for f in &prog.funcs {

@@ -189,6 +189,9 @@ fn diagnostics_have_positions() {
         ("int main() { break; }", "break outside"),
         ("int f() { return 0; } int f() { return 1; }", "duplicate function"),
         ("void f(int x) { return x; } int main() { return 0; }", "void function returns"),
+        ("int helper(int x) { return x + 1; }", "no 'main' function"),
+        ("", "no 'main' function"),
+        ("int main(int x) { out(x); return 0; }", "'main' must take no parameters"),
     ] {
         let err = twill_frontend::compile("t", src).unwrap_err();
         assert!(err.msg.contains(needle), "{src}: got '{}'", err.msg);

@@ -24,7 +24,6 @@ pub mod verilog;
 pub use area::{estimate_module_area, perf_counter_area, AreaReport};
 pub use power::{power_mw, PowerConfig};
 pub use schedule::{
-    schedule_function, schedule_module, schedule_module_threads, BlockSchedule, FuncSchedule,
-    HlsOptions, ModuleSchedule,
+    schedule_function, schedule_module, BlockSchedule, FuncSchedule, HlsOptions, ModuleSchedule,
 };
 pub use verilog::{emit_module, emit_module_with, EmitOptions};

@@ -409,22 +409,9 @@ pub fn schedule_function(
     FuncSchedule { func: func_id, blocks, states, peak_units: peak, live_values: live }
 }
 
-/// Schedule every function of a module, fanning out across worker threads
-/// (each function's schedule is independent of every other's).
+/// Schedule every function of a module, in function-table order.
 pub fn schedule_module(m: &Module, opts: &HlsOptions) -> ModuleSchedule {
-    schedule_module_threads(m, opts, twill_passes::par::default_threads())
-}
-
-/// [`schedule_module`] with an explicit fan-out width. `threads == 1` is
-/// the reference serial scheduler; any other width must produce an
-/// identical schedule (and therefore byte-identical Verilog) because
-/// results are collected in function-table order and `schedule_function`
-/// reads only its own function.
-pub fn schedule_module_threads(m: &Module, opts: &HlsOptions, threads: usize) -> ModuleSchedule {
-    let ids: Vec<FuncId> = m.func_ids().collect();
-    let funcs = twill_passes::par::par_map(&ids, threads, |_, &fid| {
-        schedule_function(m, m.func(fid), fid, opts)
-    });
+    let funcs = m.func_ids().map(|fid| schedule_function(m, m.func(fid), fid, opts)).collect();
     ModuleSchedule { funcs, opts: *opts }
 }
 
@@ -459,24 +446,6 @@ mod tests {
         let m = parse_module(src).unwrap();
         let s = schedule_module(&m, opts);
         (m, s)
-    }
-
-    #[test]
-    fn parallel_matches_serial_bit_for_bit() {
-        // Many small functions so the fan-out actually chunks.
-        let mut src = String::new();
-        for i in 0..9 {
-            src.push_str(&format!(
-                "func @f{i}(i32) -> i32 {{\nbb0:\n  %0 = add i32 %a0, {i}:i32\n  %1 = mul i32 %0, %a0\n  %2 = xor i32 %1, %0\n  ret %2\n}}\n"
-            ));
-        }
-        let m = parse_module(&src).unwrap();
-        let serial = schedule_module_threads(&m, &HlsOptions::default(), 1);
-        let reference = format!("{serial:?}");
-        for threads in [2usize, 4, 16] {
-            let par = schedule_module_threads(&m, &HlsOptions::default(), threads);
-            assert_eq!(format!("{par:?}"), reference, "schedule diverged at {threads} threads");
-        }
     }
 
     #[test]

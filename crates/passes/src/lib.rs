@@ -27,11 +27,10 @@ pub mod loops;
 pub mod lowerswitch;
 pub mod mem2reg;
 pub mod mergereturn;
-pub mod par;
 pub mod pipeline;
 pub mod simplifycfg;
 pub mod utils;
 
 pub use domtree::{DomTree, PostDomTree};
 pub use loops::LoopInfo;
-pub use pipeline::{run_standard_pipeline, run_standard_pipeline_threads, PipelineOptions};
+pub use pipeline::{run_standard_pipeline, PipelineOptions};

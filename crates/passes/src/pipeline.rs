@@ -21,19 +21,10 @@ pub struct PipelineOptions {
 
 /// Run the full preparation pipeline in place.
 ///
-/// Per-function stages fan out over [`crate::par::default_threads`] worker
-/// threads; module-level stages (inlining, global passes, DCE) stay serial
-/// barriers between them. The result is byte-identical to the serial
-/// pipeline — see [`run_standard_pipeline_threads`].
+/// Every stage runs on the calling thread, one function after another in
+/// function-table order; module-level stages (inlining, global passes, DCE)
+/// sit between the per-function loops.
 pub fn run_standard_pipeline(m: &mut Module, opts: &PipelineOptions) {
-    run_standard_pipeline_threads(m, opts, crate::par::default_threads());
-}
-
-/// [`run_standard_pipeline`] with an explicit fan-out width. `threads == 1`
-/// is the reference serial pipeline; any other width must produce
-/// byte-identical IR (each per-function pass reads and writes exactly one
-/// function, so scheduling cannot change the result).
-pub fn run_standard_pipeline_threads(m: &mut Module, opts: &PipelineOptions, threads: usize) {
     let verify = |m: &Module, stage: &str| {
         if opts.verify_between {
             let errs = twill_ir::verifier::verify_module(m);
@@ -54,19 +45,19 @@ pub fn run_standard_pipeline_threads(m: &mut Module, opts: &PipelineOptions, thr
         }
     };
 
-    crate::par::par_each_mut(&mut m.funcs, threads, |f| {
+    for f in &mut m.funcs {
         crate::mem2reg::mem2reg(f);
-    });
+    }
     verify(m, "mem2reg");
 
-    crate::par::par_each_mut(&mut m.funcs, threads, |f| {
+    for f in &mut m.funcs {
         crate::mergereturn::mergereturn(f);
-    });
+    }
     verify(m, "mergereturn");
 
-    crate::par::par_each_mut(&mut m.funcs, threads, |f| {
+    for f in &mut m.funcs {
         crate::lowerswitch::lowerswitch(f);
-    });
+    }
     verify(m, "lowerswitch");
 
     crate::inline::inline_module(m, opts.inline);
@@ -74,21 +65,21 @@ pub fn run_standard_pipeline_threads(m: &mut Module, opts: &PipelineOptions, thr
     crate::dce::remove_dead_functions(m);
     verify(m, "remove-dead-functions");
 
-    crate::par::par_each_mut(&mut m.funcs, threads, |f| {
+    for f in &mut m.funcs {
         crate::simplifycfg::simplifycfg(f);
         crate::ifconvert::ifconvert(f);
         crate::simplifycfg::simplifycfg(f);
         crate::constfold::constfold(f);
         crate::gvn::gvn(f);
-    });
+    }
     verify(m, "simplifycfg+ifconvert+constfold+gvn");
 
     crate::dce::dce_module(m);
     verify(m, "adce");
 
-    crate::par::par_each_mut(&mut m.funcs, threads, |f| {
+    for f in &mut m.funcs {
         crate::loops::loop_simplify(f);
-    });
+    }
     verify(m, "loop-simplify");
 
     // Custom pass: globals to arguments (thesis §5.2 first custom pass).
@@ -98,18 +89,18 @@ pub fn run_standard_pipeline_threads(m: &mut Module, opts: &PipelineOptions, thr
     // Cleanups the thesis runs after the globals pass.
     crate::globals2args::dead_arg_elim(m);
     verify(m, "deadargelim");
-    crate::par::par_each_mut(&mut m.funcs, threads, |f| {
+    for f in &mut m.funcs {
         crate::constfold::constfold(f);
         crate::simplifycfg::simplifycfg(f);
-    });
+    }
     crate::dce::dce_module(m);
     verify(m, "final-cleanup");
     // mergereturn may have been undone by simplifycfg merging; re-establish
     // the unique-return invariant the DSWP extractor wants.
-    crate::par::par_each_mut(&mut m.funcs, threads, |f| {
+    for f in &mut m.funcs {
         crate::mergereturn::mergereturn(f);
         crate::loops::loop_simplify(f);
-    });
+    }
     verify(m, "re-normalize");
 }
 
@@ -186,24 +177,6 @@ bb3:
         assert!(!text.contains("alloca"), "{text}");
         // @step is small: inlined, then removed as dead.
         assert!(m.find_func("step").is_none(), "{text}");
-    }
-
-    #[test]
-    fn parallel_matches_serial_bit_for_bit() {
-        let mut seed = parse_module(PROGRAM).unwrap();
-        twill_ir::layout::assign_global_addrs(&mut seed);
-        let mut serial = seed.clone();
-        run_standard_pipeline_threads(&mut serial, &Default::default(), 1);
-        let reference = twill_ir::printer::print_module(&serial);
-        for threads in [2usize, 3, 8] {
-            let mut m = seed.clone();
-            run_standard_pipeline_threads(&mut m, &Default::default(), threads);
-            assert_eq!(
-                twill_ir::printer::print_module(&m),
-                reference,
-                "pipeline output diverged at {threads} threads"
-            );
-        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The staged artifact pipeline: laziness, memoization, cold-vs-warm
-//! equivalence, and parallel-vs-serial determinism.
+//! equivalence, and a compile path that never panics.
 //!
 //! These tests pin down the contract of `twill::artifacts::BuildGraph`:
 //! * a Fig 6.5-style sweep runs frontend/passes/DSWP/HLS exactly once,
 //! * the pure-HW (LegUp) schedule is never computed unless demanded,
 //! * a warm build off a shared graph produces bit-identical results to a
 //!   cold from-scratch compile while doing zero new stage work,
-//! * the parallel per-function pipeline/scheduler match the serial ones
-//!   byte-for-byte on randomized programs.
+//! * mangled CHStone sources either fail with a typed error or compile
+//!   all the way to Verilog, never panicking.
 
 use std::sync::Arc;
 
@@ -110,50 +110,58 @@ fn chstone_cold_and_warm_builds_identical() {
     assert_eq!(*warm_verilog, *cold_verilog);
 }
 
-/// Small random mini-C programs: several independent functions so the
-/// per-function fan-out has real chunks to split.
-fn gen_source(seed: u64) -> String {
+/// Bytes a mangling edit may write: C punctuation, digits and identifier
+/// letters, so most edits still lex and reach later compiler stages.
+const EDIT_BYTES: &[u8] = b" %:@(){};,0123456789-xi";
+
+/// A CHStone source with 1–3 random edits, each one a truncation, a
+/// deleted byte or a replaced byte. Returns the benchmark name, the edits
+/// (for the failure message) and the mangled source.
+fn mangle(seed: u64) -> (&'static str, Vec<String>, String) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let nfuncs = rng.gen_range(2..6usize);
-    let mut src = String::new();
-    for i in 0..nfuncs {
-        src.push_str(&format!(
-            "int f{i}(int x, int y) {{\n  int a = x + {};\n  for (int j = 0; j < {}; j++) {{\n    a = a + ((y ^ j) * {} % 257);\n  }}\n  return a;\n}}\n",
-            rng.gen_range(-50..50),
-            rng.gen_range(1..12),
-            rng.gen_range(1..9),
-        ));
+    let benches = chstone::all();
+    let bench = &benches[rng.gen_range(0..benches.len())];
+    let mut src = bench.source.as_bytes().to_vec();
+    let mut edits = Vec::new();
+    for _ in 0..rng.gen_range(1..4usize) {
+        if src.is_empty() {
+            break;
+        }
+        let at = rng.gen_range(0..src.len());
+        match rng.gen_range(0..3u32) {
+            0 => {
+                src.truncate(at);
+                edits.push(format!("truncate at {at}"));
+            }
+            1 => {
+                src.remove(at);
+                edits.push(format!("delete byte {at}"));
+            }
+            _ => {
+                let b = EDIT_BYTES[rng.gen_range(0..EDIT_BYTES.len())];
+                src[at] = b;
+                edits.push(format!("byte {at} := {:?}", b as char));
+            }
+        }
     }
-    src.push_str("int main() {\n  int acc = 1;\n");
-    for i in 0..nfuncs {
-        src.push_str(&format!("  acc = acc + f{i}(acc, {});\n", rng.gen_range(-20..20)));
-    }
-    src.push_str("  out(acc);\n  return 0;\n}\n");
-    src
+    (bench.name, edits, String::from_utf8_lossy(&src).into_owned())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The parallel pipeline and scheduler are byte-identical to serial.
+    /// The whole compile path never panics on mangled input: `compile`
+    /// either fails with a typed `CError` or yields a build whose hybrid
+    /// and pure-HW Verilog both emit.
     #[test]
-    fn parallel_build_matches_serial(seed in 0u64..(1u64 << 48)) {
-        let src = gen_source(seed);
-        let hls = twill_hls::schedule::HlsOptions::default();
-        let build = |threads: usize| {
-            let g = BuildGraph::from_source("p", &src, false, Default::default())
-                .threads(threads);
-            g.ensure_frontend().unwrap();
-            let ir = twill_ir::printer::print_module(g.prepared());
-            let verilog = g.verilog_for(g.prepared(), g.prepared_hash(), &hls);
-            (ir, verilog)
-        };
-        let (ir_serial, v_serial) = build(1);
-        for threads in [2usize, 4] {
-            let (ir_par, v_par) = build(threads);
-            prop_assert_eq!(&ir_par, &ir_serial, "IR diverged at {} threads", threads);
-            prop_assert_eq!(v_par.as_str(), v_serial.as_str(),
-                "Verilog diverged at {} threads", threads);
-        }
+    fn mangled_chstone_sources_never_panic(seed in 0u64..(1u64 << 48)) {
+        let (name, edits, src) = mangle(seed);
+        let outcome = std::panic::catch_unwind(|| {
+            if let Ok(build) = Compiler::new().compile(name, &src) {
+                build.verilog();
+                build.verilog_pure_hw();
+            }
+        });
+        prop_assert!(outcome.is_ok(), "{} with edits {:?} panicked", name, edits);
     }
 }

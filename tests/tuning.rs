@@ -39,7 +39,7 @@ int main() {
 "#;
 
 fn opts(seed: u64) -> TuneOptions {
-    TuneOptions { seed, max_rounds: 3, threads: 2, bench: "t".into() }
+    TuneOptions { seed, max_rounds: 3, bench: "t".into() }
 }
 
 #[test]
