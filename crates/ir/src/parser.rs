@@ -497,13 +497,17 @@ pub fn parse_module(text: &str) -> PResult<Module> {
                 }
             }
             let mut init = Vec::new();
-            if let (Some(a), Some(b)) = (tail.find('['), tail.rfind(']')) {
-                for h in tail[a + 1..b].split_whitespace() {
-                    init.push(u8::from_str_radix(h, 16).map_err(|_| ParseError {
-                        line: lineno,
-                        msg: format!("bad hex byte '{h}'"),
-                    })?);
+            match (tail.find('['), tail.rfind(']')) {
+                (Some(a), Some(b)) if a < b => {
+                    for h in tail[a + 1..b].split_whitespace() {
+                        init.push(u8::from_str_radix(h, 16).map_err(|_| ParseError {
+                            line: lineno,
+                            msg: format!("bad hex byte '{h}'"),
+                        })?);
+                    }
                 }
+                (None, None) => {}
+                _ => return err(lineno, "unbalanced '[ ]' in global initializer"),
             }
             m.add_global(Global { name: name.to_string(), size, init, addr: 0, is_const });
             i += 1;
@@ -617,38 +621,8 @@ mod tests {
     use super::*;
     use crate::printer::print_module;
 
-    const SAMPLE: &str = r#"
-module "t"
-queue q0 i32 x 8
-sem sem0 max=2 init=1
-global @tab size=8 const [01 02 03 04]
-
-func @helper(i32) -> i32 {
-bb0:
-  %0 = add i32 %a0, 1:i32
-  ret %0
-}
-
-func @main() -> i32 {
-bb0: ; entry
-  %0 = gaddr @tab
-  %1 = load i32 %0
-  %2 = call i32 @helper(%1)
-  br bb1
-bb1:
-  %3 = phi i32 [bb0: %2], [bb1: %4]
-  %4 = add i32 %3, -1:i32
-  %5 = cmp sgt %4, 0:i32
-  condbr %5, bb1, bb2
-bb2:
-  out %4
-  enqueue q0, %4
-  %6 = dequeue i32 q0
-  raise sem0, 1:i32
-  lower sem0, 1:i32
-  ret %6
-}
-"#;
+    /// Also the seed of the mangled-text proptest (`tests/mangled_ir.rs`).
+    const SAMPLE: &str = include_str!("../tests/data/sample.ir");
 
     #[test]
     fn parses_sample() {
@@ -724,6 +698,13 @@ bb2:
         let bad = "func @f() -> i32 {\nbb0:\n  ret %9\n}\n";
         let e = parse_module(bad).unwrap_err();
         assert!(e.msg.contains("undefined"));
+    }
+
+    #[test]
+    fn error_on_close_bracket_before_open() {
+        let e = parse_module("global @tab size=8 con]t [01 02\n").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.msg.contains("unbalanced"), "{}", e.msg);
     }
 
     #[test]

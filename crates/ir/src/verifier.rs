@@ -76,6 +76,17 @@ fn verify_function(m: &Module, _id: FuncId, f: &Function, errs: &mut Vec<VerifyE
         }
     }
 
+    // Terminator targets first: the predecessor table is indexed by them.
+    let mut missing_target = false;
+    for b in f.block_ids() {
+        for s in f.successors(b).into_iter().filter(|s| s.index() >= f.blocks.len()) {
+            e(format!("{b}: terminator branches to missing {s}"));
+            missing_target = true;
+        }
+    }
+    if missing_target {
+        return;
+    }
     let preds = f.predecessors();
 
     for b in f.block_ids() {
@@ -124,7 +135,7 @@ fn verify_function(m: &Module, _id: FuncId, f: &Function, errs: &mut Vec<VerifyE
                 }
             });
 
-            // Target validity.
+            // Target validity (a terminator's was checked above).
             for s in inst.op.successors() {
                 if s.index() >= f.blocks.len() {
                     e(format!("{b}: {i} branches to missing {s}"));
@@ -226,6 +237,12 @@ mod tests {
             "func @f() -> void {\nbb0:\n  br bb2\nbb1:\n  br bb2\nbb2:\n  %0 = phi i32 [bb0: 1:i32]\n  ret\n}\n",
         );
         assert!(errs.iter().any(|m| m.contains("phi")), "{errs:?}");
+    }
+
+    #[test]
+    fn rejects_branch_to_missing_block() {
+        let errs = verify_src("func @f() -> i32 {\nbb0:\n  br bb7\n}\n");
+        assert!(errs.iter().any(|m| m.contains("missing bb7")), "{errs:?}");
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! register vector the thread recycles from returned frames, so a call
 //! allocates nothing once the thread has reached its deepest nesting.
 
+use crate::agent::{Progress, SimAgent};
 use crate::shared::{OpKind, PendState, Pending, Shared};
 use crate::system::ConfigError;
 use std::collections::HashMap;
@@ -37,30 +38,6 @@ use twill_ir::interp::{eval_bin, eval_cast, eval_cmp};
 use twill_ir::{
     BinOp, BlockId, CastOp, CmpOp, FuncId, InstId, Intr, Module, Op, QueueId, SemId, Ty, Value,
 };
-use twill_obs::StallClass;
-
-/// What an agent did this tick (for stats/progress detection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Progress {
-    Busy,
-    Blocked,
-    Finished,
-}
-
-/// How every cycle of a fast-forward span must be accounted for one agent:
-/// the Progress the naive tick would report, the stall class it would be
-/// charged under, and — for a resource-blocked op — the op kind whose
-/// per-retry stall counters must be bumped. All three are constant across
-/// a span by construction (the span ends before the agent's
-/// `next_interesting_cycle`), so one spec covers the whole leap.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SkipSpec {
-    pub progress: Progress,
-    pub class: StallClass,
-    /// The blocked op whose retry counters accrue each skipped cycle
-    /// (`None` unless the agent is in `PendState::WaitResource`).
-    pub stall_kind: Option<OpKind>,
-}
 
 /// A lowered operand: the index of a frame register (see the module doc).
 type Opnd = u32;
@@ -187,7 +164,7 @@ impl LFunc {
 /// The hardware threads' code for one simulation: every function reachable
 /// from a hardware entry, lowered against its schedule.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct HwPlan {
+pub struct HwPlan {
     /// Indexed by function; functions no hardware thread reaches stay empty.
     funcs: Vec<LFunc>,
 }
@@ -255,21 +232,6 @@ impl RegFile {
     }
 }
 
-/// Blocks reachable from the entry, indexed by block.
-fn reachable_blocks(f: &twill_ir::Function) -> Vec<bool> {
-    let mut seen = vec![false; f.blocks.len()];
-    let mut work = vec![f.entry];
-    seen[f.entry.index()] = true;
-    while let Some(b) = work.pop() {
-        for s in f.successors(b) {
-            if !std::mem::replace(&mut seen[s.index()], true) {
-                work.push(s);
-            }
-        }
-    }
-    seen
-}
-
 fn lower_func(m: &Module, sched: &ModuleSchedule, fid: FuncId) -> Result<LFunc, ConfigError> {
     let f = m.func(fid);
     let fs = sched.for_func(fid);
@@ -278,7 +240,7 @@ fn lower_func(m: &Module, sched: &ModuleSchedule, fid: FuncId) -> Result<LFunc, 
         line: f.loc(iid).line,
         what,
     };
-    let reachable = reachable_blocks(f);
+    let reachable = twill_passes::utils::reachable_blocks(f);
     // Reachable predecessors per block, one entry per distinct block.
     let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); f.blocks.len()];
     for b in f.block_ids().filter(|b| reachable[b.index()]) {
@@ -439,7 +401,7 @@ struct InFlight {
 
 /// One hardware thread executing a (partition) entry function.
 pub struct HwThread {
-    pub agent_id: usize,
+    agent_id: usize,
     /// The partition entry function (wait-for-graph analysis).
     entry: FuncId,
     frames: Vec<HwFrame>,
@@ -459,9 +421,7 @@ pub struct HwThread {
     /// Stack bump pointer for allocas (pure-HW runs of whole programs).
     sp: u32,
     stack_limit: u32,
-    pub busy_cycles: u64,
-    pub blocked_cycles: u64,
-    pub finish_cycle: u64,
+    finish_cycle: u64,
 }
 
 impl HwThread {
@@ -489,223 +449,8 @@ impl HwThread {
             finished: false,
             sp: stack.0,
             stack_limit: stack.1,
-            busy_cycles: 0,
-            blocked_cycles: 0,
             finish_cycle: 0,
         }
-    }
-
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Attribution for a cycle this agent reported [`Progress::Blocked`].
-    pub fn stall_class(&self) -> StallClass {
-        self.pending.as_ref().map(|p| p.op.stall_class()).unwrap_or(StallClass::Busy)
-    }
-
-    /// Delay execution until the master's StartThread message arrives.
-    pub fn set_start_delay(&mut self, cycles: u32) {
-        self.charge += cycles;
-    }
-
-    /// Instruction site the cycle just ticked belongs to (profiling).
-    pub fn attr_site(&self) -> Option<(usize, usize)> {
-        self.attr_site
-    }
-
-    /// The kind of the in-flight runtime op, if any (hang diagnosis).
-    pub fn pending_kind(&self) -> Option<OpKind> {
-        self.pending.as_ref().map(|p| p.op.kind)
-    }
-
-    /// The partition entry function (hang diagnosis).
-    pub fn entry(&self) -> FuncId {
-        self.entry
-    }
-
-    /// Freeze this thread for `cycles` extra cycles (fault injection:
-    /// a transient stall, attributed as busy time like any other charge).
-    pub fn inject_stall(&mut self, cycles: u32) {
-        self.charge += cycles;
-    }
-
-    /// Earliest cycle (> `now`, the cycle just ticked) at which this
-    /// agent's tick can do anything beyond burning a charge cycle or
-    /// re-polling a blocked/latency-burning op — the fast-forward contract
-    /// (DESIGN.md §12). `u64::MAX` means "not until a peer acts".
-    pub(crate) fn next_interesting_cycle(&self, now: u64, shared: &Shared) -> u64 {
-        if self.finished {
-            return u64::MAX;
-        }
-        if self.charge > 0 {
-            // Ticks now+1 ..= now+charge burn the charge; the next one
-            // executes.
-            return now + self.charge as u64 + 1;
-        }
-        match &self.pending {
-            Some(p) => match p.op.state {
-                // Latency(n) polls down to Done at tick now+n.
-                PendState::Latency(n) => now + n as u64,
-                // Blocked on a queue/sem: only a peer can unblock it, and
-                // peers act at their own interesting cycles. But if the
-                // resource is ready right now the last poll simply missed
-                // it (the peer served later in the same cycle, or this
-                // agent was riding out a charge) — the wake tick is next.
-                PendState::WaitResource => {
-                    if shared.resource_ready(p.op.kind) {
-                        now + 1
-                    } else {
-                        u64::MAX
-                    }
-                }
-                // Bus arbitration is re-run every cycle in agent order;
-                // never skip over it.
-                _ => now + 1,
-            },
-            None => now + 1,
-        }
-    }
-
-    /// The constant per-cycle accounting of a fast-forward span starting
-    /// after `now`. Only meaningful when `next_interesting_cycle` allows a
-    /// skip (the run loop guarantees that).
-    pub(crate) fn skip_spec(&self) -> SkipSpec {
-        if self.finished {
-            return SkipSpec {
-                progress: Progress::Finished,
-                class: StallClass::Idle,
-                stall_kind: None,
-            };
-        }
-        if self.charge > 0 {
-            return SkipSpec {
-                progress: Progress::Busy,
-                class: StallClass::Busy,
-                stall_kind: None,
-            };
-        }
-        match &self.pending {
-            Some(p) => match p.op.state {
-                PendState::WaitResource => SkipSpec {
-                    progress: Progress::Blocked,
-                    class: p.op.stall_class(),
-                    stall_kind: Some(p.op.kind),
-                },
-                // Latency burn: blocked progress, charged as busy.
-                _ => SkipSpec {
-                    progress: Progress::Blocked,
-                    class: StallClass::Busy,
-                    stall_kind: None,
-                },
-            },
-            None => {
-                debug_assert!(false, "skip_spec on an agent with nothing in flight");
-                SkipSpec { progress: Progress::Busy, class: StallClass::Busy, stall_kind: None }
-            }
-        }
-    }
-
-    /// Replay the state changes of `k` skipped ticks in one step: burn
-    /// charge, count down op latency, and advance the pending-op tick
-    /// counter exactly as `k` naive polls would have.
-    pub(crate) fn apply_skip(&mut self, k: u64) {
-        if self.finished {
-            return;
-        }
-        if self.charge > 0 {
-            debug_assert!(k <= self.charge as u64, "skip overran charge");
-            self.charge -= k as u32;
-            self.busy_cycles += k;
-            return;
-        }
-        match self.pending.as_mut() {
-            Some(p) => {
-                p.ticks = p.ticks.wrapping_add(k as u32);
-                if let PendState::Latency(n) = &mut p.op.state {
-                    debug_assert!(k < *n as u64, "skip overran op latency");
-                    *n -= k as u32;
-                }
-                self.blocked_cycles += k;
-            }
-            None => debug_assert!(false, "apply_skip on an agent with nothing in flight"),
-        }
-    }
-
-    /// One simulated cycle.
-    pub(crate) fn tick(&mut self, plan: &HwPlan, shared: &mut Shared) -> Progress {
-        if self.finished {
-            return Progress::Finished;
-        }
-        if self.charge > 0 {
-            self.charge -= 1;
-            self.busy_cycles += 1;
-            return Progress::Busy;
-        }
-        // In-flight runtime op?
-        if let Some(mut p) = self.pending.take() {
-            p.op = shared.poll(p.op);
-            p.ticks += 1;
-            match p.op.state {
-                PendState::Done(v) => {
-                    let fr = self.frames.last_mut().unwrap();
-                    fr.retire(p.dst, p.ty, v);
-                    fr.cur_offset = p.issue_off + p.ticks;
-                    self.busy_cycles += 1;
-                    Progress::Busy
-                }
-                _ => {
-                    self.pending = Some(p);
-                    self.blocked_cycles += 1;
-                    Progress::Blocked
-                }
-            }
-        } else {
-            self.execute(plan, shared, false)
-        }
-    }
-
-    /// Run-ahead fast path (DESIGN.md §12): execute FSM states back to
-    /// back, each in its own cycle opened with `begin_cycle`, burning
-    /// schedule gaps in bulk, until an op stays in flight past its issue
-    /// cycle, the thread finishes, or the clock reaches `limit`. Memory ops
-    /// issue through the normal bus path: no sleeping peer polls a bus.
-    /// Legal when every peer is finished or asleep through `limit`. With
-    /// `peers` set the run stops before a module-bus op (queue, semaphore,
-    /// stream I/O), which a sleeper later in the rotation could be served
-    /// by in the same cycle, and closes that cycle again unobserved; the
-    /// op issues on a real tick. Returns how many of the cycles it advanced
-    /// were busy; the one other cycle it can advance is the finishing one,
-    /// which `tick_agent` charges `Idle`.
-    pub(crate) fn run_plain(
-        &mut self,
-        plan: &HwPlan,
-        shared: &mut Shared,
-        limit: u64,
-        peers: bool,
-    ) -> u64 {
-        let mut busy = 0;
-        while self.charge == 0 && self.pending.is_none() && !self.finished && shared.cycle < limit {
-            shared.begin_cycle();
-            match self.execute(plan, shared, peers) {
-                Progress::Busy => busy += 1,
-                Progress::Blocked => {
-                    // Held before a module-bus op. The entries executed in
-                    // this cycle touched only the thread's own registers
-                    // and stack, so the real tick carries on from the op.
-                    shared.cycle -= 1;
-                    shared.stats.cycles = shared.cycle;
-                    break;
-                }
-                Progress::Finished => {}
-            }
-            let k = (self.charge as u64).min(limit - shared.cycle);
-            self.charge -= k as u32;
-            self.busy_cycles += k;
-            shared.skip_cycles(k);
-            busy += k;
-        }
-        busy
     }
 
     /// Execute schedule entries until a cycle is consumed. With `hold_bus`
@@ -734,7 +479,6 @@ impl HwThread {
                     // Gap cycles are dependence latency before `e` issues.
                     self.attr_site = site;
                     self.charge = gap - 1;
-                    self.busy_cycles += 1;
                     return Progress::Busy;
                 }
                 continue;
@@ -848,7 +592,6 @@ impl HwThread {
                     self.attr_site = site;
                     self.frames.push(frame);
                     self.waive_credit = 0;
-                    self.busy_cycles += 1;
                     return Progress::Busy; // FSM handoff: 1 cycle
                 }
                 LOp::Ret(v) => {
@@ -872,7 +615,6 @@ impl HwThread {
                             caller.op_idx += 1;
                             // Completing the call consumed the callee's
                             // cycles; the return handoff is 1 more.
-                            self.busy_cycles += 1;
                             Progress::Busy
                         }
                     };
@@ -912,7 +654,6 @@ impl HwThread {
         } else {
             self.pending = Some(InFlight { dst, ty, op: p, ticks: 1, issue_off });
         }
-        self.busy_cycles += 1;
         Progress::Busy
     }
 
@@ -925,7 +666,123 @@ impl HwThread {
         fr.block = edge.target;
         fr.op_idx = 0;
         fr.cur_offset = 0;
-        self.busy_cycles += 1;
         Progress::Busy // the branch state consumes its cycle
+    }
+}
+
+impl SimAgent for HwThread {
+    fn agent_id(&self) -> usize {
+        self.agent_id
+    }
+
+    fn is_finished(&self) -> bool {
+        self.finished
+    }
+
+    fn finish_cycle(&self) -> u64 {
+        self.finish_cycle
+    }
+
+    fn charge(&self) -> u32 {
+        self.charge
+    }
+
+    fn charge_mut(&mut self) -> &mut u32 {
+        &mut self.charge
+    }
+
+    fn pending(&self) -> Option<&Pending> {
+        self.pending.as_ref().map(|p| &p.op)
+    }
+
+    fn pending_mut(&mut self) -> Option<&mut Pending> {
+        self.pending.as_mut().map(|p| &mut p.op)
+    }
+
+    fn attr_site(&self) -> Option<(usize, usize)> {
+        self.attr_site
+    }
+
+    fn entries(&self) -> &[FuncId] {
+        std::slice::from_ref(&self.entry)
+    }
+
+    fn tick(&mut self, _m: &Module, plan: &HwPlan, shared: &mut Shared) -> Progress {
+        if self.finished {
+            return Progress::Finished;
+        }
+        if self.charge > 0 {
+            self.charge -= 1;
+            return Progress::Busy;
+        }
+        // In-flight runtime op?
+        let Some(mut p) = self.pending.take() else {
+            return self.execute(plan, shared, false);
+        };
+        p.op = shared.poll(p.op);
+        p.ticks += 1;
+        match p.op.state {
+            PendState::Done(v) => {
+                let fr = self.frames.last_mut().unwrap();
+                fr.retire(p.dst, p.ty, v);
+                fr.cur_offset = p.issue_off + p.ticks;
+                Progress::Busy
+            }
+            _ => {
+                self.pending = Some(p);
+                Progress::Blocked
+            }
+        }
+    }
+
+    /// Run-ahead fast path (DESIGN.md §12): execute FSM states back to
+    /// back, each in its own cycle opened with `begin_cycle`, burning
+    /// schedule gaps in bulk, until an op stays in flight past its issue
+    /// cycle, the thread finishes, or the clock reaches `limit`. Memory ops
+    /// issue through the normal bus path: no sleeping peer polls a bus.
+    /// Legal when every peer is finished or asleep through `limit`. With
+    /// `peers` set the run stops before a module-bus op (queue, semaphore,
+    /// stream I/O), which a sleeper later in the rotation could be served
+    /// by in the same cycle, and closes that cycle again unobserved; the
+    /// op issues on a real tick. Returns how many of the cycles it advanced
+    /// were busy; the one other cycle it can advance is the finishing one,
+    /// which `tick_agent` charges `Idle`.
+    fn run_plain(
+        &mut self,
+        _m: &Module,
+        plan: &HwPlan,
+        shared: &mut Shared,
+        limit: u64,
+        peers: bool,
+    ) -> u64 {
+        let mut busy = 0;
+        while self.charge == 0 && self.pending.is_none() && !self.finished && shared.cycle < limit {
+            shared.begin_cycle();
+            match self.execute(plan, shared, peers) {
+                Progress::Busy => busy += 1,
+                Progress::Blocked => {
+                    // Held before a module-bus op. The entries executed in
+                    // this cycle touched only the thread's own registers
+                    // and stack, so the real tick carries on from the op.
+                    shared.cycle -= 1;
+                    shared.stats.cycles = shared.cycle;
+                    break;
+                }
+                Progress::Finished => {}
+            }
+            let k = (self.charge as u64).min(limit - shared.cycle);
+            self.charge -= k as u32;
+            shared.skip_cycles(k);
+            busy += k;
+        }
+        busy
+    }
+
+    /// Every poll of an in-flight op, blocked or burning latency, counts
+    /// toward the schedule offset it completes at.
+    fn skip_polls(&mut self, k: u64) {
+        if let Some(p) = &mut self.pending {
+            p.ticks = p.ticks.wrapping_add(k as u32);
+        }
     }
 }

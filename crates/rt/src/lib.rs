@@ -26,6 +26,7 @@
 //!   cycle, chained ops free, multi-cycle ops stall, pipelined loop bodies
 //!   initiate every II cycles.
 
+pub mod agent;
 pub mod counters;
 pub mod cpu;
 pub mod fault;

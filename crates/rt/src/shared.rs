@@ -151,6 +151,9 @@ pub struct Shared {
     /// Memory-bus grant budget left this cycle.
     mem_bus_left: u8,
     pub stats: SimStats,
+    /// Per agent: cycles it ticked `Busy` (the CPU's share is the report's
+    /// `cpu_busy_fraction`).
+    pub(crate) busy_ticks: Vec<u64>,
     /// Which agent's events are being recorded (set by the system loop
     /// before each agent's tick; 0 for direct harnesses).
     cur_agent: u16,
@@ -215,6 +218,7 @@ impl Shared {
                     .collect(),
                 ..Default::default()
             },
+            busy_ticks: vec![0; n_agents],
             cur_agent: 0,
             faults: None,
             recorder: None,
@@ -325,8 +329,8 @@ impl Shared {
 
     /// True when the fault plan consumes PRNG draws every cycle (memory
     /// upsets per cycle, stall draws per live hardware thread per cycle).
-    /// Such cycles can be skipped only by replaying the draws in tick
-    /// order so the splitmix64 stream stays byte-identical.
+    /// Fast-forward ticks such cycles, so the splitmix64 stream advances
+    /// exactly as in the naive loop.
     pub(crate) fn fault_draws_per_cycle(&self, live_hw: bool) -> bool {
         match self.faults.as_deref() {
             None => false,

@@ -1,9 +1,10 @@
 //! System assembly and the three experiment configurations.
 
+use crate::agent::{Progress, SimAgent};
 use crate::cpu::Cpu;
 use crate::fault::{FaultPlan, FaultRecord};
 use crate::hang::{build_hang_report, AgentSnapshot, HangReport, WaitState};
-use crate::hwthread::{HwPlan, HwThread, Progress, SkipSpec};
+use crate::hwthread::{HwPlan, HwThread};
 use crate::shared::Shared;
 use twill_dswp::DswpResult;
 use twill_hls::schedule::{schedule_module, HlsOptions, ModuleSchedule};
@@ -495,7 +496,7 @@ fn simulate(
     let start_op = twill_ir::cost::SW_RUNTIME_OP as u32;
     let mut cpu = (!sw.is_empty()).then(|| {
         let mut c = Cpu::new(0, m, sw, sw_stacks);
-        c.add_startup_charge(hw.len() as u32 * start_op);
+        c.add_charge(hw.len() as u32 * start_op);
         c
     });
     let first_hw = cpu.is_some() as usize;
@@ -506,7 +507,7 @@ fn simulate(
         .map(|(i, (&entry, &stack))| {
             let mut h = HwThread::new(first_hw + i, &plan, entry, stack);
             if cpu.is_some() {
-                h.set_start_delay((i as u32 + 1) * start_op);
+                h.add_charge((i as u32 + 1) * start_op);
             }
             h
         })
@@ -548,7 +549,8 @@ fn simulate(
     let report = SimReport {
         cycles,
         output: shared.output.clone(),
-        cpu_busy_fraction: cpu.map_or(0.0, |c| c.busy_cycles as f64 / cycles.max(1) as f64),
+        cpu_busy_fraction: cpu
+            .map_or(0.0, |c| shared.busy_ticks[c.agent_id()] as f64 / cycles.max(1) as f64),
         stats: shared.stats,
         hw_threads: hw.len(),
         agent_names,
@@ -559,96 +561,6 @@ fn simulate(
         timeline,
     };
     wrap(halt, report)
-}
-
-/// The agent interface the run loop drives. Both agent kinds tick the same
-/// way from the loop's perspective; `plan` is ignored by the CPU and
-/// required by hardware threads.
-trait SimAgent {
-    fn agent_id(&self) -> usize;
-    fn stall_class(&self) -> StallClass;
-    fn attr_site(&self) -> Option<(usize, usize)>;
-    fn tick(&mut self, m: &Module, plan: &HwPlan, shared: &mut Shared) -> Progress;
-    fn skip_spec(&self) -> SkipSpec;
-    fn apply_skip(&mut self, k: u64);
-    /// Run-ahead fast path: advance the clock up to `limit` in one tight
-    /// loop, without per-cycle loop work, and return how many of the cycles
-    /// it advanced were busy. Any other cycle it advanced is a hardware
-    /// thread's finishing cycle, charged `Idle` as [`tick_agent`] would.
-    /// Legal when every peer is finished or asleep through `limit`; with
-    /// sleeping `peers` it also stops before any op that could serve one of
-    /// them (see [`awake_run`]).
-    fn run_plain(
-        &mut self,
-        m: &Module,
-        plan: &HwPlan,
-        shared: &mut Shared,
-        limit: u64,
-        peers: bool,
-    ) -> u64;
-}
-
-impl SimAgent for Cpu {
-    fn agent_id(&self) -> usize {
-        self.agent_id
-    }
-    fn stall_class(&self) -> StallClass {
-        Cpu::stall_class(self)
-    }
-    fn attr_site(&self) -> Option<(usize, usize)> {
-        Cpu::attr_site(self)
-    }
-    fn tick(&mut self, m: &Module, _plan: &HwPlan, shared: &mut Shared) -> Progress {
-        Cpu::tick(self, m, shared)
-    }
-    fn skip_spec(&self) -> SkipSpec {
-        Cpu::skip_spec(self)
-    }
-    fn apply_skip(&mut self, k: u64) {
-        Cpu::apply_skip(self, k)
-    }
-    fn run_plain(
-        &mut self,
-        m: &Module,
-        _plan: &HwPlan,
-        shared: &mut Shared,
-        limit: u64,
-        _peers: bool,
-    ) -> u64 {
-        // Runtime ops are handed back whether or not peers are live.
-        Cpu::run_plain(self, m, shared, limit)
-    }
-}
-
-impl SimAgent for HwThread {
-    fn agent_id(&self) -> usize {
-        self.agent_id
-    }
-    fn stall_class(&self) -> StallClass {
-        HwThread::stall_class(self)
-    }
-    fn attr_site(&self) -> Option<(usize, usize)> {
-        HwThread::attr_site(self)
-    }
-    fn tick(&mut self, _m: &Module, plan: &HwPlan, shared: &mut Shared) -> Progress {
-        HwThread::tick(self, plan, shared)
-    }
-    fn skip_spec(&self) -> SkipSpec {
-        HwThread::skip_spec(self)
-    }
-    fn apply_skip(&mut self, k: u64) {
-        HwThread::apply_skip(self, k)
-    }
-    fn run_plain(
-        &mut self,
-        _m: &Module,
-        plan: &HwPlan,
-        shared: &mut Shared,
-        limit: u64,
-        peers: bool,
-    ) -> u64 {
-        HwThread::run_plain(self, plan, shared, limit, peers)
-    }
 }
 
 /// Tick one agent and charge the cycle: progress counters, per-class
@@ -675,34 +587,17 @@ fn tick_agent<A: SimAgent>(
         let site = if class == StallClass::Idle { None } else { a.attr_site() };
         p.agents[aid].record(site, class);
     }
-    progress == Progress::Busy
-}
-
-/// Bulk-charge `k` skipped cycles for one agent under its (constant) skip
-/// spec: the fast-forward twin of the accounting in [`tick_agent`].
-fn charge_skip(
-    shared: &mut Shared,
-    profile: &mut Profile,
-    aid: usize,
-    spec: &SkipSpec,
-    site: Option<(usize, usize)>,
-    k: u64,
-) {
-    shared.stats.agent_cycles[aid][spec.class] += k;
-    if let Some(kind) = spec.stall_kind {
-        shared.note_stall_bulk(kind, k);
-    }
-    if let Some(p) = profile.as_mut() {
-        let site = if spec.class == StallClass::Idle { None } else { site };
-        p.agents[aid].record_n(site, spec.class, k);
-    }
+    let busy = progress == Progress::Busy;
+    shared.busy_ticks[aid] += busy as u64;
+    busy
 }
 
 /// Bulk-charge `k` cycles to every live agent but `awake`, each under its
-/// skip spec, and advance the HW rotation as if each cycle had been
-/// ticked: how a leap (no agent awake) and an awake run account for the
-/// agents that sleep through their span. Returns whether any charged agent
-/// was busy (burning a charge).
+/// (constant) skip spec, and advance the HW rotation as if each cycle had
+/// been ticked: how a leap (no agent awake) and an awake run account for
+/// the agents that sleep through their span, the fast-forward twin of the
+/// accounting in [`tick_agent`]. Returns whether any charged agent was
+/// busy (burning a charge).
 fn charge_sleepers(
     shared: &mut Shared,
     profile: &mut Profile,
@@ -714,11 +609,19 @@ fn charge_sleepers(
 ) -> bool {
     let mut busy = false;
     let mut sleep = |a: &mut dyn SimAgent| {
-        let spec = a.skip_spec();
-        let site = a.attr_site();
+        let (aid, spec, site) = (a.agent_id(), a.skip_spec(), a.attr_site());
         a.apply_skip(k);
-        charge_skip(shared, profile, a.agent_id(), &spec, site, k);
-        busy |= spec.progress == Progress::Busy;
+        shared.stats.agent_cycles[aid][spec.class] += k;
+        if spec.progress == Progress::Busy {
+            shared.busy_ticks[aid] += k;
+            busy = true;
+        }
+        if let Some(kind) = spec.stall_kind {
+            shared.note_stall_bulk(kind, k);
+        }
+        if let Some(p) = profile.as_mut() {
+            p.agents[aid].record_n(site, spec.class, k);
+        }
     };
     if let Some(c) = cpu.filter(|c| !c.is_finished() && awake != Some(Who::Cpu)) {
         sleep(c);
@@ -742,11 +645,10 @@ fn charge_sleepers(
 /// ends, times out or deadlocks. On the naive loop, which ticks finished
 /// agents every cycle, it finds nothing to settle.
 fn settle_idle(shared: &mut Shared, profile: &mut Profile, cpu: Option<&Cpu>, hw: &[HwThread]) {
-    let cpu_done = cpu.filter(|c| c.is_finished()).map(|c| (c.agent_id, c.finish_cycle));
-    let hw_done = hw.iter().filter(|h| h.is_finished()).map(|h| (h.agent_id, h.finish_cycle));
-    for (aid, finished_at) in cpu_done.into_iter().chain(hw_done) {
+    for a in agents(cpu, hw).filter(|a| a.is_finished()) {
+        let aid = a.agent_id();
         let c = &mut shared.stats.agent_cycles[aid];
-        debug_assert!(c.total() >= finished_at, "agent {aid} lost cycles before it finished");
+        debug_assert!(c.total() >= a.finish_cycle(), "agent {aid} lost cycles before it finished");
         let lag = shared.cycle - c.total();
         c.idle += lag;
         if let Some(p) = profile.as_mut() {
@@ -762,15 +664,13 @@ fn settle_idle(shared: &mut Shared, profile: &mut Profile, cpu: Option<&Cpu>, hw
 /// The target is `horizon`, the minimum over every live agent's
 /// `next_interesting_cycle` (see [`scan`]), capped so the leap never
 /// crosses a pinned fault's cycle, the watchdog's firing edge, or
-/// `max_cycles`. Skipped
-/// cycles are bulk-charged to each live agent's current stall class at
-/// both stats and profile granularity (finished agents are settled lazily,
-/// see [`settle_idle`]), and the HW rotation advances as if each cycle had
-/// been ticked. When the fault plan draws randomness every cycle
-/// (memory-upset rate, HW-stall rate), the draws are replayed per skipped
-/// cycle in exact tick order — without executing any agent — so the
-/// splitmix64 stream, fault log, and trace events stay byte-identical to
-/// the naive loop.
+/// `max_cycles`. Skipped cycles are bulk-charged to each live agent's
+/// current stall class at both stats and profile granularity (finished
+/// agents are settled lazily, see [`settle_idle`]), and the HW rotation
+/// advances as if each cycle had been ticked. A fault plan that draws
+/// randomness every cycle (memory-upset rate, HW-stall rate) declines the
+/// leap: those cycles tick, so the splitmix64 stream advances as in the
+/// naive loop.
 #[allow(clippy::too_many_arguments)]
 fn try_fast_forward(
     cpu: Option<&mut Cpu>,
@@ -784,9 +684,11 @@ fn try_fast_forward(
     next_sample_boundary: u64,
 ) -> bool {
     let now = shared.cycle;
-    if shared.has_armed_stalls() {
-        // An armed pinned stall fires at its target agent's next tick;
-        // that tick must actually happen.
+    // An armed pinned stall fires at its target agent's next tick, and a
+    // per-cycle fault draw at every tick; those ticks must happen.
+    if shared.has_armed_stalls()
+        || shared.fault_draws_per_cycle(hw.iter().any(|h| !h.is_finished()))
+    {
         return false;
     }
     let mut target = horizon;
@@ -803,10 +705,9 @@ fn try_fast_forward(
     }
     // Every agent can now be skipped (its horizon is >= target >= now+2),
     // so the per-cycle accounting of the whole span is a constant spec.
-    let mut cpu = cpu.filter(|c| !c.is_finished());
-    let cpu_spec = cpu.as_deref().map(|c| c.skip_spec());
-    let progressed_const = cpu_spec.map(|s| s.progress == Progress::Busy).unwrap_or(false)
-        || hw.iter().any(|h| h.skip_spec().progress == Progress::Busy);
+    let cpu = cpu.filter(|c| !c.is_finished());
+    let progressed_const =
+        agents(cpu.as_deref(), hw).any(|a| a.skip_spec().progress == Progress::Busy);
     if !progressed_const {
         // A fully-blocked span must stop exactly where the watchdog would
         // fire; the normal iteration at that cycle then fires it.
@@ -820,75 +721,24 @@ fn try_fast_forward(
         return false;
     }
     let k = target - now - 1;
+    // No per-cycle randomness to reproduce. Pinned faults cannot come due
+    // inside the span (target is capped at the next pinned cycle), so
+    // deferring `begin_cycle`'s arming to the next real tick is
+    // unobservable; bus budgets reset unused each naive span cycle and are
+    // reset again at the next `begin_cycle`.
+    shared.skip_cycles(k);
+    charge_sleepers(shared, profile, cpu, hw, None, rotation, k);
     let n = hw.len();
-    let live_hw = hw.iter().any(|h| !h.is_finished());
-
-    if !shared.fault_draws_per_cycle(live_hw) {
-        // O(1) leap: no per-cycle randomness to reproduce. Pinned faults
-        // cannot come due inside the span (target is capped at the next
-        // pinned cycle), so deferring `begin_cycle`'s arming to the next
-        // real tick is unobservable; bus budgets reset unused each naive
-        // span cycle and are reset again at the next `begin_cycle`.
-        shared.skip_cycles(k);
-        charge_sleepers(shared, profile, cpu, hw, None, rotation, k);
-        if n > 0 {
-            // Restore the event track the naive loop would have left
-            // current: the last HW thread ticked in the final skipped
-            // cycle's rotation (a pinned fault firing at `begin_cycle` of
-            // the next cycle is recorded against it).
-            let last_idx = (*rotation + 2 * n - 2) % n;
-            shared.set_agent(hw[last_idx].agent_id as u16);
-        }
-        if progressed_const {
-            *last_progress_cycle = shared.cycle;
-        }
-    } else {
-        // Per-cycle fault-draw replay: advance the clock cycle by cycle,
-        // consuming exactly the draws the naive loop would (memory upsets
-        // in `begin_cycle`, stall draws per live HW thread in rotation
-        // order) — but without executing any agent. An injected stall
-        // changes the stalled agent's horizon, so the span ends early
-        // there and the main loop recomputes.
-        let mut injected = false;
-        for _ in 0..k {
-            shared.begin_cycle();
-            let mut progressed = false;
-            if let (Some(c), Some(spec)) = (cpu.as_deref_mut(), cpu_spec) {
-                shared.set_agent(c.agent_id as u16);
-                let site = c.attr_site();
-                c.apply_skip(1);
-                progressed |= spec.progress == Progress::Busy;
-                charge_skip(shared, profile, c.agent_id, &spec, site, 1);
-            }
-            for i in 0..n {
-                let idx = (*rotation + i) % n;
-                let aid = hw[idx].agent_id;
-                shared.set_agent(aid as u16);
-                if hw[idx].is_finished() {
-                    continue;
-                }
-                if let Some(cycles) = shared.fault_stall(aid) {
-                    hw[idx].inject_stall(cycles);
-                    injected = true;
-                }
-                // Spec after any injection: the naive tick of a freshly
-                // stalled agent burns one charge cycle as busy.
-                let spec = hw[idx].skip_spec();
-                let site = hw[idx].attr_site();
-                hw[idx].apply_skip(1);
-                progressed |= spec.progress == Progress::Busy;
-                charge_skip(shared, profile, aid, &spec, site, 1);
-            }
-            if n > 0 {
-                *rotation = (*rotation + 1) % n;
-            }
-            if progressed {
-                *last_progress_cycle = shared.cycle;
-            }
-            if injected {
-                break;
-            }
-        }
+    if n > 0 {
+        // Restore the event track the naive loop would have left current:
+        // the last HW thread ticked in the final skipped cycle's rotation
+        // (a pinned fault firing at `begin_cycle` of the next cycle is
+        // recorded against it).
+        let last_idx = (*rotation + 2 * n - 2) % n;
+        shared.set_agent(hw[last_idx].agent_id() as u16);
+    }
+    if progressed_const {
+        *last_progress_cycle = shared.cycle;
     }
     true
 }
@@ -980,6 +830,7 @@ fn awake_run(
     let c = &mut shared.stats.agent_cycles[aid];
     c.busy += busy;
     c.idle += k - busy;
+    shared.busy_ticks[aid] += busy;
     let sleeper_busy = charge_sleepers(shared, &mut None, cpu, hw, Some(who), rotation, k);
     // The awake agent is busy on every cycle it advanced but a hardware
     // thread's finishing one, which is its last.
@@ -1166,19 +1017,20 @@ fn run_loop(
 /// The watchdog fired: snapshot every agent's blocked state for the
 /// wait-for diagnosis, named as the run names its agents.
 fn snapshots(cpu: Option<&Cpu>, hw: &[HwThread], agent_names: &[String]) -> Vec<AgentSnapshot> {
-    let cpu = cpu.map(|c| AgentSnapshot {
-        name: agent_names[c.agent_id].clone(),
-        entries: c.entries().to_vec(),
-        state: WaitState::classify(c.pending_kind(), c.stall_class(), c.is_finished()),
-        site: c.attr_site(),
-    });
-    let hw = hw.iter().map(|h| AgentSnapshot {
-        name: agent_names[h.agent_id].clone(),
-        entries: vec![h.entry()],
-        state: WaitState::classify(h.pending_kind(), h.stall_class(), h.is_finished()),
-        site: h.attr_site(),
-    });
-    cpu.into_iter().chain(hw).collect()
+    agents(cpu, hw)
+        .map(|a| AgentSnapshot {
+            name: agent_names[a.agent_id()].clone(),
+            entries: a.entries().to_vec(),
+            state: WaitState::classify(a.pending_kind(), a.stall_class(), a.is_finished()),
+            site: a.attr_site(),
+        })
+        .collect()
+}
+
+/// Every agent in agent order, the CPU first.
+fn agents<'a>(cpu: Option<&'a Cpu>, hw: &'a [HwThread]) -> impl Iterator<Item = &'a dyn SimAgent> {
+    let cpu = cpu.map(|c| c as &dyn SimAgent);
+    cpu.into_iter().chain(hw.iter().map(|h| h as &dyn SimAgent))
 }
 
 /// Sample the timeline if the clock sits on a boundary, settling idle
@@ -1285,13 +1137,13 @@ fn drive(
                 if lazy && hw[idx].is_finished() {
                     continue;
                 }
-                let aid = hw[idx].agent_id;
+                let aid = hw[idx].agent_id();
                 shared.set_agent(aid as u16);
                 // Injected transient stall: charged as busy latency so the
                 // thread rides it out (and the watchdog sees progress).
                 if !hw[idx].is_finished() {
                     if let Some(cycles) = shared.fault_stall(aid) {
-                        hw[idx].inject_stall(cycles);
+                        hw[idx].add_charge(cycles);
                     }
                 }
                 progressed |= tick_agent(&mut hw[idx], m, plan, shared, profile);
@@ -1299,7 +1151,7 @@ fn drive(
             if lazy {
                 // Leave current the event track the naive loop would: the
                 // last HW thread in this cycle's rotation.
-                shared.set_agent(hw[(rotation + n - 1) % n].agent_id as u16);
+                shared.set_agent(hw[(rotation + n - 1) % n].agent_id() as u16);
             }
             rotation = (rotation + 1) % n;
         }

@@ -164,8 +164,8 @@ fn site_strategy() -> impl Strategy<Value = FaultSite> {
 }
 
 fn spec_strategy() -> impl Strategy<Value = FaultSpec> {
-    // Zero-heavy so plenty of cases exercise the pure skip path (Path A)
-    // rather than always forcing per-cycle fault-draw replay.
+    // Zero-heavy so plenty of cases leap; a nonzero memory-upset rate (or
+    // HW-stall rate) draws every cycle, and those cycles tick.
     let rate = || prop_oneof![Just(0.0), Just(0.0), Just(0.0), Just(0.002), Just(0.02)];
     (
         (rate(), rate(), rate()),

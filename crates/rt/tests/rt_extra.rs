@@ -1,8 +1,9 @@
 //! Extra runtime-simulator coverage: the software-thread scheduler
 //! (multiple SW threads on one CPU), determinism, and statistics.
 
+use twill_rt::agent::{Progress, SimAgent};
 use twill_rt::cpu::Cpu;
-use twill_rt::hwthread::Progress;
+use twill_rt::hwthread::HwPlan;
 use twill_rt::{simulate_hybrid, Shared, SimConfig};
 
 /// Producer/consumer pair as two *software* threads sharing the CPU —
@@ -48,7 +49,7 @@ bb2:
     let mut cycles = 0u64;
     while !cpu.is_finished() {
         shared.begin_cycle();
-        let _ = cpu.tick(&m, &mut shared);
+        let _ = cpu.tick(&m, &HwPlan::default(), &mut shared);
         cycles += 1;
         assert!(cycles < 1_000_000, "scheduler deadlock");
     }
