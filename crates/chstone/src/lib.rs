@@ -184,19 +184,7 @@ pub fn input_for(name: &str, scale: u32) -> Vec<i32> {
 pub fn compile_and_prepare(b: &Benchmark) -> Module {
     let mut m =
         twill_frontend::compile(b.name, b.source).unwrap_or_else(|e| panic!("{}: {e}", b.name));
-    // HLS flows inline aggressively (LegUp flattens everything it
-    // synthesizes); a higher threshold than the generic default exposes
-    // the per-round pipeline structure to DSWP.
-    let opts = twill_passes::PipelineOptions {
-        verify_between: false,
-        inline: twill_passes::inline::InlineOptions {
-            small_threshold: 400,
-            single_site_threshold: 600,
-            max_inlines: 1000,
-            ..Default::default()
-        },
-    };
-    twill_passes::run_standard_pipeline(&mut m, &opts);
+    twill_passes::run_standard_pipeline(&mut m, &twill_passes::PipelineOptions::hls_flow());
     m
 }
 

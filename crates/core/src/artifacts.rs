@@ -9,103 +9,37 @@
 //!                 └────────hls(opts)──▶ pure-HW schedule (LegUp baseline)
 //! ```
 //!
-//! Each stage runs at most once per distinct input: the linear stages
-//! (frontend, passes) live behind [`OnceLock`] cells; the fan-out stages
-//! (DSWP, HLS scheduling, Verilog emission) live in hash maps keyed by an
-//! FNV-1a content hash of their inputs (module text + option bits). Sweep
-//! drivers that vary only `SimConfig` knobs or DSWP split points therefore
-//! reuse every upstream artifact instead of recompiling from source — the
-//! Fig 6.3–6.6 experiments build one graph per benchmark and fork cheap
+//! Each stage runs at most once per distinct input. The linear stages
+//! (frontend, passes) live behind [`OnceLock`] cells. The fan-out stages
+//! are keyed by the options that determine them. A graph holds exactly one
+//! prepared module, so a DSWP artifact is keyed by its [`DswpOptions`]. A
+//! hardware design is either the prepared module (pure HW) or one DSWP
+//! artifact, and it owns its schedules, Verilog and register map, keyed by
+//! [`HlsOptions`] plus the counters bit. Sweep drivers that vary only
+//! `SimConfig` knobs or DSWP split points therefore reuse every upstream
+//! artifact instead of recompiling from source — the Fig 6.3–6.6
+//! experiments build one graph per benchmark and fork cheap
 //! [`crate::TwillBuild`] views off it.
+//!
+//! The keys used to be FNV-1a hashes of the printed modules. Printing the
+//! prepared module and each DSWP module only to key the caches took 6.8 of
+//! the 89 ms of the eight cold CHStone `twillc --emit-verilog` flows (4.7
+//! of 60 ms for AES; release build, best of 7, 2-vCPU x86_64 guest),
+//! inside no stage span. The price of option keys: two split points whose
+//! DSWP modules happen to be equal schedule their designs twice.
 //!
 //! [`StageCounts`] exposes how many times each stage actually executed, so
 //! tests can assert both laziness (a stage never demanded never runs) and
 //! memoization (a stage demanded N times runs once).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use twill_dswp::{run_dswp, DswpOptions, DswpResult};
 use twill_frontend::CError;
 use twill_hls::schedule::{schedule_module, HlsOptions, ModuleSchedule};
+use twill_hls::EmitOptions;
 use twill_ir::Module;
 use twill_obs::{Span, ToJson};
-
-/// Minimal FNV-1a 64-bit hasher — deterministic across runs and platforms
-/// (unlike `DefaultHasher`), which keeps artifact keys stable.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn bool(&mut self, v: bool) {
-        self.bytes(&[v as u8]);
-    }
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-/// Content hash of a module: FNV-1a over its printed text. The printer is
-/// a total serialization of everything downstream stages read (functions,
-/// globals, queues, semaphores), so equal hashes ⇒ equal compile inputs.
-pub fn hash_module(m: &Module) -> u64 {
-    let mut h = Fnv::new();
-    h.bytes(twill_ir::printer::print_module(m).as_bytes());
-    h.finish()
-}
-
-fn hash_dswp_opts(h: &mut Fnv, o: &DswpOptions) {
-    h.u64(o.num_partitions as u64);
-    h.f64(o.sw_fraction);
-    match &o.split_points {
-        None => h.u64(0),
-        Some(sp) => {
-            h.u64(1 + sp.len() as u64);
-            for &x in sp {
-                h.f64(x);
-            }
-        }
-    }
-    h.u64(o.queue_depth as u64);
-    h.u64(o.queue_depth_overrides.len() as u64);
-    for &(id, depth) in &o.queue_depth_overrides {
-        h.u64(id as u64);
-        h.u64(depth as u64);
-    }
-    h.bool(o.prune);
-    h.bool(o.phi_const_pairs);
-    h.bool(o.reuse_queues);
-    h.bool(o.freq_weights);
-    h.bool(o.pin_call_subtrees);
-}
-
-fn hash_hls_opts(h: &mut Fnv, o: &HlsOptions) {
-    h.bool(o.chaining);
-    h.bool(o.loop_pipelining);
-    h.u64(o.multipliers as u64);
-    h.u64(o.dividers as u64);
-}
-
-fn schedule_key(module_hash: u64, hls: &HlsOptions) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(module_hash);
-    hash_hls_opts(&mut h, hls);
-    h.finish()
-}
 
 /// How many times each pipeline stage has actually executed on a graph.
 /// Cache hits do not count; this is the "work done" ledger the laziness
@@ -118,7 +52,7 @@ pub struct StageCounts {
     pub passes: usize,
     /// DSWP partitionings (one per distinct `DswpOptions`).
     pub dswp: usize,
-    /// HLS module schedulings (one per distinct module × `HlsOptions`).
+    /// HLS module schedulings (one per design × distinct `HlsOptions`).
     pub hls: usize,
     /// Verilog emissions.
     pub verilog: usize,
@@ -147,26 +81,32 @@ impl StageCounts {
     }
 }
 
+/// One [`StageCounts`] field.
+type Count = fn(&mut StageCounts) -> &mut usize;
+
+/// Memoized artifacts under their keys. A graph sees a few dozen keys at
+/// most, so a linear scan is enough.
+type Cache<K, V> = Mutex<Vec<(K, Arc<V>)>>;
+
+const POISONED: &str = "a stage panicked while holding the artifact cache";
+
+/// The memoized artifacts of one hardware design: the prepared module (the
+/// pure-HW translation) or one DSWP artifact's partitioned module.
 #[derive(Default)]
-struct StageCounters {
-    frontend: AtomicUsize,
-    passes: AtomicUsize,
-    dswp: AtomicUsize,
-    hls: AtomicUsize,
-    verilog: AtomicUsize,
-    regmap: AtomicUsize,
-    dswp_hits: AtomicUsize,
-    hls_hits: AtomicUsize,
-    verilog_hits: AtomicUsize,
-    regmap_hits: AtomicUsize,
+struct Design {
+    schedules: Cache<HlsOptions, ModuleSchedule>,
+    /// Keyed by the HLS options and whether `twill_perf` counters are
+    /// emitted; the instrumented agent list is the design's own.
+    verilog: Cache<(HlsOptions, bool), String>,
+    /// The register map depends on the design alone.
+    regmap: Cache<(), String>,
 }
 
-/// A DSWP run plus the content hash of its partitioned module; the hash
-/// keys the downstream schedule/Verilog caches without re-printing the
-/// module on every lookup.
+/// A DSWP partitioning of the graph's prepared module, together with the
+/// memoized artifacts of its hybrid design.
 pub struct DswpArtifact {
     pub result: DswpResult,
-    pub module_hash: u64,
+    design: Design,
 }
 
 enum GraphInput {
@@ -175,6 +115,15 @@ enum GraphInput {
     /// Seeded directly with a prepared module (e.g. from
     /// `twill_chstone::compile_and_prepare`): frontend/passes never run.
     Prepared,
+}
+
+/// Stage executions and cache hits so far, plus the wall-clock span of
+/// every execution (cache hits record none) on the shared
+/// [`twill_obs::now_ns`] epoch.
+#[derive(Default)]
+struct Ledger {
+    counts: StageCounts,
+    spans: Vec<Span>,
 }
 
 /// One program's staged, memoized compilation artifacts. Create with
@@ -190,15 +139,10 @@ pub struct BuildGraph {
     pipeline: twill_passes::PipelineOptions,
     frontend: OnceLock<Result<Module, CError>>,
     prepared: OnceLock<Module>,
-    prepared_hash: OnceLock<u64>,
-    dswp: Mutex<HashMap<u64, Arc<DswpArtifact>>>,
-    schedules: Mutex<HashMap<u64, Arc<ModuleSchedule>>>,
-    verilog: Mutex<HashMap<u64, Arc<String>>>,
-    regmaps: Mutex<HashMap<u64, Arc<String>>>,
-    counters: StageCounters,
-    /// Wall-clock span per stage *execution* (cache hits record nothing),
-    /// on the shared [`twill_obs::now_ns`] epoch.
-    spans: Mutex<Vec<Span>>,
+    /// The pure-HW design: the whole prepared module.
+    pure: Design,
+    dswp: Cache<DswpOptions, DswpArtifact>,
+    ledger: Mutex<Ledger>,
 }
 
 impl BuildGraph {
@@ -233,20 +177,38 @@ impl BuildGraph {
             pipeline,
             frontend: OnceLock::new(),
             prepared: OnceLock::new(),
-            prepared_hash: OnceLock::new(),
-            dswp: Mutex::new(HashMap::new()),
-            schedules: Mutex::new(HashMap::new()),
-            verilog: Mutex::new(HashMap::new()),
-            regmaps: Mutex::new(HashMap::new()),
-            counters: StageCounters::default(),
-            spans: Mutex::new(Vec::new()),
+            pure: Design::default(),
+            dswp: Mutex::default(),
+            ledger: Mutex::default(),
         }
     }
 
-    /// Time `f` as one execution of `stage` and remember the span.
-    fn timed<T>(&self, stage: &str, f: impl FnOnce() -> T) -> T {
+    /// Run `f` as one execution of `stage`: count it under `runs` and
+    /// remember its span.
+    fn run<T>(&self, stage: &str, runs: Count, f: impl FnOnce() -> T) -> T {
         let (value, span) = Span::record(stage, f);
-        self.spans.lock().unwrap().push(span);
+        let mut ledger = self.ledger.lock().expect(POISONED);
+        *runs(&mut ledger.counts) += 1;
+        ledger.spans.push(span);
+        value
+    }
+
+    /// The artifact `cache` holds under `key`, counted under `hits`, or
+    /// else the one `make` builds, which the cache keeps.
+    fn memo<K: PartialEq + Clone, V>(
+        &self,
+        cache: &Cache<K, V>,
+        key: &K,
+        hits: Count,
+        make: impl FnOnce() -> V,
+    ) -> Arc<V> {
+        let mut cache = cache.lock().expect(POISONED);
+        if let Some((_, hit)) = cache.iter().find(|(k, _)| k == key) {
+            *hits(&mut self.ledger.lock().expect(POISONED).counts) += 1;
+            return hit.clone();
+        }
+        let value = Arc::new(make());
+        cache.push((key.clone(), value.clone()));
         value
     }
 
@@ -257,25 +219,14 @@ impl BuildGraph {
     /// Snapshot of how many times each stage has run so far, plus how
     /// many demands its memoization caches have absorbed.
     pub fn counters(&self) -> StageCounts {
-        StageCounts {
-            frontend: self.counters.frontend.load(Ordering::Relaxed),
-            passes: self.counters.passes.load(Ordering::Relaxed),
-            dswp: self.counters.dswp.load(Ordering::Relaxed),
-            hls: self.counters.hls.load(Ordering::Relaxed),
-            verilog: self.counters.verilog.load(Ordering::Relaxed),
-            regmap: self.counters.regmap.load(Ordering::Relaxed),
-            dswp_hits: self.counters.dswp_hits.load(Ordering::Relaxed),
-            hls_hits: self.counters.hls_hits.load(Ordering::Relaxed),
-            verilog_hits: self.counters.verilog_hits.load(Ordering::Relaxed),
-            regmap_hits: self.counters.regmap_hits.load(Ordering::Relaxed),
-        }
+        self.ledger.lock().expect(POISONED).counts
     }
 
     /// Wall-clock spans of every stage execution so far, in completion
     /// order (feed to [`twill_obs::TraceBuilder::spans`] for the Perfetto
     /// compiler timeline).
     pub fn spans(&self) -> Vec<Span> {
-        self.spans.lock().unwrap().clone()
+        self.ledger.lock().expect(POISONED).spans.clone()
     }
 
     /// Force the frontend stage so lex/parse/semantic errors surface as a
@@ -293,10 +244,11 @@ impl BuildGraph {
                 let GraphInput::Source { source, allow_recursion } = &self.input else {
                     unreachable!("prepared-module graphs never demand the frontend stage")
                 };
-                self.counters.frontend.fetch_add(1, Ordering::Relaxed);
-                self.timed("frontend", || {
-                    twill_frontend::compile_with(&self.name, source, *allow_recursion)
-                })
+                self.run(
+                    "frontend",
+                    |c| &mut c.frontend,
+                    || twill_frontend::compile_with(&self.name, source, *allow_recursion),
+                )
             })
             .as_ref()
             .map_err(Clone::clone)
@@ -311,143 +263,108 @@ impl BuildGraph {
                 .frontend_ir()
                 .unwrap_or_else(|e| panic!("frontend error in '{}': {e}", self.name))
                 .clone();
-            self.counters.passes.fetch_add(1, Ordering::Relaxed);
-            self.timed("passes", || {
-                twill_passes::run_standard_pipeline(&mut m, &self.pipeline);
-            });
+            self.run(
+                "passes",
+                |c| &mut c.passes,
+                || {
+                    twill_passes::run_standard_pipeline(&mut m, &self.pipeline);
+                },
+            );
             m
         })
-    }
-
-    /// Content hash of the prepared module (computed once).
-    pub fn prepared_hash(&self) -> u64 {
-        *self.prepared_hash.get_or_init(|| hash_module(self.prepared()))
     }
 
     /// DSWP-partition the prepared module under `opts`, memoized per
     /// distinct option set.
     pub fn dswp(&self, opts: &DswpOptions) -> Arc<DswpArtifact> {
-        let key = {
-            let mut h = Fnv::new();
-            h.u64(self.prepared_hash());
-            hash_dswp_opts(&mut h, opts);
-            h.finish()
-        };
-        let mut cache = self.dswp.lock().unwrap();
-        if let Some(hit) = cache.get(&key) {
-            self.counters.dswp_hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
-        }
-        self.counters.dswp.fetch_add(1, Ordering::Relaxed);
-        let result = self.timed("dswp", || run_dswp(self.prepared(), opts));
-        let module_hash = hash_module(&result.module);
-        let art = Arc::new(DswpArtifact { result, module_hash });
-        cache.insert(key, art.clone());
-        art
+        self.memo(
+            &self.dswp,
+            opts,
+            |c| &mut c.dswp_hits,
+            || {
+                let result = self.run("dswp", |c| &mut c.dswp, || run_dswp(self.prepared(), opts));
+                DswpArtifact { result, design: Design::default() }
+            },
+        )
     }
 
-    /// HLS-schedule `module` under `hls`, memoized on
-    /// (`module_hash`, option bits). The caller vouches that `module_hash`
-    /// is [`hash_module`] of `module` — the two always travel together
-    /// ([`BuildGraph::prepared_hash`], [`DswpArtifact::module_hash`]).
-    pub fn schedule_for(
-        &self,
-        module: &Module,
-        module_hash: u64,
-        hls: &HlsOptions,
-    ) -> Arc<ModuleSchedule> {
-        let key = schedule_key(module_hash, hls);
-        let mut cache = self.schedules.lock().unwrap();
-        if let Some(hit) = cache.get(&key) {
-            self.counters.hls_hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
-        }
-        self.counters.hls.fetch_add(1, Ordering::Relaxed);
-        let sched = Arc::new(self.timed("hls", || schedule_module(module, hls)));
-        cache.insert(key, sched.clone());
-        sched
+    /// HLS schedule of the hybrid design `art` under `hls`.
+    pub fn hybrid_schedule(&self, art: &DswpArtifact, hls: &HlsOptions) -> Arc<ModuleSchedule> {
+        self.schedule(&art.design, &art.result.module, hls)
     }
 
     /// Schedule of the whole prepared module as one hardware design (the
     /// LegUp pure-HW baseline). Lazy: never runs if the caller only
     /// simulates hybrid or pure-SW configurations.
     pub fn pure_schedule(&self, hls: &HlsOptions) -> Arc<ModuleSchedule> {
-        let h = self.prepared_hash();
-        self.schedule_for(self.prepared(), h, hls)
+        self.schedule(&self.pure, self.prepared(), hls)
     }
 
-    /// Verilog for `module` under `hls`, memoized like
-    /// [`BuildGraph::schedule_for`] (and reusing its schedule).
-    pub fn verilog_for(&self, module: &Module, module_hash: u64, hls: &HlsOptions) -> Arc<String> {
-        self.verilog_for_opts(module, module_hash, hls, &twill_hls::EmitOptions::default())
-    }
-
-    /// [`BuildGraph::verilog_for`] with explicit emission switches
-    /// (`--hw-counters`). Counters-on and counters-off artifacts memoize
-    /// under distinct keys, so a sweep mixing both never serves the wrong
-    /// text.
-    pub fn verilog_for_opts(
+    /// Verilog of the hybrid design `art` under `hls`, instrumented with
+    /// the `twill_perf` counters of its agents when `hw_counters` is set.
+    /// Counters-on and counters-off texts memoize apart; both reuse the
+    /// design's schedule.
+    pub fn hybrid_verilog(
         &self,
-        module: &Module,
-        module_hash: u64,
+        art: &DswpArtifact,
         hls: &HlsOptions,
-        emit: &twill_hls::EmitOptions,
+        hw_counters: bool,
     ) -> Arc<String> {
-        let key = {
-            let mut h = Fnv::new();
-            h.u64(schedule_key(module_hash, hls));
-            h.bool(emit.hw_counters);
-            h.u64(emit.threads.len() as u64);
-            for t in &emit.threads {
-                h.bytes(t.as_bytes());
-                h.bytes(&[0xff]);
-            }
-            h.finish()
-        };
-        if let Some(hit) = self.verilog.lock().unwrap().get(&key) {
-            self.counters.verilog_hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
-        }
-        // Compute the schedule before re-taking the verilog lock so the
-        // two caches are only ever locked one at a time.
-        let sched = self.schedule_for(module, module_hash, hls);
-        let mut cache = self.verilog.lock().unwrap();
-        if let Some(hit) = cache.get(&key) {
-            self.counters.verilog_hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
-        }
-        self.counters.verilog.fetch_add(1, Ordering::Relaxed);
-        let text = Arc::new(
-            self.timed("verilog", || twill_hls::verilog::emit_module_with(module, &sched, emit)),
-        );
-        cache.insert(key, text.clone());
-        text
+        let threads = if hw_counters { art.result.agent_names() } else { Vec::new() };
+        self.verilog(&art.design, &art.result.module, hls, EmitOptions { hw_counters, threads })
     }
 
-    /// The counter register-map JSON artifact for `module` instrumented
-    /// with agent tracks `threads`, memoized per (module, track list).
-    /// Emitted next to the Verilog by `twillc --emit-regmap`.
-    pub fn regmap_for(&self, module: &Module, module_hash: u64, threads: &[String]) -> Arc<String> {
-        let key = {
-            let mut h = Fnv::new();
-            h.u64(module_hash);
-            h.u64(threads.len() as u64);
-            for t in threads {
-                h.bytes(t.as_bytes());
-                h.bytes(&[0xff]);
-            }
-            h.finish()
-        };
-        let mut cache = self.regmaps.lock().unwrap();
-        if let Some(hit) = cache.get(&key) {
-            self.counters.regmap_hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
-        }
-        self.counters.regmap.fetch_add(1, Ordering::Relaxed);
-        let opts = twill_hls::EmitOptions { hw_counters: true, threads: threads.to_vec() };
-        let json = Arc::new(self.timed("regmap", || opts.regmap(module).to_json()));
-        cache.insert(key, json.clone());
-        json
+    /// Verilog of the pure-HW design under `hls`.
+    pub fn pure_verilog(&self, hls: &HlsOptions) -> Arc<String> {
+        self.verilog(&self.pure, self.prepared(), hls, EmitOptions::default())
+    }
+
+    /// The counter register-map JSON artifact of the hybrid design `art`,
+    /// emitted next to the Verilog by `twillc --emit-regmap`.
+    pub fn regmap(&self, art: &DswpArtifact) -> Arc<String> {
+        self.memo(
+            &art.design.regmap,
+            &(),
+            |c| &mut c.regmap_hits,
+            || {
+                let opts = EmitOptions { hw_counters: true, threads: art.result.agent_names() };
+                self.run("regmap", |c| &mut c.regmap, || opts.regmap(&art.result.module).to_json())
+            },
+        )
+    }
+
+    /// `design`'s schedule under `hls`; `module` is the design's module.
+    fn schedule(&self, design: &Design, module: &Module, hls: &HlsOptions) -> Arc<ModuleSchedule> {
+        self.memo(
+            &design.schedules,
+            hls,
+            |c| &mut c.hls_hits,
+            || self.run("hls", |c| &mut c.hls, || schedule_module(module, hls)),
+        )
+    }
+
+    /// `design`'s Verilog under `hls` and `emit`; `module` is the design's
+    /// module.
+    fn verilog(
+        &self,
+        design: &Design,
+        module: &Module,
+        hls: &HlsOptions,
+        emit: EmitOptions,
+    ) -> Arc<String> {
+        self.memo(
+            &design.verilog,
+            &(*hls, emit.hw_counters),
+            |c| &mut c.verilog_hits,
+            || {
+                let sched = self.schedule(design, module, hls);
+                self.run(
+                    "verilog",
+                    |c| &mut c.verilog,
+                    || twill_hls::verilog::emit_module_with(module, &sched, &emit),
+                )
+            },
+        )
     }
 }
 
@@ -496,8 +413,8 @@ int main() {
         assert_eq!(g.counters().passes, 1, "upstream stages still ran once");
 
         let hls = HlsOptions::default();
-        let s1 = g.schedule_for(&a.result.module, a.module_hash, &hls);
-        let s2 = g.schedule_for(&a.result.module, a.module_hash, &hls);
+        let s1 = g.hybrid_schedule(&a, &hls);
+        let s2 = g.hybrid_schedule(&a, &hls);
         assert!(Arc::ptr_eq(&s1, &s2));
         assert_eq!(g.counters().hls, 1);
         let _ = g.pure_schedule(&hls);
@@ -508,8 +425,8 @@ int main() {
     fn verilog_memoized_and_reuses_schedule() {
         let g = graph();
         let hls = HlsOptions::default();
-        let v1 = g.verilog_for(g.prepared(), g.prepared_hash(), &hls);
-        let v2 = g.verilog_for(g.prepared(), g.prepared_hash(), &hls);
+        let v1 = g.pure_verilog(&hls);
+        let v2 = g.pure_verilog(&hls);
         assert!(Arc::ptr_eq(&v1, &v2));
         assert_eq!(g.counters().verilog, 1);
         assert_eq!(g.counters().hls, 1);
@@ -518,20 +435,20 @@ int main() {
     #[test]
     fn counter_emission_memoizes_separately_from_plain_verilog() {
         let g = graph();
+        let art = g.dswp(&DswpOptions::default());
         let hls = HlsOptions::default();
-        let plain = g.verilog_for(g.prepared(), g.prepared_hash(), &hls);
-        let opts = twill_hls::EmitOptions { hw_counters: true, threads: vec!["cpu".into()] };
-        let counted = g.verilog_for_opts(g.prepared(), g.prepared_hash(), &hls, &opts);
+        let plain = g.hybrid_verilog(&art, &hls, false);
+        let counted = g.hybrid_verilog(&art, &hls, true);
         assert_ne!(*plain, *counted, "instrumented text must differ");
         assert!(counted.contains("module twill_perf ("));
         assert_eq!(g.counters().verilog, 2, "two distinct emissions");
         // Each key hits its own cache entry; the schedule is shared.
-        let again = g.verilog_for_opts(g.prepared(), g.prepared_hash(), &hls, &opts);
+        let again = g.hybrid_verilog(&art, &hls, true);
         assert!(Arc::ptr_eq(&counted, &again));
         assert_eq!(g.counters().hls, 1);
 
-        let r1 = g.regmap_for(g.prepared(), g.prepared_hash(), &["cpu".to_string()]);
-        let r2 = g.regmap_for(g.prepared(), g.prepared_hash(), &["cpu".to_string()]);
+        let r1 = g.regmap(&art);
+        let r2 = g.regmap(&art);
         assert!(Arc::ptr_eq(&r1, &r2));
         let c = g.counters();
         assert_eq!((c.regmap, c.regmap_hits), (1, 1));
@@ -550,17 +467,40 @@ int main() {
     }
 
     #[test]
-    fn module_hash_is_content_based() {
-        let g1 = graph();
-        let g2 = graph();
-        assert_eq!(g1.prepared_hash(), g2.prepared_hash());
-        let other = BuildGraph::from_source(
-            "t",
-            "int main() { out(1); return 0; }",
-            false,
-            Default::default(),
-        );
-        assert_ne!(g1.prepared_hash(), other.prepared_hash());
+    fn each_option_field_keys_the_caches() {
+        let g = graph();
+        let base = DswpOptions { num_partitions: 2, ..Default::default() };
+        let dswp = [
+            DswpOptions { num_partitions: 3, ..base.clone() },
+            DswpOptions { sw_fraction: 0.5, ..base.clone() },
+            DswpOptions { split_points: Some(vec![0.5, 0.5]), ..base.clone() },
+            DswpOptions { queue_depth: 4, ..base.clone() },
+            DswpOptions { queue_depth_overrides: vec![(0, 2)], ..base.clone() },
+            DswpOptions { prune: false, ..base.clone() },
+            DswpOptions { phi_const_pairs: false, ..base.clone() },
+            DswpOptions { reuse_queues: true, ..base.clone() },
+            DswpOptions { freq_weights: false, ..base.clone() },
+        ];
+        let art = g.dswp(&base);
+        for (i, opts) in dswp.iter().enumerate() {
+            assert!(!Arc::ptr_eq(&art, &g.dswp(opts)), "DSWP field {i} must key the cache");
+        }
+        assert_eq!(g.counters().dswp, 1 + dswp.len());
+
+        let hls = HlsOptions::default();
+        let all = [
+            hls,
+            HlsOptions { chaining: false, ..hls },
+            HlsOptions { loop_pipelining: false, ..hls },
+            HlsOptions { multipliers: 1, ..hls },
+            HlsOptions { dividers: 2, ..hls },
+        ];
+        for h in &all {
+            let _ = g.hybrid_schedule(&art, h);
+            let _ = g.hybrid_verilog(&art, h, false);
+        }
+        let c = g.counters();
+        assert_eq!((c.hls, c.verilog, c.hls_hits, c.verilog_hits), (5, 5, 5, 0), "{c:?}");
     }
 
     #[test]

@@ -506,7 +506,7 @@ pub fn ablations() -> Ablations {
     .map(|(name, opts)| {
         let d = graph.dswp(&opts);
         let cfg = twill_rt::SimConfig::default();
-        let sched = graph.schedule_for(&d.result.module, d.module_hash, &cfg.hls);
+        let sched = graph.hybrid_schedule(&d, &cfg.hls);
         let rep = twill_rt::simulate_hybrid_scheduled(&d.result, &sched, inp.clone(), &cfg)
             .expect("hybrid sim");
         (name, rep.cycles, d.result.stats.queues)

@@ -123,17 +123,7 @@ impl Compiler {
     pub fn new() -> Compiler {
         Compiler {
             dswp: DswpOptions::default(),
-            // HLS flows inline aggressively (LegUp flattens what it
-            // synthesizes).
-            pipeline: twill_passes::PipelineOptions {
-                verify_between: false,
-                inline: twill_passes::inline::InlineOptions {
-                    small_threshold: 400,
-                    single_site_threshold: 600,
-                    max_inlines: 1000,
-                    ..Default::default()
-                },
-            },
+            pipeline: twill_passes::PipelineOptions::hls_flow(),
             hls: HlsOptions::default(),
             allow_recursion: false,
             hw_counters: false,
@@ -262,10 +252,8 @@ impl TwillBuild {
 
     /// HLS schedule of the partitioned module.
     pub fn hybrid_schedule(&self) -> &ModuleSchedule {
-        self.hybrid_schedule.get_or_init(|| {
-            let art = self.dswp_artifact().clone();
-            self.graph.schedule_for(&art.result.module, art.module_hash, &self.hls)
-        })
+        self.hybrid_schedule
+            .get_or_init(|| self.graph.hybrid_schedule(self.dswp_artifact(), &self.hls))
     }
 
     /// HLS schedule of the whole program (the LegUp pure-HW baseline).
@@ -313,8 +301,8 @@ impl TwillBuild {
         input: Vec<i32>,
         cfg: &SimConfig,
     ) -> Result<SimReport, SimError> {
-        let art = self.dswp_artifact().clone();
-        let sched = self.graph.schedule_for(&art.result.module, art.module_hash, &cfg.hls);
+        let art = self.dswp_artifact();
+        let sched = self.graph.hybrid_schedule(art, &cfg.hls);
         twill_rt::simulate_hybrid_scheduled(&art.result, &sched, input, cfg)
     }
 
@@ -380,20 +368,12 @@ impl TwillBuild {
     /// When the build was configured with [`Compiler::hw_counters`], the
     /// bundle includes the `twill_perf` register file (DESIGN.md §14).
     pub fn verilog(&self) -> Arc<String> {
-        let art = self.dswp_artifact().clone();
-        if self.hw_counters {
-            let emit =
-                twill_hls::EmitOptions { hw_counters: true, threads: art.result.agent_names() };
-            self.graph.verilog_for_opts(&art.result.module, art.module_hash, &self.hls, &emit)
-        } else {
-            self.graph.verilog_for(&art.result.module, art.module_hash, &self.hls)
-        }
+        self.graph.hybrid_verilog(self.dswp_artifact(), &self.hls, self.hw_counters)
     }
 
     /// Verilog for the pure-HW (LegUp-style) translation.
     pub fn verilog_pure_hw(&self) -> Arc<String> {
-        let h = self.graph.prepared_hash();
-        self.graph.verilog_for(self.prepared(), h, &self.hls)
+        self.graph.pure_verilog(&self.hls)
     }
 
     /// Whether this build instruments its Verilog with `twill_perf`.
@@ -407,8 +387,7 @@ impl TwillBuild {
     /// [`TwillBuild::hw_counters`] so tooling can inspect the would-be
     /// layout; cached in the graph.
     pub fn regmap_json(&self) -> Arc<String> {
-        let art = self.dswp_artifact().clone();
-        self.graph.regmap_for(&art.result.module, art.module_hash, &art.result.agent_names())
+        self.graph.regmap(self.dswp_artifact())
     }
 
     /// Model the post-run `twill_perf` readback for a hybrid report of

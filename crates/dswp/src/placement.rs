@@ -4,7 +4,7 @@ use twill_ir::Function;
 use twill_pdg::{NodeWeights, Pdg, SccDag, SccId};
 
 /// DSWP configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DswpOptions {
     /// Total number of partitions (pipeline stages). Partition 0 is the
     /// software master thread; 1..n are hardware threads.
@@ -36,11 +36,6 @@ pub struct DswpOptions {
     /// pipeline stages across the hardware threads. Disable for the
     /// flat-static-weight ablation.
     pub freq_weights: bool,
-    /// Pin whole call-subtrees to the partition that owns the call (the
-    /// thesis' modified Blowfish heuristic, §6.4): when a callee's work is
-    /// dominated by one partition, give that partition everything, killing
-    /// master-transfer ping-pong.
-    pub pin_call_subtrees: bool,
 }
 
 impl Default for DswpOptions {
@@ -55,7 +50,6 @@ impl Default for DswpOptions {
             phi_const_pairs: true,
             reuse_queues: false,
             freq_weights: true,
-            pin_call_subtrees: false,
         }
     }
 }

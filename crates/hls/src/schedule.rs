@@ -31,7 +31,7 @@ mod work {
     pub(super) fn touch(_n: usize) {}
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HlsOptions {
     /// Pack chains of dependent combinational ops into one cycle.
     pub chaining: bool,

@@ -19,6 +19,24 @@ pub struct PipelineOptions {
     pub verify_between: bool,
 }
 
+impl PipelineOptions {
+    /// The settings of the HLS flows (`twill::Compiler`, the CHStone
+    /// benchmarks). They inline aggressively, as LegUp flattens everything
+    /// it synthesizes; a higher threshold than the generic default exposes
+    /// the per-round pipeline structure to DSWP.
+    pub fn hls_flow() -> PipelineOptions {
+        PipelineOptions {
+            verify_between: false,
+            inline: crate::inline::InlineOptions {
+                small_threshold: 400,
+                single_site_threshold: 600,
+                max_inlines: 1000,
+                ..Default::default()
+            },
+        }
+    }
+}
+
 /// Run the full preparation pipeline in place.
 ///
 /// Every stage runs on the calling thread, one function after another in

@@ -1048,6 +1048,55 @@ fn sample(
     }
 }
 
+/// How many ticks, leaps and awake runs [`drive`] takes, so a test can pin
+/// them for a known run: an early horizon is sound and leaves every report
+/// unchanged, only the step counts show it. Compiled out of non-test
+/// builds.
+#[cfg(test)]
+mod steps {
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Ticks, leaps and awake runs, in that order.
+        static STEPS: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
+    }
+
+    fn add(i: usize) {
+        STEPS.with(|s| {
+            let mut v = s.get();
+            v[i] += 1;
+            s.set(v);
+        });
+    }
+
+    pub(super) fn tick() {
+        add(0);
+    }
+
+    pub(super) fn leap() {
+        add(1);
+    }
+
+    pub(super) fn awake_run() {
+        add(2);
+    }
+
+    /// Read and reset this thread's `[ticks, leaps, awake runs]`.
+    pub(super) fn take() -> [u64; 3] {
+        STEPS.with(|s| s.replace([0; 3]))
+    }
+}
+
+#[cfg(not(test))]
+mod steps {
+    #[inline(always)]
+    pub(super) fn tick() {}
+    #[inline(always)]
+    pub(super) fn leap() {}
+    #[inline(always)]
+    pub(super) fn awake_run() {}
+}
+
 /// The global cycle loop: CPU ticks first (module-bus priority, §4.1),
 /// then the hardware threads in rotating order (longest-waiting fairness).
 /// With `cfg.fast_forward` it stops ticking finished agents and, each
@@ -1101,6 +1150,7 @@ fn drive(
                         tl.next_boundary,
                     ) =>
                 {
+                    steps::leap();
                     sample(tl, shared, profile, cpu.as_deref(), hw);
                     continue;
                 }
@@ -1114,6 +1164,7 @@ fn drive(
                     let (rot, lp) = (&mut rotation, &mut last_progress_cycle);
                     let cpu = cpu.as_deref_mut();
                     if awake_run(who, m, plan, shared, cpu, hw, limit, peers, rot, lp) {
+                        steps::awake_run();
                         if shared.cycle - last_progress_cycle > cfg.watchdog_window {
                             return Stop::Watchdog;
                         }
@@ -1123,6 +1174,7 @@ fn drive(
                 _ => {}
             }
         }
+        steps::tick();
         shared.begin_cycle();
         let mut progressed = false;
         if let Some(c) = cpu.as_deref_mut() {
@@ -1393,5 +1445,34 @@ int main() {
         assert_eq!(simulate_pure_hw(&m, vec![], &SimConfig::default()).unwrap().output, expect);
         let d = run_dswp(&m, &DswpOptions { num_partitions: 2, ..Default::default() });
         assert_eq!(simulate_hybrid(&d, vec![], &SimConfig::default()).unwrap().output, expect);
+    }
+
+    /// A sound horizon that comes a cycle early changes no report, only
+    /// how `drive` gets there, so pin its ticks, leaps and awake runs for
+    /// one small hybrid run. Its agents sleep through multi-cycle charges:
+    /// with the charge horizon a cycle early, the run takes 2 leaps instead
+    /// of 65 and 325 ticks instead of 260.
+    #[test]
+    fn drive_steps_are_pinned_for_a_small_hybrid_run() {
+        let m = prepare(PROGRAM);
+        let opts = DswpOptions {
+            num_partitions: 2,
+            split_points: Some(vec![0.5, 0.5]),
+            ..Default::default()
+        };
+        let d = run_dswp(&m, &opts);
+        assert!(d.stats.queues > 0, "expected a pipelined hybrid");
+        let cfg = SimConfig { fast_forward: true, ..Default::default() };
+        steps::take();
+        let rep = simulate_hybrid(&d, vec![], &cfg).unwrap();
+        let steps = steps::take();
+        let naive = SimConfig { fast_forward: false, ..cfg };
+        assert_eq!(rep.cycles, simulate_hybrid(&d, vec![], &naive).unwrap().cycles);
+        assert_eq!(steps::take()[0], rep.cycles, "the naive loop ticks every cycle");
+        assert_eq!(
+            (rep.cycles, steps),
+            (4244, [260, 65, 130]),
+            "(cycles, [ticks, leaps, awake runs])"
+        );
     }
 }

@@ -2,11 +2,11 @@
 //! tracing disabled, the per-cycle work — bus arbitration, queue/semaphore
 //! ops, memory ops, and every always-on metrics counter — must not touch
 //! the heap. A counting `#[global_allocator]` measures the steady-state
-//! loop; this file holds exactly one test so no concurrent test can
-//! pollute the counter.
+//! loop. It counts the allocations of the measuring thread only, so
+//! nothing the test harness allocates on another thread pollutes it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use twill_ir::{Module, QueueDecl, SemDecl, Ty};
 use twill_rt::shared::{OpKind, PendState};
@@ -14,18 +14,34 @@ use twill_rt::Shared;
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. A const-initialized `Cell` needs
+    /// no allocation and no destructor, so the allocator may touch it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count() {
+    // A thread tearing down its locals may still allocate; skip those.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// This thread's allocations so far.
+fn allocs_so_far() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// SAFETY: every call forwards to `System` unchanged; counting neither
+// allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -59,7 +75,7 @@ fn steady_state_sim_loop_does_not_allocate() {
     run_to_done(&mut s, OpKind::Enqueue(twill_ir::QueueId(0), 1));
     run_to_done(&mut s, OpKind::Dequeue(twill_ir::QueueId(0)));
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs_so_far();
     for round in 0..1_000i64 {
         // Fill the queue to its depth, then drain it (exercises the full
         // push/pop/occupancy-histogram/peak accounting path).
@@ -76,7 +92,7 @@ fn steady_state_sim_loop_does_not_allocate() {
         run_to_done(&mut s, OpKind::MemStore(64, Ty::I32, round));
         run_to_done(&mut s, OpKind::MemLoad(64, Ty::I32));
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs_so_far();
     assert_eq!(
         after - before,
         0,

@@ -5,11 +5,12 @@
 //! CPU's interpreter and the hardware threads' FSM executor (phi parallel
 //! copies and call frames included) meet the no-heap rule `zero_alloc.rs`
 //! sets for the buses and queues. A counting `#[global_allocator]`
-//! measures each run; this file holds exactly one test so no concurrent
-//! test can pollute the counter.
+//! measures each run. It counts the allocations of the measuring thread
+//! only (a simulation runs on its caller's thread), so nothing the test
+//! harness allocates on another thread pollutes it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use twill_dswp::{run_dswp, DswpOptions, DswpResult};
 use twill_ir::{Module, Op};
@@ -19,18 +20,34 @@ use twill_rt::{simulate_hybrid, simulate_pure_hw, simulate_pure_sw, SimConfig, S
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. A const-initialized `Cell` needs
+    /// no allocation and no destructor, so the allocator may touch it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count() {
+    // A thread tearing down its locals may still allocate; skip those.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// This thread's allocations so far.
+fn allocs_so_far() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// SAFETY: every call forwards to `System` unchanged; counting neither
+// allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -99,9 +116,9 @@ fn hw_calls(d: &DswpResult) -> bool {
 
 /// Heap allocations made by one simulation, and its report.
 fn allocs(run: impl FnOnce() -> SimReport) -> (u64, SimReport) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs_so_far();
     let rep = run();
-    (ALLOCS.load(Ordering::Relaxed) - before, rep)
+    (allocs_so_far() - before, rep)
 }
 
 #[test]
