@@ -1,9 +1,10 @@
 //! Differential test: every CHStone benchmark, partitioned by DSWP at its
 //! Table 6.1 thread count, must produce byte-identical output to the
-//! single-threaded reference when co-executed.
+//! single-threaded reference when simulated as a hybrid.
 
 use chstone::{all, compile_and_prepare, input_for};
-use twill_dswp::{run_dswp, run_partitioned, DswpOptions};
+use twill_dswp::{run_dswp, DswpOptions};
+use twill_rt::SimConfig;
 
 fn check_benchmark(b: &chstone::Benchmark, opts: &DswpOptions) -> twill_dswp::extract::DswpStats {
     let m = compile_and_prepare(b);
@@ -17,9 +18,9 @@ fn check_benchmark(b: &chstone::Benchmark, opts: &DswpOptions) -> twill_dswp::ex
         let errs = twill_passes::utils::verify_dominance(f);
         assert!(errs.is_empty(), "{} @{}: {errs:?}", b.name, f.name);
     }
-    let (out, _, _) = run_partitioned(&r, input, 4_000_000_000)
+    let rep = twill_rt::simulate_hybrid(&r, input, &SimConfig::default())
         .unwrap_or_else(|e| panic!("{} partitioned: {e}", b.name));
-    assert_eq!(ref_out, out, "{}: partitioned output differs", b.name);
+    assert_eq!(ref_out, rep.output, "{}: partitioned output differs", b.name);
     r.stats
 }
 

@@ -216,6 +216,17 @@ impl BuildGraph {
         &self.name
     }
 
+    /// The preparation pipeline the passes stage runs.
+    pub(crate) fn pipeline(&self) -> twill_passes::PipelineOptions {
+        self.pipeline
+    }
+
+    /// Whether the frontend accepts recursive programs (false for a
+    /// prepared-module graph, whose frontend never runs).
+    pub(crate) fn allow_recursion(&self) -> bool {
+        matches!(self.input, GraphInput::Source { allow_recursion: true, .. })
+    }
+
     /// Snapshot of how many times each stage has run so far, plus how
     /// many demands its memoization caches have absorbed.
     pub fn counters(&self) -> StageCounts {

@@ -235,6 +235,18 @@ impl TwillBuild {
         &self.graph
     }
 
+    /// The [`Compiler`] that made this build: compiling the graph's source
+    /// with it reproduces every artifact of this build.
+    pub fn compiler(&self) -> Compiler {
+        Compiler {
+            dswp: self.dswp_opts.clone(),
+            pipeline: self.graph.pipeline(),
+            hls: self.hls,
+            allow_recursion: self.graph.allow_recursion(),
+            hw_counters: self.hw_counters,
+        }
+    }
+
     /// The optimized single-threaded module (input to DSWP; also the
     /// pure-SW / pure-HW baselines).
     pub fn prepared(&self) -> &Module {

@@ -279,13 +279,7 @@ pub fn tune(
             accepted_sw.unwrap_or(build.dswp_opts.sw_fraction),
         )
     } else {
-        Compiler {
-            dswp: build.dswp_opts.clone(),
-            pipeline: twill_passes::PipelineOptions::default(),
-            hls: build.hls,
-            allow_recursion: false,
-            hw_counters: build.hw_counters(),
-        }
+        build.compiler()
     };
     compiler.dswp.queue_depth_overrides.extend(tuned.queue_depths.iter().copied());
 
@@ -338,18 +332,12 @@ fn evaluate(
 /// `sw_fraction = sw`. Explicit split points and old depth overrides are
 /// dropped: the tuner owns the split now.
 fn fork(build: &TwillBuild, p: usize, sw: f64) -> Compiler {
-    let mut dswp = build.dswp_opts.clone();
-    dswp.num_partitions = p;
-    dswp.sw_fraction = sw;
-    dswp.split_points = None;
-    dswp.queue_depth_overrides.clear();
-    Compiler {
-        dswp,
-        pipeline: twill_passes::PipelineOptions::default(),
-        hls: build.hls,
-        allow_recursion: false,
-        hw_counters: build.hw_counters(),
-    }
+    let mut c = build.compiler();
+    c.dswp.num_partitions = p;
+    c.dswp.sw_fraction = sw;
+    c.dswp.split_points = None;
+    c.dswp.queue_depth_overrides.clear();
+    c
 }
 
 /// Propose this round's candidates from the incumbent's observability

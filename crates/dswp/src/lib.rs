@@ -33,13 +33,11 @@
 //!    any other cross-partition value. Callees are processed before
 //!    callers so signatures are known.
 //!
-//! The result can be co-executed functionally (for differential testing)
-//! via [`run_partitioned`], or cycle-accurately by `twill-rt`.
+//! The result runs on `twill-rt`'s cycle-level simulator: the software
+//! master on the CPU, every other partition as a hardware thread.
 
 pub mod extract;
 pub mod placement;
-pub mod runner;
 
 pub use extract::{run_dswp, DswpResult, ThreadSpec};
 pub use placement::{DswpOptions, Placement};
-pub use runner::run_partitioned;

@@ -1,9 +1,10 @@
 //! Structural invariants of the DSWP extraction output: whatever the
 //! placement decides, the produced module must verify, the thread table
-//! must be consistent with the stats, and the functional co-execution of
-//! all partitions must match the single-threaded reference.
+//! must be consistent with the stats, and the simulated run of all
+//! partitions must match the single-threaded reference.
 
-use twill_dswp::{run_dswp, run_partitioned, DswpOptions, DswpResult};
+use twill_dswp::{run_dswp, DswpOptions, DswpResult};
+use twill_rt::SimConfig;
 
 fn prepare(src: &str) -> twill_ir::Module {
     let mut m = twill_frontend::compile("t", src).unwrap();
@@ -68,11 +69,12 @@ fn two_partition_split_verifies_and_matches_reference() {
             },
         );
         check_invariants(&r);
-        let (out, ret, steps) = run_partitioned(&r, vec![], 100_000_000).unwrap();
-        assert_eq!(out, want_out, "split {split}");
-        assert_eq!(ret, want_ret, "split {split}");
-        assert_eq!(steps.len(), r.threads.len());
-        assert!(steps.iter().all(|&s| s > 0), "every thread ran: {steps:?}");
+        let rep = twill_rt::simulate_hybrid(&r, vec![], &SimConfig::default()).unwrap();
+        assert_eq!(rep.output, want_out, "split {split}");
+        assert_eq!(rep.ret, want_ret, "split {split}");
+        let agents = &rep.stats.agent_cycles;
+        assert_eq!(agents.len(), r.threads.len());
+        assert!(agents.iter().all(|a| a.busy > 0), "every thread ran: {agents:?}");
     }
 }
 
@@ -84,9 +86,9 @@ fn single_partition_degenerates_to_no_queues() {
     assert_eq!(r.stats.queues, 0, "one partition needs no communication");
     assert_eq!(r.threads.len(), 1);
     let (want_out, want_ret) = reference(&m, vec![]);
-    let (out, ret, _) = run_partitioned(&r, vec![], 100_000_000).unwrap();
-    assert_eq!(out, want_out);
-    assert_eq!(ret, want_ret);
+    let rep = twill_rt::simulate_hybrid(&r, vec![], &SimConfig::default()).unwrap();
+    assert_eq!(rep.output, want_out);
+    assert_eq!(rep.ret, want_ret);
 }
 
 #[test]
@@ -132,9 +134,9 @@ int main() {
         },
     );
     check_invariants(&r);
-    let (out, ret, _) = run_partitioned(&r, vec![], 100_000_000).unwrap();
-    assert_eq!(out, want_out);
-    assert_eq!(ret, want_ret);
+    let rep = twill_rt::simulate_hybrid(&r, vec![], &SimConfig::default()).unwrap();
+    assert_eq!(rep.output, want_out);
+    assert_eq!(rep.ret, want_ret);
 }
 
 #[test]
@@ -150,9 +152,9 @@ fn three_way_split_remains_correct() {
         },
     );
     check_invariants(&r);
-    let (out, ret, _) = run_partitioned(&r, vec![], 100_000_000).unwrap();
-    assert_eq!(out, want_out);
-    assert_eq!(ret, want_ret);
+    let rep = twill_rt::simulate_hybrid(&r, vec![], &SimConfig::default()).unwrap();
+    assert_eq!(rep.output, want_out);
+    assert_eq!(rep.ret, want_ret);
 }
 
 #[test]
@@ -182,9 +184,9 @@ int main() {
         },
     );
     check_invariants(&r);
-    let (out, ret, _) = run_partitioned(&r, input, 100_000_000).unwrap();
-    assert_eq!(out, want_out);
-    assert_eq!(ret, want_ret);
+    let rep = twill_rt::simulate_hybrid(&r, input, &SimConfig::default()).unwrap();
+    assert_eq!(rep.output, want_out);
+    assert_eq!(rep.ret, want_ret);
 }
 
 #[test]
@@ -214,9 +216,9 @@ int main() {
             },
         );
         check_invariants(&r);
-        let (out, ret, _) = run_partitioned(&r, vec![], 100_000_000).unwrap();
-        assert_eq!(out, want_out, "k={k}");
-        assert_eq!(ret, want_ret, "k={k}");
+        let rep = twill_rt::simulate_hybrid(&r, vec![], &SimConfig::default()).unwrap();
+        assert_eq!(rep.output, want_out, "k={k}");
+        assert_eq!(rep.ret, want_ret, "k={k}");
     }
 }
 

@@ -1,11 +1,12 @@
 //! Property: the DSWP extraction is semantics-preserving for *every*
 //! combination of its options. For random partition counts, split points
-//! and toggles, the partitioned co-execution must reproduce the reference
+//! and toggles, the simulated partitioned run must reproduce the reference
 //! interpreter's output stream and return value exactly, and the emitted
 //! module must pass the IR verifier.
 
 use proptest::prelude::*;
-use twill_dswp::{run_dswp, run_partitioned, DswpOptions};
+use twill_dswp::{run_dswp, DswpOptions};
+use twill_rt::SimConfig;
 
 const PROGRAMS: &[&str] = &[
     // Forward-decoupling hash pipeline.
@@ -94,9 +95,9 @@ proptest! {
         twill_ir::verifier::assert_valid(&r.module);
         prop_assert_eq!(r.stats.queues, r.stats.data_queues + r.stats.token_queues);
 
-        let (out, ret, _) = run_partitioned(&r, vec![], 200_000_000)
-            .map_err(|e| TestCaseError::fail(format!("co-execution failed: {e}")))?;
-        prop_assert_eq!(&out, &want_out);
-        prop_assert_eq!(ret, want_ret);
+        let rep = twill_rt::simulate_hybrid(&r, vec![], &SimConfig::default())
+            .map_err(|e| TestCaseError::fail(format!("simulation failed: {e}")))?;
+        prop_assert_eq!(&rep.output, &want_out);
+        prop_assert_eq!(rep.ret, want_ret);
     }
 }

@@ -4,11 +4,11 @@
 //! every optimization pass, the DSWP thread extractor, the HLS FSM executor
 //! and the cycle-level runtime simulator are all validated against it.
 //!
-//! The interpreter is a resumable stepping machine so that multiple threads
-//! (the partition functions produced by DSWP) can be co-executed over a
-//! shared [`Machine`]: a step that hits a full/empty queue or a zero
-//! semaphore reports [`StepEvent::Blocked`] without advancing, and can be
-//! retried after other threads make progress.
+//! The interpreter is a resumable stepping machine: a step that hits a
+//! full/empty queue or a zero semaphore reports [`StepEvent::Blocked`]
+//! without advancing, and can be retried after other threads make
+//! progress. `twill-rt`'s CPU agent steps its software threads (the
+//! partition functions produced by DSWP) this way.
 //!
 //! Runtime effects (queues, semaphores, stream I/O) are routed through the
 //! [`Runtime`] trait; [`Machine`] provides the functional implementation,
@@ -101,14 +101,6 @@ impl Machine {
             sems: m.sems.iter().map(|s| s.initial).collect(),
             sem_maxes: m.sems.iter().map(|s| s.max).collect(),
         }
-    }
-
-    pub fn queue_len(&self, q: QueueId) -> usize {
-        self.queues[q.index()].len()
-    }
-
-    pub fn sem_value(&self, s: SemId) -> u32 {
-        self.sems[s.index()]
     }
 
     /// True if every queue is drained (used to assert clean pipeline exit).

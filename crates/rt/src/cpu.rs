@@ -89,7 +89,7 @@ impl Cpu {
             // The adapter started (or is still waiting on) a runtime op;
             // the issue cycle counts as busy.
             Ok(StepEvent::Blocked(fid, iid)) => self.attr_site = Some((fid.index(), iid.index())),
-            Ok(StepEvent::Finished(_)) => self.finish_thread(shared),
+            Ok(StepEvent::Finished(v)) => self.finish_thread(v, shared),
             Err(e) => panic!("CPU execution fault: {e}"),
         }
         Progress::Busy
@@ -102,9 +102,12 @@ impl Cpu {
         self.charge = self.costs[fid.index()][iid.index()] - 1;
     }
 
-    /// The active thread's outermost function returned this (busy) cycle:
-    /// retire the thread and switch to the next runnable one, if any.
-    fn finish_thread(&mut self, shared: &mut Shared) {
+    /// The active thread's outermost function returned `ret` this (busy)
+    /// cycle: retire the thread and switch to the next runnable one, if any.
+    fn finish_thread(&mut self, ret: Option<i64>, shared: &mut Shared) {
+        if ret.is_some() {
+            shared.ret = ret;
+        }
         self.threads[self.active].finished = true;
         self.live -= 1;
         self.finish_cycle = shared.cycle;
@@ -252,7 +255,7 @@ impl SimAgent for Cpu {
                     rt.shared.cycle -= 1;
                     break;
                 }
-                Ok(StepEvent::Finished(_)) => self.finish_thread(rt.shared),
+                Ok(StepEvent::Finished(v)) => self.finish_thread(v, rt.shared),
                 Err(e) => panic!("CPU execution fault: {e}"),
             }
             let k = (self.charge as u64).min(limit - rt.shared.cycle);

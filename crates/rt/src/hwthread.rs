@@ -603,6 +603,9 @@ impl HwThread {
                     self.waive_credit = 0;
                     return match self.frames.last_mut() {
                         None => {
+                            if val.is_some() {
+                                shared.ret = val;
+                            }
                             self.finished = true;
                             self.finish_cycle = shared.cycle;
                             Progress::Finished

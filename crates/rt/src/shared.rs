@@ -140,6 +140,9 @@ pub struct Shared {
     pub input: Vec<i32>,
     pub in_pos: usize,
     pub output: Vec<i32>,
+    /// `main`'s return value, stored when the thread whose entry returns
+    /// it finishes (only the partition owning the original `ret` does).
+    pub(crate) ret: Option<i64>,
     queues: Vec<SimQueue>,
     sems: Vec<u32>,
     sem_max: Vec<u32>,
@@ -189,6 +192,7 @@ impl Shared {
             input,
             in_pos: 0,
             output: Vec::new(),
+            ret: None,
             queues: m
                 .queues
                 .iter()

@@ -91,6 +91,9 @@ impl SimConfig {
 pub struct SimReport {
     pub cycles: u64,
     pub output: Vec<i32>,
+    /// `main`'s return value; `None` for a void `main` and for partial
+    /// (timeout/deadlock) reports.
+    pub ret: Option<i64>,
     pub stats: crate::shared::SimStats,
     /// Fraction of total cycles the CPU was busy (for the power model).
     pub cpu_busy_fraction: f64,
@@ -549,6 +552,7 @@ fn simulate(
     let report = SimReport {
         cycles,
         output: shared.output.clone(),
+        ret: shared.ret.filter(|_| halt.is_ok()),
         cpu_busy_fraction: cpu
             .map_or(0.0, |c| shared.busy_ticks[c.agent_id()] as f64 / cycles.max(1) as f64),
         stats: shared.stats,

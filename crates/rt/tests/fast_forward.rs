@@ -65,6 +65,7 @@ fn testbed() -> &'static (twill_ir::Module, DswpResult) {
 fn assert_reports_equal(a: &SimReport, b: &SimReport, ctx: &str) {
     assert_eq!(a.cycles, b.cycles, "{ctx}: cycles diverged");
     assert_eq!(a.output, b.output, "{ctx}: output diverged");
+    assert_eq!(a.ret, b.ret, "{ctx}: ret diverged");
     assert_eq!(a.stats, b.stats, "{ctx}: stats diverged");
     assert_eq!(
         a.cpu_busy_fraction.to_bits(),

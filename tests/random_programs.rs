@@ -1,7 +1,8 @@
 //! Differential fuzzing: generate random (but terminating, well-defined)
 //! mini-C programs and require that the interpreter reference, the
-//! optimization pipeline, the DSWP functional co-execution and the
-//! cycle-level simulation of all three configurations agree bit-for-bit.
+//! optimization pipeline and the cycle-level simulation of all three
+//! configurations agree bit-for-bit on the output and on `main`'s return
+//! value.
 
 #[path = "support/random_gen.rs"]
 mod random_gen;
@@ -21,7 +22,7 @@ fn check_source(seed: u64, src: String) {
     // Unoptimized reference (frontend output before the pass pipeline).
     let raw = twill_frontend::compile("fuzz", &src).unwrap();
     let input = vec![seed as i32, 7, -3, 100, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8];
-    let (golden, _, _) = twill_ir::interp::run_main(&raw, input.clone(), 500_000_000)
+    let (golden, ret, _) = twill_ir::interp::run_main(&raw, input.clone(), 500_000_000)
         .unwrap_or_else(|e| panic!("seed {seed}: raw run: {e}\n{src}"));
 
     // Pipeline preserved semantics.
@@ -30,24 +31,34 @@ fn check_source(seed: u64, src: String) {
         .unwrap_or_else(|e| panic!("seed {seed}: optimized run: {e}\n{src}"));
     assert_eq!(golden, opt, "seed {seed}: pipeline diverged\n{src}");
 
-    // DSWP functional co-execution.
-    let (part_out, _, _) = twill_dswp::run_partitioned(build.dswp(), input.clone(), 500_000_000)
-        .unwrap_or_else(|e| panic!("seed {seed}: partitioned: {e}\n{src}"));
-    assert_eq!(golden, part_out, "seed {seed}: DSWP diverged\n{src}");
+    check_simulations(seed, &src, &build, input, &golden, ret);
+}
 
-    // Cycle-accurate configurations.
+/// All three cycle-accurate configurations reproduce the reference output
+/// and return value.
+fn check_simulations(
+    seed: u64,
+    src: &str,
+    build: &twill::TwillBuild,
+    input: Vec<i32>,
+    golden: &[i32],
+    ret: Option<i64>,
+) {
     let sw = build
         .simulate_pure_sw(input.clone())
         .unwrap_or_else(|e| panic!("seed {seed}: sw sim: {e}\n{src}"));
     assert_eq!(golden, sw.output, "seed {seed}: SW sim diverged\n{src}");
+    assert_eq!(ret, sw.ret, "seed {seed}: SW sim return value\n{src}");
     let hw = build
         .simulate_pure_hw(input.clone())
         .unwrap_or_else(|e| panic!("seed {seed}: hw sim: {e}\n{src}"));
     assert_eq!(golden, hw.output, "seed {seed}: HW sim diverged\n{src}");
+    assert_eq!(ret, hw.ret, "seed {seed}: HW sim return value\n{src}");
     let tw = build
         .simulate_hybrid(input)
         .unwrap_or_else(|e| panic!("seed {seed}: hybrid sim: {e}\n{src}"));
     assert_eq!(golden, tw.output, "seed {seed}: hybrid sim diverged\n{src}");
+    assert_eq!(ret, tw.ret, "seed {seed}: hybrid sim return value\n{src}");
 }
 
 #[test]
@@ -92,14 +103,8 @@ fn fuzz_batch_c_forced_splits() {
             .compile("fuzz", &src)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
         let input = vec![seed as i32, 1, 2, 3, 4, 5, 6, 7, 8, 9];
-        let golden = build.run_reference(input.clone()).unwrap();
-        let (part_out, _, _) =
-            twill_dswp::run_partitioned(build.dswp(), input.clone(), 500_000_000)
-                .unwrap_or_else(|e| panic!("seed {seed}: partitioned: {e}\n{src}"));
-        assert_eq!(golden, part_out, "seed {seed}\n{src}");
-        let tw = build
-            .simulate_hybrid(input)
-            .unwrap_or_else(|e| panic!("seed {seed}: hybrid: {e}\n{src}"));
-        assert_eq!(golden, tw.output, "seed {seed}\n{src}");
+        let (golden, ret, _) =
+            twill_ir::interp::run_main(build.prepared(), input.clone(), 500_000_000).unwrap();
+        check_simulations(seed, &src, &build, input, &golden, ret);
     }
 }

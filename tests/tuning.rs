@@ -38,6 +38,40 @@ int main() {
 }
 "#;
 
+/// A helper too large for the generic inliner but inlined by the HLS
+/// flow's thresholds, so the prepared module shows which pipeline ran.
+const CALLS: &str = r#"
+int mix(int a, int b) {
+  int x = a ^ (b << 3);
+  x = x * 31 + (x >> 5);
+  x = x ^ (x << 7);
+  x = x + (b * 17) - (a >> 2);
+  x = (x & 65535) * 13 + (x >> 16);
+  x = x ^ (x >> 11);
+  x = x * 7 + (a & 255);
+  x = x - (b ^ 1234);
+  x = (x << 2) ^ (x >> 3);
+  x = x + (a * b) % 97;
+  x = x ^ (x >> 9);
+  x = x * 5 + 3;
+  x = x + (x >> 4) * 11;
+  x = x ^ (a << 5) ^ (b >> 1);
+  x = (x & 4095) * 19 + (x >> 12);
+  x = x - (x << 3) + (a | b);
+  x = x ^ (x * 29 + 7);
+  x = (x >> 2) + (x & 1023) * 3;
+  return x;
+}
+int main() {
+  int acc = 1;
+  for (int i = 0; i < 100; i++) {
+    acc = mix(acc, i) + mix(i, acc >> 2);
+  }
+  out(acc);
+  return 0;
+}
+"#;
+
 fn opts(seed: u64) -> TuneOptions {
     TuneOptions { seed, max_rounds: 3, bench: "t".into() }
 }
@@ -71,6 +105,23 @@ fn tuned_config_never_slower_in_either_loop_mode() {
             assert!(rep.cycles <= r.baseline_cycles, "seed {seed} ff={fast_forward}");
             assert_eq!(rep.output, golden, "seed {seed} ff={fast_forward}");
         }
+    }
+}
+
+#[test]
+fn tuned_compiler_rebuilds_the_tuned_build_from_source() {
+    // The from-scratch replay keeps the tuned build's preparation pipeline:
+    // compiling the source again gives the same prepared module and, with
+    // the accepted depths declared, reproduces the tuned cycle count.
+    let b = Compiler::new().partitions(3).compile("t", CALLS).unwrap();
+    let print = twill_ir::printer::print_module;
+    for seed in [0, 1, 42] {
+        let out = tune(&b, &[], &b.sim_config(), &opts(seed)).unwrap();
+        let fresh = out.compiler.compile("t", CALLS).unwrap();
+        let tuned = out.compiler.build_on(b.graph());
+        assert_eq!(print(fresh.prepared()), print(tuned.prepared()), "seed {seed}");
+        let rep = fresh.simulate_hybrid(vec![]).unwrap();
+        assert_eq!(rep.cycles, out.report.tuned_cycles, "seed {seed}");
     }
 }
 
