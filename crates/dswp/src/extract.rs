@@ -62,8 +62,9 @@ struct PartPlan {
     needed_args: Vec<u16>,
     /// Foreign defs whose value this partition dequeues.
     needed_defs: Vec<InstId>,
-    /// Foreign pure defs this partition re-materializes locally (gaddr).
-    remat_defs: BTreeSet<InstId>,
+    /// Foreign pure defs this partition re-materializes locally (gaddr),
+    /// sorted.
+    remat_defs: Vec<InstId>,
     /// Foreign effectful instructions this partition token-syncs on:
     /// (instruction, producing partition).
     token_defs: Vec<(InstId, usize)>,
@@ -193,10 +194,15 @@ pub fn run_dswp(m: &Module, opts: &DswpOptions) -> DswpResult {
         //
         // Allocas: "all allocations … on a single special thread" — pin
         // every alloca's SCC to partition 0 (software memory manager).
+        let mut moved = false;
         for (n, &iid) in pdg.nodes.iter().enumerate() {
             if matches!(f.inst(iid).op, Op::Alloca(_) | Op::CallIndirect(..)) {
-                let scc = dag.scc_of[n];
-                reassign_scc_with_preds(&mut placement, &dag, scc, 0);
+                moved |= reassign_scc_with_preds(&mut placement, &dag, dag.scc_of[n], 0);
+            }
+        }
+        if moved {
+            for (n, p) in placement.of_node.iter_mut().enumerate() {
+                *p = placement.of_scc[dag.scc_of[n].index()];
             }
         }
 
@@ -321,50 +327,47 @@ pub fn run_dswp(m: &Module, opts: &DswpOptions) -> DswpResult {
         }
     }
 
+    // Every function's ret owner is fixed by now.
+    let ret_owners: Vec<(usize, bool)> =
+        plans.iter().map(|pl| (pl.ret_owner, pl.has_ret_value)).collect();
     for &fid in &order {
         let f = m.func(fid);
         let plan = &plans[fid.index()];
+        let facts = FnFacts::new(f);
         // Which partitions of this function touch memory/IO directly or
-        // through a relevant callee? `p` indexes both the callee rows of
-        // `g_mem` (which may alias this function's row under recursion)
-        // and the row being written, so a range loop is the honest shape.
-        #[allow(clippy::needless_range_loop)]
-        for p in 0..k {
-            let mut touches = false;
-            for (_, iid) in f.inst_ids_in_layout() {
-                match &f.inst(iid).op {
-                    Op::Load(_) | Op::Store(..) if plan.owner_of_inst[iid.index()] == p => {
-                        touches = true;
-                    }
-                    Op::Intrin(Intr::Out | Intr::In, _) if plan.owner_of_inst[iid.index()] == p => {
-                        touches = true;
-                    }
-                    Op::Call(c, _) if g_mem[c.index()][p] => {
-                        touches = true;
-                    }
-                    _ => {}
+        // through a relevant callee? A callee row of `g_mem` may be this
+        // function's own row under recursion; it is read before this
+        // function's row is written.
+        let mut touches = vec![false; k];
+        for &(_, iid) in &facts.layout {
+            match &f.inst(iid).op {
+                Op::Load(_) | Op::Store(..) | Op::Intrin(Intr::Out | Intr::In, _) => {
+                    touches[plan.owner_of_inst[iid.index()]] = true;
                 }
+                Op::Call(c, _) => {
+                    for (t, &callee) in touches.iter_mut().zip(&g_mem[c.index()]) {
+                        *t |= callee;
+                    }
+                }
+                _ => {}
             }
-            g_mem[fid.index()][p] = touches;
         }
-        let ret_owners: Vec<(usize, bool)> =
-            plans.iter().map(|pl| (pl.ret_owner, pl.has_ret_value)).collect();
-        let mut parts = Vec::with_capacity(k);
-        for p in 0..k {
-            let part = plan_partition(
-                m,
-                f,
-                fid,
-                plan,
-                p,
-                opts,
-                &g_nonempty,
-                &g_needed_args,
-                &g_mem,
-                &ret_owners,
-            );
-            parts.push(part);
-        }
+        g_mem[fid.index()] = touches;
+        let mut parts: Vec<PartPlan> = (0..k)
+            .map(|p| {
+                plan_partition(
+                    f,
+                    &facts,
+                    plan,
+                    p,
+                    opts,
+                    &g_nonempty,
+                    &g_needed_args,
+                    &g_mem,
+                    &ret_owners,
+                )
+            })
+            .collect();
         // A callee whose return value callers may consume must have its
         // ret-owner version instantiated even if otherwise empty (e.g. a
         // function returning a constant).
@@ -379,21 +382,24 @@ pub fn run_dswp(m: &Module, opts: &DswpOptions) -> DswpResult {
         }
         // Producer side of non-emptiness: p is active if any sibling
         // partition consumes one of its defs.
-        for p in 0..k {
-            let ret_owners: Vec<(usize, bool)> =
-                plans.iter().map(|pl| (pl.ret_owner, pl.has_ret_value)).collect();
-            let produces = (0..k).filter(|&c| c != p).any(|c| {
-                parts[c]
-                    .needed_defs
-                    .iter()
-                    .any(|d| value_owner(f, *d, &plan.owner_of_inst, &ret_owners) == p)
-                    || parts[c].token_defs.iter().any(|&(_, prod)| prod == p)
-            });
-            if produces {
-                parts[p].nonempty = true;
+        let mut produces = vec![false; k];
+        for (c, part) in parts.iter().enumerate() {
+            for &d in &part.needed_defs {
+                let o = value_owner(f, d, &plan.owner_of_inst, &ret_owners);
+                if o != c {
+                    produces[o] = true;
+                }
             }
-            g_nonempty[fid.index()][p] = parts[p].nonempty;
-            g_needed_args[fid.index()][p] = parts[p].needed_args.clone();
+            for &(_, prod) in &part.token_defs {
+                if prod != c {
+                    produces[prod] = true;
+                }
+            }
+        }
+        for (p, part) in parts.iter_mut().enumerate() {
+            part.nonempty |= produces[p];
+            g_nonempty[fid.index()][p] = part.nonempty;
+            g_needed_args[fid.index()][p] = part.needed_args.clone();
         }
         plans[fid.index()].parts = parts;
     }
@@ -464,7 +470,7 @@ pub fn run_dswp(m: &Module, opts: &DswpOptions) -> DswpResult {
                 &func_ids,
                 &g_needed_args,
                 &g_nonempty,
-                &plans,
+                &ret_owners,
             );
             insts_per_partition[p] += count_real_insts(&built);
             out.funcs[func_ids[fid.index()][p].index()] = built;
@@ -528,29 +534,29 @@ fn queue_width(ty: Ty) -> Ty {
 
 /// Move an SCC (and, transitively, its unplaced-constraint predecessors if
 /// they sit in higher partitions) to `target`, preserving the pipeline
-/// property.
+/// property. Updates `of_scc` only; returns whether anything moved, so the
+/// caller can rebuild `of_node` once after all moves.
 fn reassign_scc_with_preds(
     placement: &mut Placement,
     dag: &SccDag,
     scc: twill_pdg::SccId,
     target: usize,
-) {
+) -> bool {
+    let mut moved = false;
     let mut stack = vec![scc];
     while let Some(s) = stack.pop() {
         if placement.of_scc[s.index()] <= target {
             continue; // already at or below the target stage: pipeline ok
         }
         placement.of_scc[s.index()] = target;
+        moved = true;
         for &pr in &dag.preds[s.index()] {
             if placement.of_scc[pr.index()] > target {
                 stack.push(pr);
             }
         }
     }
-    // Rebuild node map.
-    for n in 0..placement.of_node.len() {
-        placement.of_node[n] = placement.of_scc[dag.scc_of[n].index()];
-    }
+    moved
 }
 
 /// Can this instruction be re-materialized in any partition instead of
@@ -578,20 +584,23 @@ fn placement_cost(pdg: &Pdg, w: &NodeWeights, placement: &Placement, k: usize) -
     }
     // Queue traffic per iteration: distinct (def, consumer) pairs for
     // loop-resident cross-partition data/memory edges.
-    let mut pairs: std::collections::BTreeSet<(usize, usize)> = std::collections::BTreeSet::new();
-    for (t, h, kind) in pdg.all_edges() {
-        if matches!(kind, DepKind::Data | DepKind::Memory) {
-            let (pt, ph) = (placement.of_node[t], placement.of_node[h]);
-            if pt != ph && w.depth[t] > 0 {
-                pairs.insert((t, ph));
-            }
-        }
-    }
     let mut enq = vec![0u64; k];
     let mut deq = vec![0u64; k];
-    for (t, ph) in pairs {
-        enq[placement.of_node[t]] += 2;
-        deq[ph] += 2;
+    let mut consumers = vec![false; k];
+    for (t, es) in pdg.edges.iter().enumerate() {
+        if w.depth[t] == 0 {
+            continue;
+        }
+        let pt = placement.of_node[t];
+        for &(h, kind) in es {
+            let ph = placement.of_node[h];
+            if matches!(kind, DepKind::Data | DepKind::Memory) && pt != ph && !consumers[ph] {
+                consumers[ph] = true;
+                enq[pt] += 2;
+                deq[ph] += 2;
+            }
+        }
+        consumers.fill(false);
     }
     (0..k)
         .map(|p| {
@@ -664,12 +673,34 @@ fn count_real_insts(f: &Function) -> usize {
     f.inst_ids_in_layout().iter().filter(|(_, i)| !matches!(f.inst(*i).op, Op::Br(_))).count()
 }
 
+/// Per-function CFG facts that every partition's plan reads, computed once
+/// per function.
+struct FnFacts {
+    /// Live instructions in layout order.
+    layout: Vec<(BlockId, InstId)>,
+    /// Owning block per instruction arena slot.
+    inst_block: Vec<Option<BlockId>>,
+    /// Predecessor table (one entry per edge).
+    preds: Vec<Vec<BlockId>>,
+    pdt: PostDomTree,
+}
+
+impl FnFacts {
+    fn new(f: &Function) -> FnFacts {
+        FnFacts {
+            layout: f.inst_ids_in_layout(),
+            inst_block: f.inst_blocks(),
+            preds: f.predecessors(),
+            pdt: PostDomTree::new(f),
+        }
+    }
+}
+
 /// Compute the extraction plan for one (function, partition).
 #[allow(clippy::too_many_arguments)]
 fn plan_partition(
-    m: &Module,
     f: &Function,
-    fid: FuncId,
+    facts: &FnFacts,
     plan: &FnPlan,
     p: usize,
     opts: &DswpOptions,
@@ -678,39 +709,35 @@ fn plan_partition(
     g_mem: &[Vec<bool>],
     ret_owners: &[(usize, bool)],
 ) -> PartPlan {
-    let _ = fid;
     let owner = &plan.owner_of_inst;
     // Value-producer ownership (differs from placement for calls).
     let vowner = |iid: InstId| value_owner(f, iid, owner, ret_owners);
     let pdg = &plan.pdg;
-    let pdt = PostDomTree::new(f);
+    let pdt = &facts.pdt;
     let k = plan.placement.weight.len();
 
     // Token deps: cross-partition memory/IO ordering edges whose *head*
-    // this partition executes. Calls expand to every partition whose
-    // callee version touches memory (the callee's memory ops run in all
-    // those threads).
-    let expand = |node: usize| -> Vec<usize> {
-        let iid = pdg.nodes[node];
-        match &f.inst(iid).op {
-            Op::Call(c, _) => (0..k).filter(|&q| g_mem[c.index()][q]).collect(),
-            _ => vec![plan.placement.of_node[node]],
+    // this partition executes. Calls run in every partition whose callee
+    // version touches memory (the callee's memory ops run in all those
+    // threads).
+    let runs_in = |node: usize, q: usize| -> bool {
+        match &f.inst(pdg.nodes[node]).op {
+            Op::Call(c, _) => g_mem[c.index()][q],
+            _ => plan.placement.of_node[node] == q,
         }
     };
-    let mut token_defs: BTreeSet<(InstId, usize)> = BTreeSet::new();
-    for (t, h, kind) in pdg.all_edges() {
-        if kind == DepKind::Memory {
-            let producers = expand(t);
-            let consumers = expand(h);
-            if consumers.contains(&p) {
-                for &prod in &producers {
-                    if prod != p {
-                        token_defs.insert((pdg.nodes[t], prod));
-                    }
+    let mut token_defs: Vec<(InstId, usize)> = Vec::new();
+    for (t, es) in pdg.edges.iter().enumerate() {
+        for &(h, kind) in es {
+            if kind == DepKind::Memory && runs_in(h, p) {
+                for prod in (0..k).filter(|&q| q != p && runs_in(t, q)) {
+                    token_defs.push((pdg.nodes[t], prod));
                 }
             }
         }
     }
+    token_defs.sort_unstable();
+    token_defs.dedup();
 
     // Relevant calls for p.
     let call_relevant = |iid: InstId| -> bool {
@@ -719,20 +746,12 @@ fn plan_partition(
             _ => false,
         }
     };
-
-    // Fixpoint: needed defs/args ↔ kept branches.
-    #[allow(unused_assignments)]
-    let mut needed_defs: BTreeSet<InstId> = BTreeSet::new();
-    #[allow(unused_assignments)]
-    let mut needed_args: BTreeSet<u16> = BTreeSet::new();
-    let mut branch_rewrite: HashMap<BlockId, BlockId> = HashMap::new();
-    let mut kept: Vec<bool> = vec![true; f.blocks.len()];
     let owned = |iid: InstId| owner[iid.index()] == p;
 
     // Uses contributed by p's own (non-branch) instructions + relevant
     // call args + owned ret operands. These are iteration-independent.
     let mut base_uses: Vec<Value> = Vec::new();
-    for (_, iid) in f.inst_ids_in_layout() {
+    for &(_, iid) in &facts.layout {
         let inst = f.inst(iid);
         match &inst.op {
             Op::Br(_) | Op::CondBr(..) | Op::Switch(..) => {}
@@ -758,28 +777,25 @@ fn plan_partition(
     // Classify a set of root uses into queue-forwarded defs, argument
     // needs and locally re-materialized defs (single pure ops and whole
     // replicable SCCs, transitively through their external operands).
-    let classify = |roots: &[Value]| -> (BTreeSet<InstId>, BTreeSet<u16>, BTreeSet<InstId>) {
-        let mut defs: BTreeSet<InstId> = BTreeSet::new();
-        let mut args: BTreeSet<u16> = BTreeSet::new();
-        let mut remat: BTreeSet<InstId> = BTreeSet::new();
+    // Each list comes back sorted and free of duplicates.
+    let classify = |roots: &[Value]| -> Needs {
+        let mut needs = Needs::default();
+        let mut seen = vec![false; f.insts.len()];
+        let mut in_remat = vec![false; f.insts.len()];
         let mut work: Vec<Value> = roots.to_vec();
-        let mut seen: BTreeSet<Value> = BTreeSet::new();
         while let Some(v) = work.pop() {
-            if !seen.insert(v) {
-                continue;
-            }
             match v {
                 Value::Imm(..) => {}
-                Value::Arg(n) => {
-                    args.insert(n);
-                }
+                Value::Arg(n) => needs.args.push(n),
                 Value::Inst(d) => {
-                    if vowner(d) == p {
+                    if std::mem::replace(&mut seen[d.index()], true) || vowner(d) == p {
                         continue;
                     }
                     let op = &f.inst(d).op;
                     if is_remat(op) {
-                        remat.insert(d);
+                        if !std::mem::replace(&mut in_remat[d.index()], true) {
+                            needs.remat.push(d);
+                        }
                         continue;
                     }
                     let scc = plan.scc_of_inst[d.index()];
@@ -790,35 +806,38 @@ fn plan_partition(
                             if f.inst(mem).op.is_terminator() {
                                 continue;
                             }
-                            if remat.insert(mem) {
+                            if !std::mem::replace(&mut in_remat[mem.index()], true) {
+                                needs.remat.push(mem);
                                 f.inst(mem).op.for_each_value(|ov| work.push(ov));
                             }
                         }
                     } else {
-                        defs.insert(d);
+                        needs.defs.push(d);
                     }
                 }
             }
         }
-        (defs, args, remat)
+        needs.defs.sort_unstable();
+        needs.args.sort_unstable();
+        needs.args.dedup();
+        needs.remat.sort_unstable();
+        needs
     };
 
-    // Seed with base uses only; conditions join the need set only for
-    // branches that survive pruning (starting from keep-all would let
-    // every loop keep itself alive through its own condition dequeue).
-    let mut remat_defs: BTreeSet<InstId>;
-    {
-        let (d, a, r) = classify(&base_uses);
-        needed_defs = d;
-        needed_args = a;
-        remat_defs = r;
-    }
+    // Fixpoint: needed defs/args ↔ kept branches. Seed with base uses
+    // only; conditions join the need set only for branches that survive
+    // pruning (starting from keep-all would let every loop keep itself
+    // alive through its own condition dequeue).
+    let mut needs = classify(&base_uses);
+    let mut branch_rewrite: HashMap<BlockId, BlockId> = HashMap::new();
+    let mut kept: Vec<bool> = vec![true; f.blocks.len()];
+    // Region walks stamp `seen_in` with the branch block they start from.
+    let mut seen_in: Vec<usize> = vec![usize::MAX; f.blocks.len()];
     loop {
         // Relevance from the current need set.
         let mut relevant = vec![false; f.blocks.len()];
         relevant[f.entry.index()] = true;
-        let inst_block = f.inst_blocks();
-        for (b, iid) in f.inst_ids_in_layout() {
+        for &(b, iid) in &facts.layout {
             let inst = f.inst(iid);
             let rel = match &inst.op {
                 Op::Br(_) | Op::CondBr(..) | Op::Switch(..) => false,
@@ -830,10 +849,8 @@ fn plan_partition(
                 relevant[b.index()] = true;
             }
         }
-        for d in
-            needed_defs.iter().chain(remat_defs.iter()).chain(token_defs.iter().map(|(d, _)| d))
-        {
-            if let Some(b) = inst_block[d.index()] {
+        for d in needs.defs.iter().chain(&needs.remat).chain(token_defs.iter().map(|(d, _)| d)) {
+            if let Some(b) = facts.inst_block[d.index()] {
                 relevant[b.index()] = true;
             }
         }
@@ -841,12 +858,13 @@ fn plan_partition(
         // are covered by the `owned` rule above.
         // Phi-pred forcing: predecessors of blocks holding phis this
         // partition materializes must stay, so incoming lists survive.
-        let preds_tbl = f.predecessors();
-        for (b, iid) in f.inst_ids_in_layout() {
+        for &(b, iid) in &facts.layout {
             if matches!(f.inst(iid).op, Op::Phi(_))
-                && (owned(iid) || needed_defs.contains(&iid) || remat_defs.contains(&iid))
+                && (owned(iid)
+                    || needs.defs.binary_search(&iid).is_ok()
+                    || needs.remat.binary_search(&iid).is_ok())
             {
-                for &pr in &preds_tbl[b.index()] {
+                for &pr in &facts.preds[b.index()] {
                     relevant[pr.index()] = true;
                 }
                 relevant[b.index()] = true;
@@ -857,6 +875,7 @@ fn plan_partition(
         // block lies strictly between B and its immediate post-dominator.
         let mut new_rewrites: HashMap<BlockId, BlockId> = HashMap::new();
         if opts.prune {
+            seen_in.fill(usize::MAX);
             for b in f.block_ids() {
                 let Some(t) = f.block(b).terminator() else { continue };
                 if !matches!(f.inst(t).op, Op::CondBr(..)) {
@@ -864,20 +883,19 @@ fn plan_partition(
                 }
                 let Some(ipd) = pdt.ipdom[b.index()] else { continue };
                 let mut region_relevant = false;
-                let mut seen = vec![false; f.blocks.len()];
                 let mut stack: Vec<BlockId> =
                     f.successors(b).into_iter().filter(|s| *s != ipd).collect();
                 while let Some(x) = stack.pop() {
-                    if seen[x.index()] {
+                    if seen_in[x.index()] == b.index() {
                         continue;
                     }
-                    seen[x.index()] = true;
+                    seen_in[x.index()] = b.index();
                     if relevant[x.index()] {
                         region_relevant = true;
                         break;
                     }
                     for s in f.successors(x) {
-                        if s != ipd && !seen[s.index()] {
+                        if s != ipd && seen_in[s.index()] != b.index() {
                             stack.push(s);
                         }
                     }
@@ -917,28 +935,21 @@ fn plan_partition(
                 }
             }
         }
-        let (new_defs, new_args, new_remat) = classify(&uses);
+        let new_needs = classify(&uses);
 
-        let fixed = new_defs == needed_defs
-            && new_args == needed_args
-            && new_remat == remat_defs
-            && new_rewrites == branch_rewrite
-            && new_kept == kept;
-        needed_defs = new_defs;
-        needed_args = new_args;
-        remat_defs = new_remat;
+        let fixed = new_needs == needs && new_rewrites == branch_rewrite && new_kept == kept;
+        needs = new_needs;
         branch_rewrite = new_rewrites;
         kept = new_kept;
         if fixed {
             break;
         }
     }
-    let _ = m;
 
     // Non-emptiness (consumer side; the producer side is added by the
     // driver once all partitions of this function are planned).
-    let mut nonempty = !needed_defs.is_empty() || !token_defs.is_empty();
-    for (_, iid) in f.inst_ids_in_layout() {
+    let mut nonempty = !needs.defs.is_empty() || !token_defs.is_empty();
+    for &(_, iid) in &facts.layout {
         let inst = f.inst(iid);
         match &inst.op {
             Op::Br(_) | Op::CondBr(..) | Op::Switch(..) | Op::Ret(_) => {}
@@ -956,14 +967,26 @@ fn plan_partition(
     }
 
     PartPlan {
-        needed_args: needed_args.into_iter().collect(),
-        needed_defs: needed_defs.into_iter().collect(),
-        remat_defs,
-        token_defs: token_defs.into_iter().collect(),
+        needed_args: needs.args,
+        needed_defs: needs.defs,
+        remat_defs: needs.remat,
+        token_defs,
         branch_rewrite,
         kept,
         nonempty,
     }
+}
+
+/// What one partition needs from outside itself (see `plan_partition`'s
+/// `classify`); every list is sorted and free of duplicates.
+#[derive(Default, PartialEq)]
+struct Needs {
+    /// Foreign defs forwarded through queues.
+    defs: Vec<InstId>,
+    /// Function arguments.
+    args: Vec<u16>,
+    /// Foreign defs re-materialized locally.
+    remat: Vec<InstId>,
 }
 
 /// Materialize partition `p`'s function.
@@ -978,14 +1001,14 @@ fn build_partition_function(
     func_ids: &[Vec<FuncId>],
     g_needed_args: &[Vec<Vec<u16>>],
     g_nonempty: &[Vec<bool>],
-    plans: &[FnPlan],
+    ret_owners: &[(usize, bool)],
 ) -> Function {
     let part = &plan.parts[p];
     let owner = &plan.owner_of_inst;
     let owned = |iid: InstId| owner[iid.index()] == p;
-    let ret_owners: Vec<(usize, bool)> =
-        plans.iter().map(|pl| (pl.ret_owner, pl.has_ret_value)).collect();
-    let vowned = |iid: InstId| value_owner(f, iid, owner, &ret_owners) == p;
+    let vowned = |iid: InstId| value_owner(f, iid, owner, ret_owners) == p;
+    let needed = |iid: InstId| part.needed_defs.binary_search(&iid).is_ok();
+    let remat = |iid: InstId| part.remat_defs.binary_search(&iid).is_ok();
     let params: Vec<Ty> = part.needed_args.iter().map(|&a| f.params[a as usize]).collect();
     let ret_ty = if p == plan.ret_owner && plan.has_ret_value { f.ret } else { Ty::Void };
     let mut nf = Function::new(format!("{}_dswp_{}", f.name, p), params, ret_ty);
@@ -1025,7 +1048,6 @@ fn build_partition_function(
 
     // Value map: original InstId -> new Value.
     let mut vmap: HashMap<InstId, Value> = HashMap::new();
-    let needed: BTreeSet<InstId> = part.needed_defs.iter().copied().collect();
     let mut tokens: BTreeMap<InstId, Vec<usize>> = BTreeMap::new();
     for &(d, prod) in &part.token_defs {
         tokens.entry(d).or_default().push(prod);
@@ -1104,7 +1126,7 @@ fn build_partition_function(
                             &token_consumers,
                             f,
                         );
-                    } else if part.remat_defs.contains(&iid) {
+                    } else if remat(iid) {
                         // Replicated recurrence phi: clone with original
                         // incoming values (patched after the walk).
                         let inc: Vec<(BlockId, Value)> = incoming
@@ -1130,7 +1152,7 @@ fn build_partition_function(
                             .count();
                         nf.block_mut(nb).insts.insert(nphis, nid);
                         vmap.insert(iid, Value::Inst(nid));
-                    } else if needed.contains(&iid) {
+                    } else if needed(iid) {
                         let q = qmap[&QKey::Data(fid.0, iid, p)];
                         let nid = nf.create_inst_at(
                             Op::Intrin(Intr::Dequeue(q), vec![]),
@@ -1162,8 +1184,8 @@ fn build_partition_function(
                             .iter()
                             .map(|&a| remap(args[a as usize], &vmap))
                             .collect();
-                        let callee_plan = &plans[callee.index()];
-                        let crets = if p == callee_plan.ret_owner && callee_plan.has_ret_value {
+                        let (callee_ret_owner, callee_has_ret) = ret_owners[callee.index()];
+                        let crets = if p == callee_ret_owner && callee_has_ret {
                             m.func(*callee).ret
                         } else {
                             Ty::Void
@@ -1205,7 +1227,7 @@ fn build_partition_function(
                     }
                     // Consumer of a foreign call result (call not owned /
                     // not result-owning here).
-                    if !vmap.contains_key(&iid) && needed.contains(&iid) {
+                    if !vmap.contains_key(&iid) && needed(iid) {
                         let q = qmap[&QKey::Data(fid.0, iid, p)];
                         let nid = nf.create_inst_at(
                             Op::Intrin(Intr::Dequeue(q), vec![]),
@@ -1254,7 +1276,7 @@ fn build_partition_function(
                             f,
                         );
                     } else {
-                        if part.remat_defs.contains(&iid) {
+                        if remat(iid) {
                             // Re-materialize (gaddr / replicated-SCC member)
                             // at the def point; non-phi operands were
                             // already mapped earlier in RPO.
@@ -1263,7 +1285,7 @@ fn build_partition_function(
                             let nid = nf.create_inst_at(new_op, inst.ty, f.loc(iid));
                             cursor.push(nid);
                             vmap.insert(iid, Value::Inst(nid));
-                        } else if needed.contains(&iid) {
+                        } else if needed(iid) {
                             let q = qmap[&QKey::Data(fid.0, iid, p)];
                             let nid = nf.create_inst_at(
                                 Op::Intrin(Intr::Dequeue(q), vec![]),

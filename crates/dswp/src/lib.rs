@@ -36,6 +36,8 @@
 //! The result runs on `twill-rt`'s cycle-level simulator: the software
 //! master on the CPU, every other partition as a hardware thread.
 
+#[cfg(test)]
+mod complexity_guard;
 pub mod extract;
 pub mod placement;
 

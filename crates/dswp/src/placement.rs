@@ -1,7 +1,35 @@
 //! SCC-to-partition assignment (the thesis' greedy partitioning heuristic).
 
+use std::collections::BTreeSet;
 use twill_ir::Function;
 use twill_pdg::{NodeWeights, Pdg, SccDag, SccId};
+
+/// Work counter behind the placement complexity guard
+/// (`complexity_guard` tests): available-set operations and per-SCC
+/// precomputation. Compiled out of non-test builds.
+#[cfg(test)]
+pub(crate) mod work {
+    use std::cell::Cell;
+
+    thread_local! {
+        static TOUCHES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn touch(n: usize) {
+        TOUCHES.with(|t| t.set(t.get() + n as u64));
+    }
+
+    /// Read and reset this thread's counter.
+    pub(crate) fn take() -> u64 {
+        TOUCHES.with(|t| t.replace(0))
+    }
+}
+
+#[cfg(not(test))]
+mod work {
+    #[inline(always)]
+    pub(super) fn touch(_n: usize) {}
+}
 
 /// DSWP configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,12 +137,13 @@ impl Placement {
         opts: &DswpOptions,
         sw_allowed: bool,
     ) -> Placement {
+        let nscc = dag.len();
         // Loop depth of an SCC (max over members) — the software partition
         // prefers shallow (cold) SCCs so hot-loop recurrences stay in
         // hardware; the thesis observes its greedy "works well enough" but
         // §6.5 shows heuristic choice dominates, and keeping hot-loop SCCs
         // off the processor is what its good configurations do.
-        let scc_depth: Vec<u32> = (0..dag.len())
+        let depth: Vec<u32> = (0..nscc)
             .map(|s| dag.members[s].iter().map(|&n| w.depth[n]).max().unwrap_or(0))
             .collect();
         // Outermost loop per SCC (None = straight-line), so the software
@@ -125,60 +154,45 @@ impl Placement {
         // area reduction.
         let dt = twill_passes::domtree::DomTree::new(f);
         let li = twill_passes::loops::LoopInfo::new(f, &dt);
-        let block_of_node = |n: usize| pdg.block_of[n];
-        let scc_top_loop: Vec<Option<usize>> = (0..dag.len())
+        let top_loop: Vec<Option<usize>> = (0..nscc)
             .map(|s| {
-                dag.members[s]
-                    .iter()
-                    .filter_map(|&n| li.loop_chain(block_of_node(n)).last().copied())
-                    .next()
+                let inner = dag.members[s].iter().find_map(|&n| li.loop_of(pdg.block_of[n]))?;
+                let mut l = inner;
+                while let Some(parent) = li.loops[l].parent {
+                    l = parent;
+                }
+                Some(l)
             })
             .collect();
+        let sw: Vec<u64> = (0..nscc).map(|s| w.scc_sw(dag, SccId(s as u32))).collect();
+        work::touch(pdg.len() + nscc);
         let k = opts.num_partitions.max(1);
         let targets = opts.targets();
         let total: u64 = w.total_sw().max(1);
 
-        let nscc = dag.len();
-        let mut of_scc = vec![usize::MAX; nscc];
-        let mut unplaced_preds: Vec<usize> = dag.preds.iter().map(|p| p.len()).collect();
-        let mut avail: Vec<SccId> =
-            (0..nscc).filter(|&s| unplaced_preds[s] == 0).map(|s| SccId(s as u32)).collect();
-        let mut weight = vec![0u64; k];
-        let mut placed = 0usize;
-
+        let mut g = Greedy::new(dag, &depth, &top_loop, &sw, li.loops.len(), k);
         for p in 0..k {
             let is_last = p + 1 == k;
+            if p > 0 {
+                g.order_by_program();
+            }
             // HW budgets rebalance over what the software stage actually
             // took (it may stop early at the loop boundary, below).
             let budget = if p == 0 {
                 (targets[0] * total as f64) as u64
             } else {
-                let placed_w: u64 = weight.iter().sum();
+                let placed_w: u64 = g.weight.iter().sum();
                 (total - placed_w.min(total)) / (k - p).max(1) as u64
             };
             loop {
-                if avail.is_empty() || (!is_last && weight[p] >= budget) {
+                if g.avail.is_empty() || (!is_last && g.weight[p] >= budget) {
                     break;
                 }
-                if placed == nscc {
+                if g.placed == nscc {
                     break;
                 }
-                // Smallest available by appropriate weight; tie-break on
-                // first member for determinism.
-                let key = |s: SccId| {
-                    if p == 0 {
-                        // Software: shallowest first, then cheapest.
-                        (scc_depth[s.index()] as u64, w.scc_sw(dag, s), dag.members[s.index()][0])
-                    } else {
-                        // Hardware stages take available SCCs in program
-                        // order, producing contiguous pipeline slabs (a
-                        // weight-sorted pick interleaves cheap memory SCCs
-                        // into early stages and explodes the cut).
-                        (0, 0, dag.members[s.index()][0])
-                    }
-                };
-                let (ai, &best) =
-                    avail.iter().enumerate().min_by_key(|(_, s)| key(**s)).expect("avail nonempty");
+                // Smallest available by the stage's key (see `Greedy::key`).
+                let best = g.first().expect("avail nonempty");
                 // The software stage never *splits* a loop: a processor
                 // participating in a pipelined loop pays the 5-cycle stream
                 // cost per value per iteration and becomes the bottleneck
@@ -191,96 +205,28 @@ impl Placement {
                 if p == 0 && opts.split_points.is_none() && !sw_allowed {
                     break;
                 }
-                if p == 0 && opts.split_points.is_none() && scc_depth[best.index()] > 0 {
-                    let Some(top) = scc_top_loop[best.index()] else { break };
-                    let loop_sccs: Vec<usize> = (0..nscc)
-                        .filter(|&s| of_scc[s] == usize::MAX && scc_top_loop[s] == Some(top))
-                        .collect();
-                    let loop_weight: u64 =
-                        loop_sccs.iter().map(|&s| w.scc_sw(dag, SccId(s as u32))).sum();
-                    if weight[0] + loop_weight > budget {
+                if p == 0 && opts.split_points.is_none() && depth[best] > 0 {
+                    let Some(top) = top_loop[best] else { break };
+                    if g.weight[0] + g.loop_sw[top] > budget {
                         break;
                     }
-                    // Trial absorption on a snapshot: take depth-0 and
-                    // this-loop SCCs in topo order until the loop is fully
-                    // placed; roll back if stuck on a foreign dependency.
-                    let snap =
-                        (of_scc.clone(), unplaced_preds.clone(), avail.clone(), weight[0], placed);
-                    let mut ok = false;
-                    let mut remaining: std::collections::BTreeSet<usize> =
-                        loop_sccs.iter().copied().collect();
-                    loop {
-                        if remaining.is_empty() {
-                            ok = true;
-                            break;
-                        }
-                        let cand = avail
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| {
-                                remaining.contains(&s.index()) || scc_depth[s.index()] == 0
-                            })
-                            .min_by_key(|(_, s)| dag.members[s.index()][0])
-                            .map(|(i, s)| (i, *s));
-                        let Some((ci, cs)) = cand else { break };
-                        if weight[0] + w.scc_sw(dag, cs) > budget + budget / 4 {
-                            break;
-                        }
-                        avail.swap_remove(ci);
-                        of_scc[cs.index()] = 0;
-                        weight[0] += w.scc_sw(dag, cs);
-                        placed += 1;
-                        remaining.remove(&cs.index());
-                        for &nx in &dag.succs[cs.index()] {
-                            unplaced_preds[nx.index()] -= 1;
-                            if unplaced_preds[nx.index()] == 0 {
-                                avail.push(nx);
-                            }
-                        }
-                    }
-                    if !ok {
-                        let (so, su, sa, sw0, spl) = snap;
-                        of_scc = so;
-                        unplaced_preds = su;
-                        avail = sa;
-                        weight[0] = sw0;
-                        placed = spl;
+                    if !g.absorb_loop(top, budget + budget / 4) {
                         break;
                     }
                     continue;
                 }
-                avail.swap_remove(ai);
-                of_scc[best.index()] = p;
-                weight[p] += w.scc_sw(dag, best);
-                placed += 1;
-                for &nx in &dag.succs[best.index()] {
-                    unplaced_preds[nx.index()] -= 1;
-                    if unplaced_preds[nx.index()] == 0 {
-                        avail.push(nx);
-                    }
-                }
+                g.place(best, p);
             }
         }
         // Anything left (when budgets rounded down) goes to the last
         // partition in topological order.
-        while placed < nscc {
-            let (ai, &best) = avail
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| dag.members[s.index()][0])
-                .expect("DAG must drain");
-            avail.swap_remove(ai);
-            of_scc[best.index()] = k - 1;
-            weight[k - 1] += w.scc_sw(dag, best);
-            placed += 1;
-            for &nx in &dag.succs[best.index()] {
-                unplaced_preds[nx.index()] -= 1;
-                if unplaced_preds[nx.index()] == 0 {
-                    avail.push(nx);
-                }
-            }
+        g.order_by_program();
+        while g.placed < nscc {
+            let best = g.first().expect("DAG must drain");
+            g.place(best, k - 1);
         }
 
+        let Greedy { of_scc, weight, .. } = g;
         let of_node: Vec<usize> = (0..pdg.len()).map(|n| of_scc[dag.scc_of[n].index()]).collect();
         Placement { of_scc, of_node, weight }
     }
@@ -296,6 +242,209 @@ impl Placement {
             }
         }
         v
+    }
+}
+
+/// State of the greedy fill. `avail` holds the SCCs whose predecessors are
+/// all placed, ordered by the current stage's pick key, so every pick is the
+/// set's minimum. Keys end in the SCC's first member node, which is unique
+/// per SCC, so the picks do not depend on the order SCCs became available.
+struct Greedy<'a> {
+    dag: &'a SccDag,
+    depth: &'a [u32],
+    top_loop: &'a [Option<usize>],
+    sw: &'a [u64],
+    /// Software-stage key `(depth, sw weight, first member)` when true, the
+    /// hardware stages' program order `(0, 0, first member)` when false.
+    by_cost: bool,
+    avail: BTreeSet<(u64, u64, usize)>,
+    /// Available SCCs per outermost loop, by first member (software stage
+    /// only; emptied once the hardware stages start).
+    avail_in_loop: Vec<BTreeSet<usize>>,
+    /// Unplaced SCC count and software weight per outermost loop.
+    loop_left: Vec<usize>,
+    loop_sw: Vec<u64>,
+    of_scc: Vec<usize>,
+    unplaced_preds: Vec<usize>,
+    weight: Vec<u64>,
+    placed: usize,
+}
+
+impl<'a> Greedy<'a> {
+    fn new(
+        dag: &'a SccDag,
+        depth: &'a [u32],
+        top_loop: &'a [Option<usize>],
+        sw: &'a [u64],
+        loops: usize,
+        k: usize,
+    ) -> Greedy<'a> {
+        let nscc = dag.len();
+        let mut g = Greedy {
+            dag,
+            depth,
+            top_loop,
+            sw,
+            by_cost: true,
+            avail: BTreeSet::new(),
+            avail_in_loop: vec![BTreeSet::new(); loops],
+            loop_left: vec![0; loops],
+            loop_sw: vec![0; loops],
+            of_scc: vec![usize::MAX; nscc],
+            unplaced_preds: dag.preds.iter().map(Vec::len).collect(),
+            weight: vec![0; k],
+            placed: 0,
+        };
+        for s in 0..nscc {
+            if let Some(l) = top_loop[s] {
+                g.loop_left[l] += 1;
+                g.loop_sw[l] += sw[s];
+            }
+            if g.unplaced_preds[s] == 0 {
+                g.insert(s);
+            }
+        }
+        g
+    }
+
+    fn first_member(&self, s: usize) -> usize {
+        self.dag.members[s][0]
+    }
+
+    fn key(&self, s: usize) -> (u64, u64, usize) {
+        if self.by_cost {
+            // Software: shallowest first, then cheapest.
+            (self.depth[s] as u64, self.sw[s], self.first_member(s))
+        } else {
+            // Hardware stages take available SCCs in program order,
+            // producing contiguous pipeline slabs (a weight-sorted pick
+            // interleaves cheap memory SCCs into early stages and explodes
+            // the cut).
+            (0, 0, self.first_member(s))
+        }
+    }
+
+    /// The next pick: the available SCC with the smallest key.
+    fn first(&self) -> Option<usize> {
+        work::touch(1);
+        self.avail.first().map(|&(_, _, n)| self.dag.scc_of[n].index())
+    }
+
+    fn insert(&mut self, s: usize) {
+        work::touch(1);
+        let (key, first) = (self.key(s), self.first_member(s));
+        self.avail.insert(key);
+        if self.by_cost {
+            if let Some(l) = self.top_loop[s] {
+                self.avail_in_loop[l].insert(first);
+            }
+        }
+    }
+
+    fn remove(&mut self, s: usize) {
+        work::touch(1);
+        let (key, first) = (self.key(s), self.first_member(s));
+        self.avail.remove(&key);
+        if self.by_cost {
+            if let Some(l) = self.top_loop[s] {
+                self.avail_in_loop[l].remove(&first);
+            }
+        }
+    }
+
+    /// Switch the available set to program order (the hardware stages'
+    /// and the drain's key).
+    fn order_by_program(&mut self) {
+        if !self.by_cost {
+            return;
+        }
+        work::touch(self.avail.len());
+        self.by_cost = false;
+        self.avail = self.avail.iter().map(|&(_, _, n)| (0, 0, n)).collect();
+        self.avail_in_loop.iter_mut().for_each(BTreeSet::clear);
+    }
+
+    /// Place available SCC `s` in partition `p` and release its successors;
+    /// `unplace` undoes it.
+    fn place(&mut self, s: usize, p: usize) {
+        self.remove(s);
+        self.of_scc[s] = p;
+        self.weight[p] += self.sw[s];
+        self.placed += 1;
+        if let Some(l) = self.top_loop[s] {
+            self.loop_left[l] -= 1;
+            self.loop_sw[l] -= self.sw[s];
+        }
+        let dag = self.dag;
+        for &nx in &dag.succs[s] {
+            self.unplaced_preds[nx.index()] -= 1;
+            if self.unplaced_preds[nx.index()] == 0 {
+                self.insert(nx.index());
+            }
+        }
+    }
+
+    /// Undo the most recent still-standing `place(s, _)`.
+    fn unplace(&mut self, s: usize) {
+        let dag = self.dag;
+        for &nx in &dag.succs[s] {
+            if self.unplaced_preds[nx.index()] == 0 {
+                self.remove(nx.index());
+            }
+            self.unplaced_preds[nx.index()] += 1;
+        }
+        if let Some(l) = self.top_loop[s] {
+            self.loop_left[l] += 1;
+            self.loop_sw[l] += self.sw[s];
+        }
+        self.weight[self.of_scc[s]] -= self.sw[s];
+        self.of_scc[s] = usize::MAX;
+        self.placed -= 1;
+        self.insert(s);
+    }
+
+    /// Trial absorption of outermost loop `top` into the software stage:
+    /// take available depth-0 and this-loop SCCs in program order until the
+    /// loop is fully placed. Rolls back and returns false if it gets stuck
+    /// on a foreign dependency or would push the stage past `cap`.
+    ///
+    /// The caller's pick had depth > 0 and depth leads the software key, so
+    /// no depth-0 SCC is available when the trial starts; the ones it
+    /// releases are tracked in `released`.
+    fn absorb_loop(&mut self, top: usize, cap: u64) -> bool {
+        let mut taken: Vec<usize> = Vec::new();
+        let mut released: BTreeSet<usize> = BTreeSet::new();
+        let ok = loop {
+            if self.loop_left[top] == 0 {
+                break true;
+            }
+            let cand = [released.first(), self.avail_in_loop[top].first()]
+                .into_iter()
+                .flatten()
+                .min()
+                .map(|&n| self.dag.scc_of[n].index());
+            let Some(cs) = cand else { break false };
+            if self.weight[0] + self.sw[cs] > cap {
+                break false;
+            }
+            released.remove(&self.first_member(cs));
+            self.place(cs, 0);
+            taken.push(cs);
+            let dag = self.dag;
+            for &nx in &dag.succs[cs] {
+                let nx = nx.index();
+                if self.unplaced_preds[nx] == 0 && self.depth[nx] == 0 {
+                    work::touch(1);
+                    released.insert(self.first_member(nx));
+                }
+            }
+        };
+        if !ok {
+            for &s in taken.iter().rev() {
+                self.unplace(s);
+            }
+        }
+        ok
     }
 }
 

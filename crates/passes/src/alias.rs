@@ -29,11 +29,12 @@ pub enum MemObject {
 pub struct AliasInfo {
     points_to: HashMap<InstId, BTreeSet<MemObject>>,
     arg_objects: Vec<BTreeSet<MemObject>>,
+    /// `{Unknown}`, the object set of an out-of-range argument.
+    unknown: BTreeSet<MemObject>,
 }
 
 impl AliasInfo {
     pub fn new(f: &Function) -> AliasInfo {
-        let mut points_to: HashMap<InstId, BTreeSet<MemObject>> = HashMap::new();
         let arg_objects: Vec<BTreeSet<MemObject>> = f
             .params
             .iter()
@@ -49,6 +50,11 @@ impl AliasInfo {
                 s
             })
             .collect();
+        let mut aa = AliasInfo {
+            points_to: HashMap::new(),
+            arg_objects,
+            unknown: [MemObject::Unknown].into(),
+        };
 
         // Iterate to fixpoint (phis can form cycles).
         let layout = f.inst_ids_in_layout();
@@ -62,24 +68,24 @@ impl AliasInfo {
                 let new: BTreeSet<MemObject> = match &inst.op {
                     Op::Alloca(_) => [MemObject::Stack(iid)].into(),
                     Op::GlobalAddr(g) => [MemObject::Global(*g)].into(),
-                    Op::Gep(base, _, _) => value_objects(&points_to, &arg_objects, *base),
-                    Op::Cast(_, v) => value_objects(&points_to, &arg_objects, *v),
+                    Op::Gep(base, _, _) => aa.objects_of(*base).clone(),
+                    Op::Cast(_, v) => aa.objects_of(*v).clone(),
                     Op::Select(_, a, b) => {
-                        let mut s = value_objects(&points_to, &arg_objects, *a);
-                        s.extend(value_objects(&points_to, &arg_objects, *b));
+                        let mut s = aa.objects_of(*a).clone();
+                        s.extend(aa.objects_of(*b));
                         s
                     }
                     Op::Phi(incoming) => {
                         let mut s = BTreeSet::new();
                         for (_, v) in incoming {
-                            s.extend(value_objects(&points_to, &arg_objects, *v));
+                            s.extend(aa.objects_of(*v));
                         }
                         s
                     }
                     // Pointer arithmetic through add/sub keeps the base set.
                     Op::Bin(twill_ir::BinOp::Add | twill_ir::BinOp::Sub, a, b) => {
-                        let mut s = value_objects(&points_to, &arg_objects, *a);
-                        s.extend(value_objects(&points_to, &arg_objects, *b));
+                        let mut s = aa.objects_of(*a).clone();
+                        s.extend(aa.objects_of(*b));
                         // Adding two constants produces no object; keep as-is.
                         s
                     }
@@ -93,7 +99,7 @@ impl AliasInfo {
                     | Op::FuncAddr(_) => [MemObject::Unknown].into(),
                     _ => continue,
                 };
-                let entry = points_to.entry(iid).or_default();
+                let entry = aa.points_to.entry(iid).or_default();
                 if *entry != new {
                     let merged: BTreeSet<MemObject> = entry.union(&new).copied().collect();
                     if *entry != merged {
@@ -103,12 +109,20 @@ impl AliasInfo {
                 }
             }
         }
-        AliasInfo { points_to, arg_objects }
+        aa
     }
 
-    /// The abstract objects a pointer value may address.
-    pub fn objects_of(&self, v: Value) -> BTreeSet<MemObject> {
-        value_objects(&self.points_to, &self.arg_objects, v)
+    /// The abstract objects a pointer value may address, borrowed from the
+    /// analysis (queries allocate nothing).
+    pub fn objects_of(&self, v: Value) -> &BTreeSet<MemObject> {
+        static EMPTY: BTreeSet<MemObject> = BTreeSet::new();
+        match v {
+            Value::Inst(i) => self.points_to.get(&i).unwrap_or(&EMPTY),
+            Value::Arg(n) => self.arg_objects.get(n as usize).unwrap_or(&self.unknown),
+            // A constant address (rare; only via inttoptr-style arithmetic)
+            // addresses no object.
+            Value::Imm(..) => &EMPTY,
+        }
     }
 
     /// May the two addresses alias?
@@ -117,16 +131,8 @@ impl AliasInfo {
     /// arguments (after the globals-to-arguments pass, callee pointer params
     /// *are* global addresses), but never this frame's own allocas.
     pub fn may_alias(&self, a: Value, b: Value) -> bool {
-        let sa = self.objects_of(a);
         let sb = self.objects_of(b);
-        for oa in &sa {
-            for ob in &sb {
-                if objects_compatible(*oa, *ob) {
-                    return true;
-                }
-            }
-        }
-        false
+        self.objects_of(a).iter().any(|&oa| sb.iter().any(|&ob| objects_compatible(oa, ob)))
     }
 
     /// May a memory access through `addr` conflict with writes done by any
@@ -157,24 +163,6 @@ fn objects_compatible(a: MemObject, b: MemObject) -> bool {
         (Global(x), Global(y)) => x == y,
         (Stack(x), Stack(y)) => x == y,
         (Global(_), Stack(_)) | (Stack(_), Global(_)) => false,
-    }
-}
-
-fn value_objects(
-    points_to: &HashMap<InstId, BTreeSet<MemObject>>,
-    arg_objects: &[BTreeSet<MemObject>],
-    v: Value,
-) -> BTreeSet<MemObject> {
-    match v {
-        Value::Inst(i) => points_to.get(&i).cloned().unwrap_or_default(),
-        Value::Arg(n) => arg_objects.get(n as usize).cloned().unwrap_or_else(|| {
-            let mut s = BTreeSet::new();
-            s.insert(MemObject::Unknown);
-            s
-        }),
-        // A constant address (rare; only via inttoptr-style arithmetic):
-        // treat as unknown unless zero.
-        Value::Imm(..) => BTreeSet::new(),
     }
 }
 

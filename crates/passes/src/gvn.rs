@@ -23,6 +23,33 @@ enum Key {
     GlobalAddr(twill_ir::GlobalId),
 }
 
+/// Whether `a`'s printed form sorts before `b`'s (the commutative-operand
+/// order). Both are formatted into stack buffers, so the comparison
+/// allocates nothing.
+fn debug_lt(a: Value, b: Value) -> bool {
+    /// Fixed buffer for one `Value`'s `Debug` text; the longest,
+    /// `-9223372036854775808:void`, is 25 bytes.
+    struct Buf {
+        bytes: [u8; 32],
+        len: usize,
+    }
+    impl std::fmt::Write for Buf {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            let end = self.len + s.len();
+            self.bytes.get_mut(self.len..end).ok_or(std::fmt::Error)?.copy_from_slice(s.as_bytes());
+            self.len = end;
+            Ok(())
+        }
+    }
+    fn print(v: Value) -> Buf {
+        let mut buf = Buf { bytes: [0; 32], len: 0 };
+        std::fmt::Write::write_fmt(&mut buf, format_args!("{v:?}")).expect("value text fits");
+        buf
+    }
+    let (a, b) = (print(a), print(b));
+    a.bytes[..a.len] < b.bytes[..b.len]
+}
+
 pub fn gvn(f: &mut Function) -> bool {
     let dt = DomTree::new(f);
     let aa = AliasInfo::new(f);
@@ -37,11 +64,7 @@ pub fn gvn(f: &mut Function) -> bool {
                     // Division can still be numbered (same operands, same
                     // trap behavior) — identical expression is safe.
                 }
-                let (x, y) = if b.commutative() && format!("{y:?}") < format!("{x:?}") {
-                    (*y, *x)
-                } else {
-                    (*x, *y)
-                };
+                let (x, y) = if b.commutative() && debug_lt(*y, *x) { (*y, *x) } else { (*x, *y) };
                 Key::Bin(*b, x, y)
             }
             Op::Cmp(c, x, y) => Key::Cmp(*c, *x, *y),
@@ -152,6 +175,26 @@ mod tests {
     use super::*;
     use twill_ir::parser::parse_module;
     use twill_ir::printer::print_module;
+
+    #[test]
+    fn operand_order_matches_printed_text() {
+        // The canonical order is the order of the `Debug` strings, digits
+        // included ("%10" < "%9", "%1" < "%a0", "-1:i32" < "0:i1").
+        let mut vals = vec![Value::Arg(0), Value::Arg(12), Value::Arg(u16::MAX)];
+        for i in [0, 1, 9, 10, 99, 100, u32::MAX] {
+            vals.push(Value::Inst(InstId(i)));
+        }
+        for v in [i64::MIN, -100, -1, 0, 1, 7, 10, i64::MAX] {
+            for t in [Ty::Void, Ty::I1, Ty::I8, Ty::I16, Ty::I32, Ty::Ptr] {
+                vals.push(Value::Imm(v, t));
+            }
+        }
+        for &a in &vals {
+            for &b in &vals {
+                assert_eq!(debug_lt(a, b), format!("{a:?}") < format!("{b:?}"), "{a:?} vs {b:?}");
+            }
+        }
+    }
 
     fn run_gvn(src: &str, input: Vec<i32>) -> String {
         let mut m = parse_module(src).unwrap();

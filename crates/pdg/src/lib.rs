@@ -16,6 +16,8 @@
 //! the hardware cycle·area product, scaled by loop-depth-based execution
 //! frequency.
 
+#[cfg(test)]
+mod complexity_guard;
 pub mod graph;
 pub mod scc;
 pub mod weights;

@@ -3,6 +3,33 @@
 
 use crate::graph::Pdg;
 
+/// Work counter behind the SCC complexity guard (`complexity_guard`
+/// tests): Tarjan steps and DAG-edge visits. Compiled out of non-test
+/// builds.
+#[cfg(test)]
+pub(crate) mod work {
+    use std::cell::Cell;
+
+    thread_local! {
+        static TOUCHES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn touch(n: usize) {
+        TOUCHES.with(|t| t.set(t.get() + n as u64));
+    }
+
+    /// Read and reset this thread's counter.
+    pub(crate) fn take() -> u64 {
+        TOUCHES.with(|t| t.replace(0))
+    }
+}
+
+#[cfg(not(test))]
+mod work {
+    #[inline(always)]
+    pub(super) fn touch(_n: usize) {}
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SccId(pub u32);
 
@@ -14,16 +41,21 @@ impl SccId {
 
 /// Condensation of the PDG: every node belongs to exactly one SCC; edges
 /// between distinct SCCs form a DAG.
+///
+/// SCC ids follow Tarjan's emission order, which is a reverse topological
+/// order: every DAG edge runs from a higher id to a lower one, so walking
+/// the ids downwards visits dependencies first. No separate topological
+/// order is stored.
 pub struct SccDag {
     /// SCC id per PDG node index.
     pub scc_of: Vec<SccId>,
-    /// Member PDG nodes per SCC.
+    /// Member PDG nodes per SCC, ascending.
     pub members: Vec<Vec<usize>>,
-    /// DAG edges: `succs[s]` = SCCs that depend on s (must run after).
+    /// DAG edges: `succs[s]` = SCCs that depend on s (must run after), in
+    /// order of first appearance among the PDG edges of s's members.
     pub succs: Vec<Vec<SccId>>,
+    /// Reverse DAG edges: `preds[s]` = SCCs s depends on, ascending.
     pub preds: Vec<Vec<SccId>>,
-    /// Topological order (dependencies first).
-    pub topo: Vec<SccId>,
 }
 
 impl SccDag {
@@ -56,6 +88,7 @@ impl SccDag {
             on_stack[root] = true;
 
             while let Some(fr) = call.last_mut() {
+                work::touch(1);
                 let v = fr.v;
                 if fr.edge < pdg.edges[v].len() {
                     let (w, _) = pdg.edges[v][fr.edge];
@@ -83,6 +116,7 @@ impl SccDag {
                                 break;
                             }
                         }
+                        work::touch(comp.len());
                         comp.sort();
                         members.push(comp);
                     }
@@ -94,40 +128,29 @@ impl SccDag {
             }
         }
 
-        // Condensed DAG edges.
+        // Condensed DAG edges, deduplicated with a per-target marker: the
+        // SCCs are walked one at a time, so `mark[t] == s` means the edge
+        // s→t is already recorded. Walking the SCCs in id order fills every
+        // `preds` list in ascending order.
         let nscc = members.len();
         let mut succs: Vec<Vec<SccId>> = vec![Vec::new(); nscc];
         let mut preds: Vec<Vec<SccId>> = vec![Vec::new(); nscc];
-        for (t, h, _) in pdg.all_edges() {
-            let (st, sh) = (scc_of[t], scc_of[h]);
-            if st != sh && !succs[st.index()].contains(&sh) {
-                succs[st.index()].push(sh);
-                preds[sh.index()].push(st);
-            }
-        }
-
-        // Kahn topo order.
-        let mut indeg: Vec<usize> = preds.iter().map(|p| p.len()).collect();
-        // Tarjan emits SCCs in reverse topological order already, but we
-        // recompute explicitly for clarity and verification.
-        let mut ready: Vec<SccId> =
-            (0..nscc).filter(|&i| indeg[i] == 0).map(|i| SccId(i as u32)).collect();
-        // Deterministic order: prefer lowest first-member node.
-        ready.sort_by_key(|s| std::cmp::Reverse(members[s.index()][0]));
-        let mut topo = Vec::with_capacity(nscc);
-        while let Some(s) = ready.pop() {
-            topo.push(s);
-            for &nx in &succs[s.index()] {
-                indeg[nx.index()] -= 1;
-                if indeg[nx.index()] == 0 {
-                    ready.push(nx);
-                    ready.sort_by_key(|s| std::cmp::Reverse(members[s.index()][0]));
+        let mut mark = vec![usize::MAX; nscc];
+        for (s, ms) in members.iter().enumerate() {
+            for &t in ms {
+                work::touch(1 + pdg.edges[t].len());
+                for &(h, _) in &pdg.edges[t] {
+                    let sh = scc_of[h];
+                    if sh.index() != s && mark[sh.index()] != s {
+                        mark[sh.index()] = s;
+                        succs[s].push(sh);
+                        preds[sh.index()].push(SccId(s as u32));
+                    }
                 }
             }
         }
-        debug_assert_eq!(topo.len(), nscc, "SCC condensation must be acyclic");
 
-        SccDag { scc_of, members, succs, preds, topo }
+        SccDag { scc_of, members, succs, preds }
     }
 
     pub fn len(&self) -> usize {
@@ -209,14 +232,18 @@ bb2:
 }
 "#,
         );
-        let pos: std::collections::HashMap<SccId, usize> =
-            dag.topo.iter().enumerate().map(|(i, s)| (*s, i)).collect();
+        // Tarjan's emission order is the reverse topological order: every
+        // DAG edge points from a higher SCC id to a lower one.
+        let mut edges = 0;
         for (s, succs) in dag.succs.iter().enumerate() {
             for nx in succs {
-                assert!(pos[&SccId(s as u32)] < pos[nx], "topo order violated");
+                assert!(nx.index() < s, "emission order violated: {s} -> {}", nx.index());
+                assert!(dag.preds[nx.index()].contains(&SccId(s as u32)));
+                edges += 1;
             }
         }
-        assert_eq!(dag.topo.len(), dag.len());
+        assert!(edges > 0, "the loop must give the DAG edges");
+        assert_eq!(dag.preds.iter().map(Vec::len).sum::<usize>(), edges);
     }
 
     #[test]
